@@ -28,6 +28,18 @@ predicting their majority. Rule syntax:
 
     (input16 = '(90-inf)') and (input11 = '(-inf-10]') => class=8
 
+Inside train_rules every row set (grow split, prune split, rule
+coverage, remaining rows, class rows) is a Python int used as a bitset,
+bit i standing for row i. One bitset per observed (feature, value) and
+one per label are built once per call, so the coverage of a condition
+list is an AND of them. All counting goes through one helper, mass: with
+unit weights it is int.bit_count; otherwise it adds the weights of the
+set bits in ascending row order, the order a loop over the rows adds
+in, so every float sum, and with it every rule choice and distribution,
+is bit-identical to the row-at-a-time algorithm. The grow/prune flag of
+the k-th row of a class is computed once per call and written into the
+class's set bits for each split.
+
 model_size counts every node of a tree (internal plus leaves) and every
 rule of a rule list including the default.
 """
@@ -35,8 +47,10 @@ rule of a rule list including the default.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate, count
 from statistics import NormalDist
 
 from .data import MISSING, Dataset, Feature
@@ -392,23 +406,61 @@ def format_rules(m: RuleModel) -> str:
     return "\n".join(r.text(m.labels) for r in m.rules) + "\n"
 
 
-def _positional_split(items, labels, prune_fraction):
-    """Deterministic stratified grow/prune partition preserving order.
+def _gaps(mask: int) -> list[str]:
+    """The run of zero digits below each set bit of mask, lowest bit first."""
+    gaps = bin(mask)[:1:-1].split("1")
+    gaps.pop()  # nothing lies above the highest set bit
+    return gaps
 
-    Within each class, every prune_fraction-th instance goes to the
-    prune side, so both sides keep the class mix without any randomness.
+
+def _row_masks(keys) -> dict[int, int]:
+    """One bitset per distinct key: bit i is set where keys[i] equals it."""
+    n = len(keys)
+    digits: dict[int, bytearray] = {}
+    for i, k in enumerate(keys):
+        row = digits.get(k)
+        if row is None:
+            row = digits[k] = bytearray(b"0" * n)
+        row[n - 1 - i] = 49  # ord("1"); int() reads the highest bit first
+    return {k: int(row, 2) for k, row in sorted(digits.items())}
+
+
+def _prune_ranks(n: int, prune_fraction: float) -> str:
+    """Prune-side flag ("1") or grow-side flag ("0") for each rank in a class.
+
+    Within each class, every prune_fraction-th instance goes to the prune
+    side, so both sides keep the class mix without any randomness. The
+    running share of a row depends only on how many rows of its class
+    came before it, so one string of n flags serves every class and every
+    split.
     """
-    grow, prune = [], []
-    acc: dict[int, float] = {}
-    for it in items:
-        y = labels[it]
-        acc[y] = acc.get(y, 0.0) + prune_fraction
-        if acc[y] >= 1.0 - 1e-9:
-            acc[y] -= 1.0
-            prune.append(it)
+    flags = []
+    acc = 0.0
+    for _ in range(n):
+        acc += prune_fraction
+        if acc >= 1.0 - 1e-9:
+            acc -= 1.0
+            flags.append("1")
         else:
-            grow.append(it)
-    return grow, prune
+            flags.append("0")
+    return "".join(flags)
+
+
+def _positional_split(rows: int, class_bits, ranks: str) -> tuple[int, int]:
+    """Deterministic stratified grow/prune partition of the row set rows.
+
+    The k-th row of a class in rows (ascending) goes to the prune side
+    when ranks[k] is "1".
+    """
+    prune = 0
+    for bits in class_bits:
+        mask = rows & bits
+        if not mask:
+            continue
+        # Rebuild the mask's binary digits with its k-th set bit replaced
+        # by ranks[k].
+        prune |= int("".join(map(operator.add, _gaps(mask), ranks))[::-1], 2)
+    return rows ^ prune, prune
 
 
 def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> RuleModel:
@@ -419,64 +471,72 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
         raise DataError("cannot learn rules from an empty dataset")
 
     n_labels = len(d.labels)
-    ys = [inst.label for inst in d.instances]
     ws = [inst.weight for inst in d.instances]
-    cols = [d.column(x) for x in range(len(d.features))]
+    by_label = _row_masks([inst.label for inst in d.instances])
+    class_bits = [by_label.get(l, 0) for l in range(n_labels)]
+    value_bits = []
+    for x in range(len(d.features)):
+        by_value = _row_masks(d.column(x))
+        by_value.pop(MISSING, None)
+        value_bits.append(by_value)
+    ranks = _prune_ranks(len(ws), prune_fraction)
 
-    def covers(conds, i) -> bool:
-        return all(cols[x][i] == z for x, z in conds)
+    if all(w == 1.0 for w in ws):
+        mass = int.bit_count
+    else:
+        def mass(mask):
+            # Add the weights in ascending row order, as a loop over the
+            # rows would, so the float sum comes out the same. The k-th set
+            # bit sits above the first k + 1 runs of zeros and k other ones.
+            ones = map(operator.add, accumulate(map(len, _gaps(mask))), count())
+            return reduce(operator.add, map(ws.__getitem__, ones), 0.0)
 
-    def pn(conds, idxs, target):
-        p = n = 0.0
-        for i in idxs:
-            if covers(conds, i):
-                if ys[i] == target:
-                    p += ws[i]
-                else:
-                    n += ws[i]
-        return p, n
+    def coverage(conds, rows):
+        for x, z in conds:
+            rows &= value_bits[x][z]
+        return rows
 
-    def grow_rule(grow_idx, target):
+    def pn(conds, rows, target):
+        covered = coverage(conds, rows)
+        pos = class_bits[target]
+        return mass(covered & pos), mass(covered & ~pos)
+
+    def grow_rule(rows, target):
         conds: list[tuple[int, int]] = []
-        covered = list(grow_idx)
-        p0 = sum(ws[i] for i in covered if ys[i] == target)
-        n0 = sum(ws[i] for i in covered if ys[i] != target)
+        pos = rows & class_bits[target]
+        neg = rows ^ pos
+        p0, n0 = mass(pos), mass(neg)
         if p0 <= 0:
             return None
         used: set[int] = set()
         while n0 > 0:
-            cand: dict[tuple[int, int], list[float]] = {}
-            for i in covered:
-                for x in range(len(cols)):
-                    if x in used:
-                        continue
-                    z = cols[x][i]
-                    if z == MISSING:
-                        continue
-                    pq = cand.setdefault((x, z), [0.0, 0.0])
-                    pq[0 if ys[i] == target else 1] += ws[i]
             best = None
-            for (x, z), (p1, q1) in sorted(cand.items()):
-                if p1 <= 0:
+            log_acc0 = math.log2(p0 / (p0 + n0))
+            for x, by_value in enumerate(value_bits):
+                if x in used:
                     continue
-                gain = p1 * (
-                    math.log2(p1 / (p1 + q1)) - math.log2(p0 / (p0 + n0))
-                )
-                if best is None or gain > best[0] + 1e-12:
-                    best = (gain, x, z, p1, q1)
+                for z, bits in by_value.items():
+                    p1 = mass(pos & bits)
+                    if p1 <= 0:
+                        continue
+                    q1 = mass(neg & bits)
+                    gain = p1 * (math.log2(p1 / (p1 + q1)) - log_acc0)
+                    if best is None or gain > best[0] + 1e-12:
+                        best = (gain, x, z, p1, q1)
             if best is None or best[0] <= 1e-12:
                 break
             _, x, z, p0, n0 = best
             conds.append((x, z))
             used.add(x)
-            covered = [i for i in covered if cols[x][i] == z]
+            pos &= value_bits[x][z]
+            neg &= value_bits[x][z]
         return conds or None
 
-    def prune_rule(conds, prune_idx, target):
-        if not prune_idx or len(conds) <= 1:
+    def prune_rule(conds, prune_rows, target):
+        if not prune_rows or len(conds) <= 1:
             return conds
         def worth(cs):
-            p, n = pn(cs, prune_idx, target)
+            p, n = pn(cs, prune_rows, target)
             if p + n <= 0:
                 return -1.0
             return (p - n) / (p + n)
@@ -487,32 +547,28 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
                 best_len, best_v = keep, v
         return conds[:best_len]
 
-    label_counts = [0.0] * n_labels
-    for y, w in zip(ys, ws):
-        label_counts[y] += w
+    label_counts = [mass(bits) for bits in class_bits]
     order = sorted(range(n_labels), key=lambda l: (label_counts[l], l))
 
-    remaining = list(range(len(d.instances)))
+    remaining = (1 << len(ws)) - 1
     rules: list[Rule] = []
     for target in order[:-1]:
-        while any(ys[i] == target for i in remaining):
-            grow_idx, prune_idx = _positional_split(remaining, ys, prune_fraction)
-            conds = grow_rule(grow_idx, target)
+        while remaining & class_bits[target]:
+            grow_rows, prune_rows = _positional_split(remaining, class_bits, ranks)
+            conds = grow_rule(grow_rows, target)
             if conds is None:
                 break
-            conds = prune_rule(conds, prune_idx, target)
-            check_idx = prune_idx or grow_idx
-            p, n = pn(conds, check_idx, target)
+            conds = prune_rule(conds, prune_rows, target)
+            check_rows = prune_rows or grow_rows
+            p, n = pn(conds, check_rows, target)
             rule_acc = p / (p + n) if p + n > 0 else 0.0
-            base = sum(ws[i] for i in check_idx if ys[i] == target)
-            total = sum(ws[i] for i in check_idx)
+            base = mass(check_rows & class_bits[target])
+            total = mass(check_rows)
             default_acc = base / total if total > 0 else 0.0
             if rule_acc <= default_acc:
                 break
-            dist_counts = [0.0] * n_labels
-            for i in remaining:
-                if covers(conds, i):
-                    dist_counts[ys[i]] += ws[i]
+            covered = coverage(conds, remaining)
+            dist_counts = [mass(covered & bits) for bits in class_bits]
             total_cov = sum(dist_counts)
             dist = tuple(
                 (c / total_cov if total_cov > 0 else 1.0 / n_labels)
@@ -528,11 +584,9 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
                     dist,
                 )
             )
-            remaining = [i for i in remaining if not covers(conds, i)]
+            remaining ^= covered
 
-    tail_counts = [0.0] * n_labels
-    for i in remaining:
-        tail_counts[ys[i]] += ws[i]
+    tail_counts = [mass(remaining & bits) for bits in class_bits]
     if sum(tail_counts) <= 0:
         tail_counts = label_counts
     default_label = _argmax_low(tail_counts)

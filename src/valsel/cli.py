@@ -142,7 +142,14 @@ def _load_input(cfg: RunConfig):
     if fmt is None:
         fmt = "arff" if Path(cfg.input).suffix.lower() == ".arff" else "csv"
     if fmt == "csv":
-        class_index = cfg.class_index if cfg.class_index == "last" else int(cfg.class_index)
+        class_index = cfg.class_index
+        if class_index != "last":
+            try:
+                class_index = int(class_index)
+            except ValueError:
+                raise ConfigError(
+                    f"bad class index {class_index!r}: expected a 0-based column or 'last'"
+                ) from None
         kwargs = {
             "class_index": class_index,
             "missing_token": cfg.missing_token,
@@ -165,7 +172,10 @@ def _out_path(text: str | None) -> Path | None:
 def _parse_epsilon(text: str, step: float) -> list[float]:
     """A float, or an inclusive range "a..b" stepped by --epsilon-step."""
     if ".." not in text:
-        return [float(text)]
+        try:
+            return [float(text)]
+        except ValueError:
+            raise ConfigError(f"bad epsilon {text!r}") from None
     lo_s, hi_s = text.split("..", 1)
     try:
         lo, hi = float(lo_s), float(hi_s)
@@ -173,6 +183,8 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
         raise ConfigError(f"bad epsilon range {text!r}") from None
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad epsilon range {text!r} with step {step}")
+    if hi > 1.0:
+        raise ConfigError(f"bad epsilon range {text!r}: epsilon lies in (0, 1]")
     values = []
     k = 0
     while True:

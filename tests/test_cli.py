@@ -136,6 +136,33 @@ def test_epsilon_range_parsing():
         _parse_epsilon("0.1..0.5", 0.0)
     with pytest.raises(ConfigError):
         _parse_epsilon("zero..one", 0.1)
+    with pytest.raises(ConfigError):
+        _parse_epsilon("abc", 0.1)
+    # Points above 1 used to be clamped to 1, so the eps=1 run repeated.
+    with pytest.raises(ConfigError):
+        _parse_epsilon("0.9..1.2", 0.1)
+    with pytest.raises(ConfigError):
+        _parse_epsilon("0.5..1.0000001", 0.1)
+
+
+def test_bad_class_index_is_a_config_error(numeric_csv, tmp_path, capsys):
+    out = tmp_path / "out.arff"
+    code = main(["filter", "--input", str(numeric_csv), "--class-index", "foo",
+                 "--method", "none", "--output", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    conf = tmp_path / "ci.conf"
+    conf.write_text(f"input={numeric_csv}\nclass_index = foo\n", encoding="utf-8")
+    code = main(["filter", "--config", str(conf), "--method", "none", "--output", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_epsilon_is_a_config_error(arff_input, capsys):
+    code = main(["experiment", "--input", str(arff_input), "--epsilon", "abc"])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
