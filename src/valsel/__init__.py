@@ -6,8 +6,6 @@ accuracy it costs. See the module docstrings for the contracts.
 """
 
 from .baselines import (
-    BaselineConfig,
-    apply_baseline,
     drop_columns,
     misclassified_filter,
     random_value_removal,
@@ -49,11 +47,13 @@ from .discretize import (
 from .discretize import apply as apply_discretization
 from .errors import ConfigError, DataError, UnsupportedFeatureError
 from .evaluate import (
+    FILTERS,
     EvalReport,
     ExperimentConfig,
     RunRecord,
     ar,
     cross_validate,
+    filter_dataset,
     format_report_table,
     harmonic,
     mr,
@@ -73,7 +73,6 @@ from .selection import FilterOutcome, VSConfig, apply_selection, pvs, pvs_plus
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig",
     "CATEGORICAL",
     "ConfigError",
     "DISCRETIZED",
@@ -82,6 +81,7 @@ __all__ = [
     "DiscretizationSpec",
     "EvalReport",
     "ExperimentConfig",
+    "FILTERS",
     "Feature",
     "FilterOutcome",
     "Instance",
@@ -94,7 +94,6 @@ __all__ = [
     "UnsupportedFeatureError",
     "VSConfig",
     "ValueStats",
-    "apply_baseline",
     "apply_discretization",
     "apply_selection",
     "ar",
@@ -106,6 +105,7 @@ __all__ = [
     "fit",
     "fit_equal_frequency",
     "fit_equal_width",
+    "filter_dataset",
     "fit_mdl",
     "format_report_table",
     "format_rules",

@@ -13,38 +13,14 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass
 
 from .data import MISSING, Dataset, Instance
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-BASELINE_METHODS = ("reservoir", "misclassified", "drop_columns", "random_value")
-
 #: Fraction of instances a reservoir keeps by default (1 in 20).
 RESERVOIR_FRACTION = 0.05
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    method: str
-    fraction: float = RESERVOIR_FRACTION
-    folds: int = 10
-    seed: int = 0
-    columns: tuple[str, ...] = ()
-    rate: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        if self.method not in BASELINE_METHODS:
-            raise ConfigError(f"unknown baseline method {self.method!r}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must lie in (0, 1], got {self.fraction}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"rate must lie in [0, 1], got {self.rate}")
 
 
 def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int = 0) -> Dataset:
@@ -73,31 +49,22 @@ def misclassified_filter(d: Dataset, learner=None, folds: int = 10, seed: int = 
         from .classifiers import LearnerSpec
 
         learner = LearnerSpec()
-    if folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {folds}")
-    if folds > len(d.instances):
-        raise DataError(
-            f"{folds}-fold filtering impossible with {len(d.instances)} instances"
-        )
-    # imported here: evaluation builds on the baselines module
-    from .evaluate import stratified_fold_assignment
+    # imported here: evaluation builds on the baselines module; the
+    # split rejects folds < 2 and folds > |I|
+    from .evaluate import fold_splits
 
-    fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, seed)
+    rows = d.instances
     keep = []
-    for f in range(folds):
-        train = [inst for i, inst in enumerate(d.instances) if fold_of[i] != f]
-        test = [(i, inst) for i, inst in enumerate(d.instances) if fold_of[i] == f]
-        if not train or not test:
-            continue
-        model = learner.train(d.with_instances(train))
-        for i, inst in test:
-            label, _ = model.predict(inst, d)
-            if label == d.labels[inst.label]:
-                keep.append((i, inst))
-    keep.sort(key=lambda pair: pair[0])
+    for _, train, test in fold_splits(d, folds, seed):
+        model = learner.train(d.with_instances([rows[i] for i in train]))
+        for i in test:
+            label, _ = model.predict(rows[i], d)
+            if label == d.labels[rows[i].label]:
+                keep.append(i)
+    keep.sort()
     if not keep:
         log.warning("misclassified filter removed every instance")
-    return d.with_instances([inst for _, inst in keep])
+    return d.with_instances([rows[i] for i in keep])
 
 
 def drop_columns(d: Dataset, names) -> Dataset:
@@ -138,13 +105,3 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
             continue
         survivors.append(Instance(tuple(slots), inst.label, inst.weight))
     return d.with_instances(survivors)
-
-
-def apply_baseline(d: Dataset, cfg: BaselineConfig, learner=None) -> Dataset:
-    if cfg.method == "reservoir":
-        return reservoir_select(d, cfg.fraction, cfg.seed)
-    if cfg.method == "misclassified":
-        return misclassified_filter(d, learner, cfg.folds, cfg.seed)
-    if cfg.method == "drop_columns":
-        return drop_columns(d, cfg.columns)
-    return random_value_removal(d, cfg.rate, cfg.seed)

@@ -55,22 +55,20 @@ from statistics import NormalDist
 
 from .data import MISSING, Dataset, Feature
 from .errors import ConfigError, DataError
+from .metrics import entropy_bits
 
 TREE_MIN_LEAF = 2
 TREE_CF = 0.25
 RULES_PRUNE_FRACTION = 1.0 / 3.0
+LEARNERS = ("tree", "rules")
 
 
-def _class_entropy(counts) -> float:
+def _normalized(counts) -> tuple[float, ...]:
+    """Class distribution of counts; uniform when they sum to 0."""
     total = sum(counts)
     if total <= 0:
-        return 0.0
-    ent = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / total
-            ent -= p * math.log2(p)
-    return ent
+        return (1.0 / len(counts),) * len(counts)
+    return tuple(c / total for c in counts)
 
 
 def _argmax_low(values) -> int:
@@ -151,12 +149,15 @@ class TreeModel:
         return format_tree(self)
 
 
+def _tokens(m, inst, schema: Dataset | None) -> dict[str, str | None]:
+    """Value token per feature name, None for MISSING; schema None means m's own."""
+    features = schema.features if schema is not None else m.features
+    return {f.name: (None if z == MISSING else f.values[z]) for f, z in zip(features, inst.slots)}
+
+
 def _node_distribution(node, tokens, n_labels):
     if isinstance(node, Leaf):
-        total = sum(node.counts)
-        if total <= 0:
-            return [1.0 / n_labels] * n_labels
-        return [c / total for c in node.counts]
+        return _normalized(node.counts)
     tok = tokens.get(node.name)
     if tok is not None and tok in node.children:
         return _node_distribution(node.children[tok], tokens, n_labels)
@@ -177,12 +178,7 @@ def predict_tree(m: TreeModel, inst, schema: Dataset | None = None):
     or re-interned datasets predict correctly; MISSING and unseen values
     mix all branches by training proportion.
     """
-    features = schema.features if schema is not None else m.features
-    tokens = {
-        f.name: (None if z == MISSING else f.values[z])
-        for f, z in zip(features, inst.slots)
-    }
-    dist = _node_distribution(m.root, tokens, len(m.labels))
+    dist = _node_distribution(m.root, _tokens(m, inst, schema), len(m.labels))
     label = _argmax_low(dist)
     return m.labels[label], tuple(dist)
 
@@ -235,7 +231,7 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
                 vw = sum(per)
                 for l in range(n_labels):
                     known_counts[l] += per[l]
-                info += (vw / known_w) * _class_entropy(per)
+                info += (vw / known_w) * entropy_bits(per)
                 q = vw / total
                 if q > 0:
                     split_info -= q * math.log2(q)
@@ -243,7 +239,7 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
             if miss_w > 0:
                 q = miss_w / total
                 split_info -= q * math.log2(q)
-            gain = (known_w / total) * (_class_entropy(known_counts) - info)
+            gain = (known_w / total) * (entropy_bits(known_counts) - info)
             if gain <= 1e-12 or split_info <= 0:
                 continue
             ratio = gain / split_info
@@ -306,11 +302,16 @@ def _added_errors(n: float, e: float, cf: float) -> float:
     return r * n - e
 
 
+def _leaf_errors(node, cf) -> float:
+    """Pessimistic error estimate of node collapsed to a leaf."""
+    total = sum(node.counts)
+    errors = total - node.counts[node.label]
+    return errors + _added_errors(total, errors, cf)
+
+
 def _estimated_errors(node, cf) -> float:
     if isinstance(node, Leaf):
-        total = sum(node.counts)
-        errors = total - node.counts[node.label]
-        return errors + _added_errors(total, errors, cf)
+        return _leaf_errors(node, cf)
     return sum(_estimated_errors(c, cf) for c in node.children.values())
 
 
@@ -318,11 +319,7 @@ def _prune(node, cf):
     if isinstance(node, Leaf):
         return node
     node.children = {t: _prune(c, cf) for t, c in node.children.items()}
-    total = sum(node.counts)
-    errors = total - node.counts[node.label]
-    as_leaf = errors + _added_errors(total, errors, cf)
-    subtree = _estimated_errors(node, cf)
-    if as_leaf <= subtree + 1e-9:
+    if _leaf_errors(node, cf) <= _estimated_errors(node, cf) + 1e-9:
         return Leaf(node.counts, node.label)
     return node
 
@@ -391,11 +388,7 @@ class RuleModel:
 
 def predict_rules(m: RuleModel, inst, schema: Dataset | None = None):
     """First matching rule wins; the default rule matches everything."""
-    features = schema.features if schema is not None else m.features
-    tokens = {
-        f.name: (None if z == MISSING else f.values[z])
-        for f, z in zip(features, inst.slots)
-    }
+    tokens = _tokens(m, inst, schema)
     for rule in m.rules:
         if all(tokens.get(f) == v for f, v in rule.conditions):
             return m.labels[rule.label], rule.distribution
@@ -568,12 +561,7 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
             if rule_acc <= default_acc:
                 break
             covered = coverage(conds, remaining)
-            dist_counts = [mass(covered & bits) for bits in class_bits]
-            total_cov = sum(dist_counts)
-            dist = tuple(
-                (c / total_cov if total_cov > 0 else 1.0 / n_labels)
-                for c in dist_counts
-            )
+            dist = _normalized([mass(covered & bits) for bits in class_bits])
             rules.append(
                 Rule(
                     tuple(
@@ -589,12 +577,7 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
     tail_counts = [mass(remaining & bits) for bits in class_bits]
     if sum(tail_counts) <= 0:
         tail_counts = label_counts
-    default_label = _argmax_low(tail_counts)
-    total_tail = sum(tail_counts)
-    default_dist = tuple(
-        (c / total_tail if total_tail > 0 else 1.0 / n_labels) for c in tail_counts
-    )
-    rules.append(Rule((), default_label, default_dist))
+    rules.append(Rule((), _argmax_low(tail_counts), _normalized(tail_counts)))
     return RuleModel(tuple(rules), d.labels, d.features)
 
 
@@ -620,7 +603,7 @@ class LearnerSpec:
     prune_fraction: float = RULES_PRUNE_FRACTION
 
     def __post_init__(self):
-        if self.kind not in ("tree", "rules"):
+        if self.kind not in LEARNERS:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
 
     def train(self, d: Dataset):

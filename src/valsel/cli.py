@@ -13,90 +13,70 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import discretize as _disc
-from .baselines import BaselineConfig, apply_baseline
-from .classifiers import LearnerSpec
+from .classifiers import LEARNERS, LearnerSpec
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, DataError
-from .evaluate import ExperimentConfig, format_report_table, run_experiment
-from .metrics import compute_stats
-from .selection import VSConfig, apply_selection
+from .evaluate import FILTERS, ExperimentConfig, format_report_table, run_experiment
+from .metrics import DATASET_ENTROPIES, IOTAS, compute_stats
+from .selection import FilterOutcome
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one invocation."""
+    """Where one invocation reads and writes; every other knob is an ExperimentConfig field."""
 
     input: str | None = None
     format: str | None = None
     class_index: str = "last"
     missing_token: str = "?"
     header: bool = True
-    disc_method: str = "frequency"
-    bins: int = 10
-    method: str = "pvs_plus"
-    iota: str = "entropy"
-    epsilon: float = 0.5
-    seed: int = 0
-    repeats: int = 5
-    folds: int = 10
-    fold_safe: bool = False
-    jobs: int = 1
-    learner: str = "tree"
-    min_leaf: int = 2
-    cf: float = 0.25
-    prune_fraction: float = 1.0 / 3.0
-    fraction: float = 0.05
-    columns: tuple[str, ...] = ()
-    rate: float = 0.0
-    dataset_entropy: str = "value-sum"
     output: str | None = None
 
-    def learner_spec(self) -> LearnerSpec:
-        return LearnerSpec(self.learner, self.min_leaf, self.cf, self.prune_fraction)
 
+def _defaults(cls) -> dict:
+    """Field name -> default; ExperimentConfig.learner, built from the
+    LearnerSpec keys, has a default factory instead and is left out."""
+    return {
+        f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+    }
+
+
+def _learner_key(name: str) -> str:
+    """Config key of a LearnerSpec field; kind is the one not named after its field."""
+    return "learner" if name == "kind" else name
+
+
+#: Every config-file key with its default; the type of the default (str
+#: for None) is how a value given as text is read.
+DEFAULTS = {
+    **_defaults(RunConfig),
+    **_defaults(ExperimentConfig),
+    **{_learner_key(k): v for k, v in _defaults(LearnerSpec).items()},
+}
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _coerce(name: str, kind, raw):
-    if not isinstance(raw, str):
+def _coerce(name: str, raw):
+    default = DEFAULTS[name]
+    kind = str if default is None else type(default)
+    if not isinstance(raw, str) or kind is str:
         return raw
     try:
         if kind is bool:
             return _BOOL_WORDS[raw.strip().lower()]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
         if kind is tuple:
             return tuple(t for t in (s.strip() for s in raw.split(",")) if t)
+        return kind(raw)
     except (ValueError, KeyError):
         raise ConfigError(f"bad value {raw!r} for config key {name!r}") from None
-    return raw
-
-
-_FIELD_KIND = {
-    "header": bool,
-    "fold_safe": bool,
-    "bins": int,
-    "seed": int,
-    "repeats": int,
-    "folds": int,
-    "jobs": int,
-    "min_leaf": int,
-    "epsilon": float,
-    "cf": float,
-    "prune_fraction": float,
-    "fraction": float,
-    "rate": float,
-    "columns": tuple,
-}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -111,27 +91,29 @@ def load_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     for key in out:
-        if key not in known:
+        if key not in DEFAULTS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
     return out
 
 
-def resolve_config(cli: dict, file_values: dict[str, str]) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
-    kwargs = {}
-    for f in dataclasses.fields(RunConfig):
-        kind = _FIELD_KIND.get(f.name, str)
-        value = cli.get(f.name)
-        if value is None and f.name in file_values:
-            value = _coerce(f.name, kind, file_values[f.name])
+def resolve_config(cli: dict, file_values: dict[str, str]) -> dict:
+    """Every config key's value: defaults, overridden by the config file,
+    overridden by flags."""
+    values = dict(DEFAULTS)
+    for key in DEFAULTS:
+        value = cli.get(key)
         if value is None:
-            continue
-        if f.name == "columns" and isinstance(value, str):
-            value = _coerce(f.name, tuple, value)
-        kwargs[f.name] = value
-    return RunConfig(**kwargs)
+            value = file_values.get(key)
+        if value is not None:
+            values[key] = _coerce(key, value)
+    return values
+
+
+def _knobs(values: dict, **overrides) -> ExperimentConfig:
+    learner = LearnerSpec(**{k: values[_learner_key(k)] for k in _defaults(LearnerSpec)})
+    knobs = {k: values[k] for k in _defaults(ExperimentConfig)}
+    return ExperimentConfig(**{**knobs, **overrides}, learner=learner)
 
 
 def _load_input(cfg: RunConfig):
@@ -181,109 +163,72 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ConfigError(f"bad epsilon range {text!r}") from None
-    if step <= 0 or hi < lo:
+    if not (math.isfinite(lo) and lo <= hi and step > 0):
         raise ConfigError(f"bad epsilon range {text!r} with step {step}")
     if hi > 1.0:
         raise ConfigError(f"bad epsilon range {text!r}: epsilon lies in (0, 1]")
-    values = []
-    k = 0
-    while True:
-        v = round(lo + k * step, 10)
-        if v > hi + 1e-9:
-            break
-        values.append(min(v, 1.0))
-        k += 1
+    if step < 1e-10:
+        raise ConfigError(f"epsilon step {step} is below the sweep's 1e-10 resolution")
+    # Points are rounded to 1e-10 so float drift stays out of report names;
+    # none repeats and none passes hi.
+    values: list[float] = []
+    for k in range(math.floor((hi - lo) / step + 1e-9) + 1):
+        v = min(round(lo + k * step, 10), hi)
+        if not values or v > values[-1]:
+            values.append(v)
     return values
 
 
-def _experiment_config(cfg: RunConfig, epsilon: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        disc_method=cfg.disc_method,
-        bins=cfg.bins,
-        method=cfg.method,
-        iota=cfg.iota,
-        epsilon=epsilon,
-        seed=cfg.seed,
-        repeats=cfg.repeats,
-        folds=cfg.folds,
-        fold_safe=cfg.fold_safe,
-        jobs=cfg.jobs,
-        learner=cfg.learner_spec(),
-        fraction=cfg.fraction,
-        columns=cfg.columns,
-        rate=cfg.rate,
-        dataset_entropy=cfg.dataset_entropy,
-    )
-
-
-def cmd_discretize(cfg: RunConfig, args) -> None:
-    d = _load_input(cfg)
-    if not cfg.output:
+def cmd_discretize(io: RunConfig, values: dict, args) -> None:
+    d = _load_input(io)
+    if not io.output:
         raise ConfigError("discretize needs --output")
-    spec = _disc.fit(d, cfg.disc_method, cfg.bins)
+    spec = _disc.fit(d, values["disc_method"], values["bins"])
     out = _disc.apply(spec, d)
-    save_dataset(out, _out_path(cfg.output), args.output_format, cfg.missing_token)
+    save_dataset(out, _out_path(io.output), args.output_format, io.missing_token)
     if args.spec_out:
         spec.save(_out_path(args.spec_out))
 
 
-def cmd_filter(cfg: RunConfig, args) -> None:
-    d = _load_input(cfg)
-    if not cfg.output:
+def cmd_filter(io: RunConfig, values: dict, args) -> None:
+    d = _load_input(io)
+    if not io.output:
         raise ConfigError("filter needs --output")
+    cfg = _knobs(values)
     if cfg.disc_method != "none":
         d = _disc.apply(_disc.fit(d, cfg.disc_method, cfg.bins), d)
 
-    audit_lines = None
-    if cfg.method in ("pvs", "pvs_plus"):
+    stats = None
+    if FILTERS[cfg.method].needs_stats or args.stats_out:
         stats = compute_stats(d, cfg.dataset_entropy)
-        vs = VSConfig(cfg.method, cfg.iota, cfg.epsilon, cfg.seed, cfg.repeats)
-        outcome = apply_selection(d, vs, stats)
-        filtered = outcome.filtered
-        audit_lines = outcome.audit_text(d)
-        if args.stats_out:
-            _out_path(args.stats_out).write_text(
-                stats.format_table(cfg.iota, cfg.epsilon), encoding="utf-8"
-            )
-    elif cfg.method == "none":
-        filtered = d
+    out = FILTERS[cfg.method].run(d, cfg, cfg.seed, stats)
+    if isinstance(out, FilterOutcome):
+        filtered, audit = out.filtered, out.audit_text(d)
     else:
-        bl = BaselineConfig(
-            cfg.method,
-            fraction=cfg.fraction,
-            folds=min(cfg.folds, max(2, len(d.instances))),
-            seed=cfg.seed,
-            columns=cfg.columns,
-            rate=cfg.rate,
-        )
-        filtered = apply_baseline(d, bl, cfg.learner_spec())
-        audit_lines = (
-            f"mode: {cfg.method}\n"
-            f"instances: {len(d.instances)} -> {len(filtered.instances)}\n"
-            f"features: {len(d.features)} -> {len(filtered.features)}\n"
-        )
-        if args.stats_out:
-            _out_path(args.stats_out).write_text(
-                compute_stats(d, cfg.dataset_entropy).format_table(cfg.iota, cfg.epsilon),
-                encoding="utf-8",
+        filtered, audit = out, f"mode: {cfg.method}\n"
+        if cfg.method != "none":
+            audit += (
+                f"instances: {len(d.instances)} -> {len(filtered.instances)}\n"
+                f"features: {len(d.features)} -> {len(filtered.features)}\n"
             )
-    save_dataset(filtered, _out_path(cfg.output), args.output_format, cfg.missing_token)
+    if args.stats_out:
+        _out_path(args.stats_out).write_text(
+            stats.format_table(cfg.iota, cfg.epsilon), encoding="utf-8"
+        )
+    save_dataset(filtered, _out_path(io.output), args.output_format, io.missing_token)
     if args.audit_out:
-        if audit_lines is None:
-            audit_lines = f"mode: {cfg.method}\n"
-        _out_path(args.audit_out).write_text(audit_lines, encoding="utf-8")
+        _out_path(args.audit_out).write_text(audit, encoding="utf-8")
 
 
-def cmd_experiment(cfg: RunConfig, args) -> None:
-    d = _load_input(cfg)
-    eps_text = args.epsilon if args.epsilon is not None else None
-    if eps_text is None:
-        eps_values = [cfg.epsilon]
+def cmd_experiment(io: RunConfig, values: dict, args) -> None:
+    d = _load_input(io)
+    if args.epsilon is None:
+        eps_values = [values["epsilon"]]
     else:
-        eps_values = _parse_epsilon(eps_text, args.epsilon_step)
+        eps_values = _parse_epsilon(args.epsilon, args.epsilon_step)
     reports = []
     for eps in eps_values:
-        report = run_experiment(d, _experiment_config(cfg, eps))
+        report = run_experiment(d, _knobs(values, epsilon=eps))
         reports.append(report)
         if args.report:
             path = _out_path(args.report)
@@ -322,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     disc.add_argument(
         "--disc-method",
         dest="disc_method",
-        choices=["binning", "frequency", "mdl", "none"],
+        choices=[*_disc.METHODS, "none"],
         help="discretization of numeric features (default frequency)",
     )
     disc.add_argument("--bins", type=int, help="bin count for binning/frequency (default 10)")
@@ -335,30 +280,22 @@ def _build_parser() -> argparse.ArgumentParser:
     filt = argparse.ArgumentParser(add_help=False)
     filt.add_argument(
         "--method",
-        choices=[
-            "none",
-            "pvs",
-            "pvs_plus",
-            "reservoir",
-            "misclassified",
-            "drop_columns",
-            "random_value",
-        ],
+        choices=list(FILTERS),
         help="filter to apply (default pvs_plus)",
     )
-    filt.add_argument("--iota", choices=["entropy", "infogain"], help="selection metric (default entropy)")
+    filt.add_argument("--iota", choices=IOTAS, help="selection metric (default entropy)")
     filt.add_argument("--fraction", type=float, help="reservoir keep fraction (default 0.05)")
     filt.add_argument("--drop", dest="columns", help="comma-separated feature names for drop_columns")
     filt.add_argument("--rate", type=float, help="removal rate for random_value")
     filt.add_argument(
         "--dataset-entropy",
         dest="dataset_entropy",
-        choices=["value-sum", "class"],
+        choices=DATASET_ENTROPIES,
         help="how H(D) is read (default value-sum)",
     )
 
     learn = argparse.ArgumentParser(add_help=False)
-    learn.add_argument("--learner", choices=["tree", "rules"], help="classifier (default tree)")
+    learn.add_argument("--learner", choices=LEARNERS, help="classifier (default tree)")
     learn.add_argument("--min-leaf", dest="min_leaf", type=int, help="tree leaf minimum (default 2)")
     learn.add_argument("--cf", type=float, help="tree pruning confidence, 1 disables (default 0.25)")
     learn.add_argument(
@@ -414,18 +351,13 @@ def main(argv=None) -> int:
     )
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        cli_values = {
-            k: v for k, v in vars(args).items() if k in {f.name for f in dataclasses.fields(RunConfig)}
-        }
+        cli_values = {k: v for k, v in vars(args).items() if k in DEFAULTS}
         if args.command == "experiment":
             cli_values.pop("epsilon", None)  # may be a sweep; handled per command
-        cfg = resolve_config(cli_values, file_values)
-        if args.command == "discretize":
-            cmd_discretize(cfg, args)
-        elif args.command == "filter":
-            cmd_filter(cfg, args)
-        else:
-            cmd_experiment(cfg, args)
+        values = resolve_config(cli_values, file_values)
+        io = RunConfig(**{k: values[k] for k in _defaults(RunConfig)})
+        commands = {"discretize": cmd_discretize, "filter": cmd_filter, "experiment": cmd_experiment}
+        commands[args.command](io, values, args)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -318,6 +318,25 @@ def _arff_quote(token: str) -> str:
     return token
 
 
+def _read_quoted(text: str, i: int, where: str) -> tuple[str, int]:
+    """Read the quoted token opening at text[i]; return it and the index after
+    its closing quote. A backslash escapes the next character."""
+    quote = text[i]
+    i += 1
+    buf = []
+    while i < len(text):
+        c = text[i]
+        if c == "\\" and i + 1 < len(text):
+            buf.append(text[i + 1])
+            i += 2
+            continue
+        if c == quote:
+            return "".join(buf), i + 1
+        buf.append(c)
+        i += 1
+    raise DataError(f"{where}: unterminated quote")
+
+
 def _split_quoted(text: str, where: str):
     """Split a comma-separated ARFF payload, honouring quotes and escapes.
 
@@ -329,25 +348,8 @@ def _split_quoted(text: str, where: str):
         while i < n and text[i] in " \t":
             i += 1
         if i < n and text[i] in "'\"":
-            quote = text[i]
-            i += 1
-            buf = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\\" and i + 1 < n:
-                    buf.append(text[i + 1])
-                    i += 2
-                    continue
-                if c == quote:
-                    i += 1
-                    closed = True
-                    break
-                buf.append(c)
-                i += 1
-            if not closed:
-                raise DataError(f"{where}: unterminated quote")
-            out.append(("".join(buf), True))
+            token, i = _read_quoted(text, i, where)
+            out.append((token, True))
             while i < n and text[i] in " \t":
                 i += 1
         else:
@@ -370,20 +372,8 @@ def _read_name(text: str, where: str):
     if not text:
         raise DataError(f"{where}: missing name")
     if text[0] in "'\"":
-        quote = text[0]
-        buf = []
-        i = 1
-        while i < len(text):
-            c = text[i]
-            if c == "\\" and i + 1 < len(text):
-                buf.append(text[i + 1])
-                i += 2
-                continue
-            if c == quote:
-                return "".join(buf), text[i + 1 :].strip()
-            buf.append(c)
-            i += 1
-        raise DataError(f"{where}: unterminated quote")
+        name, end = _read_quoted(text, 0, where)
+        return name, text[end:].strip()
     parts = text.split(None, 1)
     return parts[0], (parts[1].strip() if len(parts) > 1 else "")
 

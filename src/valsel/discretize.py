@@ -19,6 +19,11 @@ Applying a spec rewrites each listed feature into interval value tokens
 "(-inf-c1]", "(c1-c2]", ..., "(ck-inf)" and marks it discretized-numeric.
 Out-of-range values fall into the end bins, so application is total on
 the reals; MISSING stays MISSING.
+
+A feature is numeric when every observed token parses as a float. Tokens
+such as "nan", "inf" and "-inf" parse but are not real numbers: fitting
+or applying a spec to a feature holding one raises DataError naming the
+feature and the token. Mark such values missing instead.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from pathlib import Path
 
 from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Instance
 from .errors import ConfigError, DataError
+from .metrics import entropy_bits
 
 log = logging.getLogger(__name__)
 
@@ -134,18 +140,6 @@ def fit_equal_frequency(column, bins: int, name: str = "column") -> list[float]:
     return sorted(cuts)
 
 
-def _entropy_bits(counts) -> float:
-    total = sum(counts)
-    if total <= 0:
-        return 0.0
-    ent = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / total
-            ent -= p * math.log2(p)
-    return ent
-
-
 def fit_mdl(column, labels, name: str = "column") -> list[float]:
     """Recursive minimal-entropy cuts accepted by the MDL criterion."""
     column = list(column)
@@ -183,7 +177,7 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
         if n < 2:
             continue
         counts = seg_counts(lo, hi)
-        e_whole = _entropy_bits(counts)
+        e_whole = entropy_bits(counts)
         if e_whole == 0.0:
             continue
         best = None
@@ -192,7 +186,7 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
                 continue
             left = seg_counts(lo, p)
             right = seg_counts(p, hi)
-            e1, e2 = _entropy_bits(left), _entropy_bits(right)
+            e1, e2 = entropy_bits(left), entropy_bits(right)
             weighted = ((p - lo) * e1 + (hi - p) * e2) / n
             if best is None or weighted < best[0] - 1e-12:
                 best = (weighted, p, left, right, e1, e2)
@@ -260,11 +254,14 @@ def _float_column(d: Dataset, x: int) -> list[float | None]:
             continue
         tok = d.features[x].values[z]
         try:
-            col.append(float(tok))
+            v = float(tok)
         except ValueError:
             raise DataError(
                 f"feature {name!r}: value {tok!r} in instance {i} is not numeric"
             ) from None
+        if not math.isfinite(v):
+            raise DataError(f"feature {name!r}: value {tok!r} in instance {i} is not finite")
+        col.append(v)
     return col
 
 

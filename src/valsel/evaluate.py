@@ -26,13 +26,16 @@ outside the canonical serialization and are opt-in).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import discretize
 from .baselines import (
@@ -45,22 +48,12 @@ from .baselines import (
 from .classifiers import LearnerSpec
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .metrics import compute_stats
-from .selection import VSConfig, pvs, pvs_plus
+from .metrics import aligned_table, compute_stats
+from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
 log = logging.getLogger(__name__)
 
 UNDEFINED = "undefined (no reduction)"
-
-FILTER_METHODS = (
-    "none",
-    "pvs",
-    "pvs_plus",
-    "reservoir",
-    "misclassified",
-    "drop_columns",
-    "random_value",
-)
 
 
 def mr(size_original: float, size_filtered: float) -> float:
@@ -118,6 +111,17 @@ def stratified_fold_assignment(label_ids, folds: int, seed: int) -> list[int]:
     return fold_of
 
 
+def fold_splits(d: Dataset, folds: int, seed: int):
+    """Yield (fold, train rows, test rows) of a stratified split as index lists."""
+    fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, seed)
+    for f in range(folds):
+        train = [i for i, g in enumerate(fold_of) if g != f]
+        test = [i for i, g in enumerate(fold_of) if g == f]
+        if not train or not test:
+            raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
+        yield f, train, test
+
+
 @dataclass(frozen=True)
 class RunRecord:
     seed: int
@@ -126,15 +130,12 @@ class RunRecord:
     model_size: int
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "fold": self.fold,
-            "accuracy": self.accuracy,
-            "model_size": self.model_size,
-        }
+        return dataclasses.asdict(self)
 
 
-def _accuracy(model, test, schema: Dataset) -> float:
+def _fold_record(learner, train: Dataset, test, schema: Dataset, seed: int, fold: int):
+    """Train on train and score on the test instances, whose slots index schema."""
+    model = learner.train(train)
     good = total = 0.0
     for inst in test:
         label, _ = model.predict(inst, schema)
@@ -143,36 +144,37 @@ def _accuracy(model, test, schema: Dataset) -> float:
             good += inst.weight
     if total <= 0:
         raise DataError("empty or zero-weight test fold")
-    return good / total
+    return RunRecord(seed, fold, good / total, model.size)
 
 
 def _cv_records(d: Dataset, learner: LearnerSpec, folds: int, seed: int, tag_seed: int):
-    fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, seed)
+    rows = d.instances
     records = []
-    for f in range(folds):
-        train = [inst for i, inst in enumerate(d.instances) if fold_of[i] != f]
-        test = [inst for i, inst in enumerate(d.instances) if fold_of[i] == f]
-        if not train or not test:
-            raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
-        model = learner.train(d.with_instances(train))
-        records.append(RunRecord(tag_seed, f, _accuracy(model, test, d), model.size))
+    for f, train, test in fold_splits(d, folds, seed):
+        train_d = d.with_instances([rows[i] for i in train])
+        records.append(_fold_record(learner, train_d, [rows[i] for i in test], d, tag_seed, f))
     return records
+
+
+def _means(records) -> tuple[float, float]:
+    """Mean accuracy and mean model size of run records."""
+    n = len(records)
+    return sum(r.accuracy for r in records) / n, sum(r.model_size for r in records) / n
 
 
 def cross_validate(d: Dataset, learner: LearnerSpec, folds: int = 10, seed: int = 0):
     """Mean accuracy and mean model size over stratified folds."""
-    records = _cv_records(d, learner, folds, seed, seed)
-    accs = [r.accuracy for r in records]
-    sizes = [r.model_size for r in records]
-    return sum(accs) / len(accs), sum(sizes) / len(sizes)
+    return _means(_cv_records(d, learner, folds, seed, seed))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of one experiment.
+    """Every knob of one experiment, and of one filter command.
 
     Defaults: entropy metric, frequency discretization, epsilon 0.5,
-    10 folds, 5 repeats, seed 0.
+    10 folds, 5 repeats, seed 0. A filter knob is checked only when
+    cfg.method reads it: the value-selection knobs here, the others by
+    the filter function when it runs.
     """
 
     disc_method: str = "frequency"  # binning | frequency | mdl | none
@@ -195,10 +197,10 @@ class ExperimentConfig:
         object.__setattr__(self, "columns", tuple(self.columns))
         if self.disc_method != "none" and self.disc_method not in discretize.METHODS:
             raise ConfigError(f"unknown discretization method {self.disc_method!r}")
-        if self.method not in FILTER_METHODS:
+        if self.method not in FILTERS:
             raise ConfigError(f"unknown filter method {self.method!r}")
-        if self.method in ("pvs", "pvs_plus"):
-            VSConfig(self.method, self.iota, self.epsilon, self.seed, self.repeats)
+        if FILTERS[self.method].needs_stats:
+            self.selection(self.seed)
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
@@ -206,28 +208,57 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
+    def selection(self, seed: int) -> VSConfig:
+        """The value-selection settings of one filter run."""
+        return VSConfig(self.method, self.iota, self.epsilon, seed)
+
     def as_dict(self) -> dict:
-        return {
-            "disc_method": self.disc_method,
-            "bins": self.bins,
-            "method": self.method,
-            "iota": self.iota,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "folds": self.folds,
-            "fold_safe": self.fold_safe,
-            "learner": {
-                "kind": self.learner.kind,
-                "min_leaf": self.learner.min_leaf,
-                "cf": self.learner.cf,
-                "prune_fraction": self.learner.prune_fraction,
-            },
-            "fraction": self.fraction,
-            "columns": list(self.columns),
-            "rate": self.rate,
-            "dataset_entropy": self.dataset_entropy,
-        }
+        """Every knob but jobs, which never changes a report; JSON-ready."""
+        return dataclasses.asdict(self, dict_factory=_json_fields)
+
+
+def _json_fields(pairs) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs if k != "jobs"}
+
+
+class Filter(NamedTuple):
+    """One filter arm.
+
+    run(d, cfg, seed, stats) returns the filtered dataset, or for the
+    value filters their FilterOutcome; stats is d's metric table when
+    needs_stats is set and None otherwise.
+    """
+
+    run: Callable
+    needs_stats: bool = False
+
+
+def _misclassified(d: Dataset, cfg: ExperimentConfig, seed: int, stats) -> Dataset:
+    # no more folds than rows, but never below the 2 a split needs
+    folds = min(cfg.folds, max(2, len(d.instances)))
+    return misclassified_filter(d, cfg.learner, folds, seed)
+
+
+# Every filter method by name. The entries look their filter function up
+# when they run, so a wrapper put on a module attribute (as the benchmark
+# does) sees every call.
+FILTERS = {
+    "none": Filter(lambda d, cfg, seed, stats: d),
+    "pvs": Filter(lambda d, cfg, seed, stats: pvs(d, cfg.selection(seed), stats), True),
+    "pvs_plus": Filter(
+        lambda d, cfg, seed, stats: pvs_plus(d, cfg.selection(seed), stats), True
+    ),
+    "reservoir": Filter(lambda d, cfg, seed, stats: reservoir_select(d, cfg.fraction, seed)),
+    "misclassified": Filter(_misclassified),
+    "drop_columns": Filter(lambda d, cfg, seed, stats: drop_columns(d, cfg.columns)),
+    "random_value": Filter(lambda d, cfg, seed, stats: random_value_removal(d, cfg.rate, seed)),
+}
+
+
+def filter_dataset(d: Dataset, cfg: ExperimentConfig, seed: int, stats) -> Dataset:
+    """Run cfg.method on d with the given seed; returns the filtered dataset."""
+    out = FILTERS[cfg.method].run(d, cfg, seed, stats)
+    return out.filtered if isinstance(out, FilterOutcome) else out
 
 
 @dataclass(frozen=True)
@@ -300,28 +331,7 @@ def format_report_table(reports) -> str:
                 f"{r.harmonic:.4f}" if r.harmonic is not None else UNDEFINED,
             )
         )
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _filter_once(d: Dataset, cfg: ExperimentConfig, seed: int, stats) -> Dataset:
-    m = cfg.method
-    if m == "none":
-        return d
-    if m in ("pvs", "pvs_plus"):
-        vs = VSConfig(m, cfg.iota, cfg.epsilon, seed, cfg.repeats)
-        out = pvs(d, vs, stats) if m == "pvs" else pvs_plus(d, vs, stats)
-        return out.filtered
-    if m == "reservoir":
-        return reservoir_select(d, cfg.fraction, seed)
-    if m == "misclassified":
-        return misclassified_filter(
-            d, cfg.learner, min(cfg.folds, len(d.instances)), seed
-        )
-    if m == "drop_columns":
-        return drop_columns(d, cfg.columns)
-    return random_value_removal(d, cfg.rate, seed)
+    return aligned_table(rows)
 
 
 def _clamped_folds(requested: int, n: int, what: str) -> int:
@@ -333,8 +343,9 @@ def _clamped_folds(requested: int, n: int, what: str) -> int:
     return requested
 
 
-def _needs_stats(method: str) -> bool:
-    return method in ("pvs", "pvs_plus")
+def _stats_for(d: Dataset, cfg: ExperimentConfig):
+    """d's metric table when cfg.method reads one, else None."""
+    return compute_stats(d, cfg.dataset_entropy) if FILTERS[cfg.method].needs_stats else None
 
 
 def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
@@ -359,15 +370,11 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
         timings["baseline"] = time.perf_counter() - t1
 
         t2 = time.perf_counter()
-        stats = (
-            compute_stats(d_disc, cfg.dataset_entropy)
-            if _needs_stats(cfg.method)
-            else None
-        )
+        stats = _stats_for(d_disc, cfg)
 
         def one_repeat(rep: int):
             fseed = cfg.seed + rep
-            d_f = _filter_once(d_disc, cfg, fseed, stats)
+            d_f = filter_dataset(d_disc, cfg, fseed, stats)
             folds_p = _clamped_folds(cfg.folds, len(d_f.instances), "filtered dataset")
             return _cv_records(d_f, cfg.learner, folds_p, cfg.seed, fseed)
 
@@ -384,10 +391,8 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
             ]
         timings["filter_evaluate"] = time.perf_counter() - t2
 
-    acc_o = sum(r.accuracy for r in original_runs) / len(original_runs)
-    acc_p = sum(r.accuracy for r in filtered_runs) / len(filtered_runs)
-    size_o = sum(r.model_size for r in original_runs) / len(original_runs)
-    size_p = sum(r.model_size for r in filtered_runs) / len(filtered_runs)
+    acc_o, size_o = _means(original_runs)
+    acc_p, size_p = _means(filtered_runs)
     mr_value = mr(size_o, size_p)
     ar_value = ar(acc_o, acc_p)
     return EvalReport(
@@ -412,43 +417,31 @@ def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
     """Refit discretization, stats and the filter inside every training fold."""
     t0 = time.perf_counter()
     folds = _clamped_folds(cfg.folds, len(d.instances), "dataset")
-    fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, cfg.seed)
+    rows = d.instances
     original_runs: list[RunRecord] = []
     filtered_runs: list[RunRecord] = []
-    for f in range(folds):
-        train = [inst for i, inst in enumerate(d.instances) if fold_of[i] != f]
-        test = [inst for i, inst in enumerate(d.instances) if fold_of[i] == f]
-        if not train or not test:
-            raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
-        train_d = d.with_instances(train)
-        test_d = d.with_instances(test)
+    for f, train, test in fold_splits(d, folds, cfg.seed):
+        train_d = d.with_instances([rows[i] for i in train])
+        test_d = d.with_instances([rows[i] for i in test])
         if cfg.disc_method != "none":
             spec = discretize.fit(train_d, cfg.disc_method, cfg.bins)
             train_d = discretize.apply(spec, train_d)
             test_d = discretize.apply(spec, test_d)
-        model = cfg.learner.train(train_d)
         original_runs.append(
-            RunRecord(cfg.seed, f, _accuracy(model, test_d.instances, test_d), model.size)
+            _fold_record(cfg.learner, train_d, test_d.instances, test_d, cfg.seed, f)
         )
-        stats = (
-            compute_stats(train_d, cfg.dataset_entropy)
-            if _needs_stats(cfg.method)
-            else None
-        )
+        stats = _stats_for(train_d, cfg)
         if cfg.method == "none":
             # reuse the fold's baseline record so MR = 0, AR = 1 exactly
             filtered_runs.append(original_runs[-1])
             continue
         for rep in range(cfg.repeats):
             fseed = cfg.seed + rep
-            d_f = _filter_once(train_d, cfg, fseed, stats)
+            d_f = filter_dataset(train_d, cfg, fseed, stats)
             if not d_f.instances:
                 raise DataError(f"fold {f}: filter removed every training instance")
-            fmodel = cfg.learner.train(d_f)
             filtered_runs.append(
-                RunRecord(
-                    fseed, f, _accuracy(fmodel, test_d.instances, test_d), fmodel.size
-                )
+                _fold_record(cfg.learner, d_f, test_d.instances, test_d, fseed, f)
             )
     timings["fold_safe"] = time.perf_counter() - t0
     return original_runs, filtered_runs

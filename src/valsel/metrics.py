@@ -42,6 +42,27 @@ from .errors import ConfigError, DataError
 log = logging.getLogger(__name__)
 
 IOTAS = ("entropy", "infogain")
+DATASET_ENTROPIES = ("value-sum", "class")
+
+
+def entropy_bits(counts) -> float:
+    """Shannon entropy in bits of a class-count vector; 0 when empty."""
+    total = sum(counts)
+    if total <= 0:
+        return 0.0
+    ent = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / total
+            ent -= p * math.log2(p)
+    return ent
+
+
+def aligned_table(rows) -> str:
+    """Left-aligned columns two spaces apart, one line per row of cells."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -92,9 +113,7 @@ class MetricTable:
                     f"{removal_probability(s, iota, epsilon):.4f}",
                 )
             )
-        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
-        return "\n".join(lines) + "\n"
+        return aligned_table(rows)
 
 
 def _value_entropy(class_counts, support: float, n_labels: int) -> float:
@@ -115,7 +134,7 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
     Counts use instance weights. Requires at least one instance and one
     observed value overall.
     """
-    if dataset_entropy not in ("value-sum", "class"):
+    if dataset_entropy not in DATASET_ENTROPIES:
         raise ConfigError(f"unknown dataset_entropy mode {dataset_entropy!r}")
     if not d.instances:
         raise DataError("cannot compute stats of an empty dataset")

@@ -50,7 +50,6 @@ class VSConfig:
     iota: str = "entropy"
     epsilon: float = 0.5
     seed: int = 0
-    repeats: int = 5
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -59,8 +58,6 @@ class VSConfig:
             raise ConfigError(f"unknown selection metric {self.iota!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
 
 
 @dataclass(frozen=True)

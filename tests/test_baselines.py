@@ -8,15 +8,20 @@ from collections import Counter
 import pytest
 
 from valsel import (
+    FILTERS,
     MISSING,
-    BaselineConfig,
     ConfigError,
     DataError,
+    ExperimentConfig,
     LearnerSpec,
-    apply_baseline,
+    VSConfig,
+    compute_stats,
     dataset_from_rows,
     drop_columns,
+    filter_dataset,
     misclassified_filter,
+    pvs,
+    pvs_plus,
     random_value_removal,
     reservoir_select,
 )
@@ -25,17 +30,25 @@ from conftest import random_dataset, separable_dataset
 
 
 def test_config_validation():
+    d = random_dataset(0, n=30)
+
+    def run(method, **knobs):
+        return filter_dataset(d, ExperimentConfig(method=method, **knobs), 0, None)
+
     with pytest.raises(ConfigError):
-        BaselineConfig("psychic")
+        ExperimentConfig(method="psychic")
     with pytest.raises(ConfigError):
-        BaselineConfig("reservoir", fraction=0.0)
+        run("reservoir", fraction=0.0)
     with pytest.raises(ConfigError):
-        BaselineConfig("reservoir", fraction=1.5)
+        run("reservoir", fraction=1.5)
     with pytest.raises(ConfigError):
-        BaselineConfig("misclassified", folds=1)
+        ExperimentConfig(method="misclassified", folds=1)
     with pytest.raises(ConfigError):
-        BaselineConfig("random_value", rate=-0.1)
-    assert BaselineConfig("reservoir").fraction == 0.05
+        run("random_value", rate=-0.1)
+    assert ExperimentConfig(method="reservoir").fraction == 0.05
+    # a knob is checked only by the method that reads it
+    assert run("reservoir", fraction=0.5, rate=5.0).instances
+    assert run("random_value", rate=0.5, fraction=0.0).instances
 
 
 def test_reservoir_size_is_ceil_of_fraction():
@@ -133,19 +146,26 @@ def test_random_value_removal_prunes_empty_instances():
         assert any(z != MISSING for z in inst.slots)
 
 
-def test_apply_baseline_dispatches():
+def test_filters_registry_dispatches():
     d = separable_dataset(1, n=40)
-    assert apply_baseline(d, BaselineConfig("reservoir", fraction=0.1, seed=2)) == (
-        reservoir_select(d, 0.1, seed=2)
+    stats = compute_stats(d)
+
+    def run(method, seed, **knobs):
+        cfg = ExperimentConfig(method=method, **knobs)
+        return filter_dataset(d, cfg, seed, stats if FILTERS[method].needs_stats else None)
+
+    assert [m for m, f in FILTERS.items() if f.needs_stats] == ["pvs", "pvs_plus"]
+    assert run("none", 0) == d
+    assert run("pvs", 3, epsilon=0.7) == pvs(d, VSConfig("pvs", epsilon=0.7, seed=3), stats).filtered
+    assert run("pvs_plus", 3, iota="infogain") == (
+        pvs_plus(d, VSConfig("pvs_plus", "infogain", seed=3), stats).filtered
     )
-    assert apply_baseline(d, BaselineConfig("drop_columns", columns=("b",))) == (
-        drop_columns(d, ["b"])
-    )
-    assert apply_baseline(d, BaselineConfig("random_value", rate=0.3, seed=5)) == (
-        random_value_removal(d, 0.3, seed=5)
-    )
-    assert apply_baseline(d, BaselineConfig("misclassified", folds=4, seed=0)) == (
-        misclassified_filter(d, None, folds=4, seed=0)
+    assert run("reservoir", 2, fraction=0.1) == reservoir_select(d, 0.1, seed=2)
+    assert run("drop_columns", 0, columns=("b",)) == drop_columns(d, ["b"])
+    assert run("random_value", 5, rate=0.3) == random_value_removal(d, 0.3, seed=5)
+    assert run("misclassified", 0, folds=4) == misclassified_filter(d, None, folds=4, seed=0)
+    assert sorted(FILTERS) == sorted(
+        ["none", "pvs", "pvs_plus", "reservoir", "misclassified", "drop_columns", "random_value"]
     )
 
 

@@ -143,6 +143,22 @@ def test_epsilon_range_parsing():
         _parse_epsilon("0.9..1.2", 0.1)
     with pytest.raises(ConfigError):
         _parse_epsilon("0.5..1.0000001", 0.1)
+    # A step below the 1e-10 rounding grain used to repeat points and pass
+    # the upper end (135 points, 14 distinct, up to 0.5000000013).
+    with pytest.raises(ConfigError):
+        _parse_epsilon("0.5..0.5000000003", 1e-11)
+    assert _parse_epsilon("0.5..0.5000000003", 1e-10) == [
+        0.5, 0.5000000001, 0.5000000002, 0.5000000003
+    ]
+    for text in ("0.5..0.5000000003", "0.3..0.30000000001", "0.2..0.2"):
+        for step in (1e-10, 1.5e-10, 3e-10, 0.07):
+            points = _parse_epsilon(text, step)
+            assert points == sorted(set(points))  # ascending, no repeats
+            assert points[0] >= float(text.split("..")[0]) - 1e-10
+            assert points[-1] <= float(text.split("..")[1])
+    for bad in ("nan..0.5", "0.1..nan", "-inf..0.5"):
+        with pytest.raises(ConfigError):
+            _parse_epsilon(bad, 0.1)
 
 
 def test_bad_class_index_is_a_config_error(numeric_csv, tmp_path, capsys):
@@ -194,6 +210,18 @@ def test_discretize_writes_dataset_and_spec(numeric_csv, tmp_path):
     assert spec_again.read_bytes() == spec_out.read_bytes()
 
 
+def test_non_finite_numeric_token_exits_1(tmp_path, capsys):
+    raw = tmp_path / "nf.csv"
+    raw.write_text("a,class\n1,x\n2,y\nnan,x\n3,y\ninf,x\n", encoding="utf-8")
+    out, spec_out = tmp_path / "disc.arff", tmp_path / "cuts.json"
+    code = main(["discretize", "--input", str(raw), "--disc-method", "frequency",
+                 "--bins", "3", "--output", str(out), "--spec-out", str(spec_out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'a'" in err and "'nan'" in err
+    assert not out.exists() and not spec_out.exists()
+
+
 # ---------------------------------------------------------------------------
 # filter
 # ---------------------------------------------------------------------------
@@ -231,6 +259,18 @@ def test_filter_writes_audit_and_stats(arff_input, tmp_path):
     header = stats.read_text().splitlines()[0]
     assert "feature" in header and "p_remove" in header
     assert load_dataset(out).instances  # never empties: one column is pure
+
+
+def test_filter_checks_only_the_knobs_its_method_reads(arff_input, tmp_path, capsys):
+    out = tmp_path / "out.arff"
+    base = ["filter", "--input", str(arff_input), "--disc-method", "none", "--output", str(out)]
+    assert main([*base, "--method", "reservoir", "--fraction", "0.5", "--rate", "5"]) == 0
+    assert main([*base, "--method", "none", "--epsilon", "7"]) == 0
+    capsys.readouterr()
+    assert main([*base, "--method", "random_value", "--rate", "5"]) == 2
+    assert "config error: rate must lie in [0, 1], got 5.0" in capsys.readouterr().err
+    assert main([*base, "--method", "reservoir", "--fraction", "0"]) == 2
+    assert "config error: fraction must lie in (0, 1], got 0.0" in capsys.readouterr().err
 
 
 def test_csv_dialect_flags(tmp_path):

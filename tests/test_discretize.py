@@ -288,6 +288,18 @@ def test_apply_requires_matching_schema():
         apply(spec, nonnum)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_tokens_are_data_errors(token):
+    rows = [["1"], ["2"], [token], ["3"], ["4"], ["5"]]
+    d = dataset_from_rows("nf", ["x"], rows, ["0", "1", "0", "1", "0", "1"])
+    for method in ("binning", "frequency", "mdl"):
+        with pytest.raises(DataError, match=rf"feature 'x': value '{token}' in instance 2"):
+            fit(d, method, 3)
+    spec = DiscretizationSpec("binning", 2, {"x": (2.5,)})
+    with pytest.raises(DataError, match="not finite"):
+        apply(spec, d)
+
+
 def test_fit_is_deterministic_and_label_blind():
     d = numeric_dataset()
     for method in ("binning", "frequency"):

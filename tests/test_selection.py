@@ -35,8 +35,6 @@ def test_config_validation():
         VSConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         VSConfig(epsilon=1.2)
-    with pytest.raises(ConfigError):
-        VSConfig(repeats=0)
     assert VSConfig().mode == "pvs_plus"
     assert VSConfig().epsilon == 0.5
 
