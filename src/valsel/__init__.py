@@ -15,11 +15,6 @@ from .classifiers import (
     LearnerSpec,
     RuleModel,
     TreeModel,
-    format_rules,
-    format_tree,
-    model_size,
-    predict_rules,
-    predict_tree,
     train_rules,
     train_tree,
 )
@@ -68,7 +63,7 @@ from .metrics import (
     removal_probability,
     selection_weights,
 )
-from .selection import FilterOutcome, VSConfig, apply_selection, pvs, pvs_plus
+from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
 __version__ = "0.1.0"
 
@@ -95,7 +90,6 @@ __all__ = [
     "VSConfig",
     "ValueStats",
     "apply_discretization",
-    "apply_selection",
     "ar",
     "compute_stats",
     "confusion_report",
@@ -108,18 +102,13 @@ __all__ = [
     "filter_dataset",
     "fit_mdl",
     "format_report_table",
-    "format_rules",
-    "format_tree",
     "harmonic",
     "interval_labels",
     "load_arff",
     "load_csv",
     "load_dataset",
     "misclassified_filter",
-    "model_size",
     "mr",
-    "predict_rules",
-    "predict_tree",
     "pvs",
     "pvs_plus",
     "random_value_removal",

@@ -40,8 +40,8 @@ is bit-identical to the row-at-a-time algorithm. The grow/prune flag of
 the k-th row of a class is computed once per call and written into the
 class's set bits for each split.
 
-model_size counts every node of a tree (internal plus leaves) and every
-rule of a rule list including the default.
+A model's size counts every node of a tree (internal plus leaves) and
+every rule of a rule list including the default.
 """
 
 from __future__ import annotations
@@ -133,7 +133,15 @@ class TreeModel:
         return self.root.n_leaves
 
     def predict(self, inst, schema: Dataset | None = None):
-        return predict_tree(self, inst, schema)
+        """Label token and class distribution for one instance.
+
+        schema is the dataset the instance belongs to; None means the
+        training schema. Values routed by token, so instances from filtered
+        or re-interned datasets predict correctly; MISSING and unseen values
+        mix all branches by training proportion.
+        """
+        dist = _node_distribution(self.root, _tokens(self, inst, schema), len(self.labels))
+        return self.labels[_argmax_low(dist)], tuple(dist)
 
     def split_features(self) -> set[str]:
         out: set[str] = set()
@@ -146,7 +154,25 @@ class TreeModel:
         return out
 
     def to_text(self) -> str:
-        return format_tree(self)
+        lines: list[str] = []
+
+        def leaf_text(leaf: Leaf) -> str:
+            return f"{self.labels[leaf.label]} ({format(sum(leaf.counts), 'g')})"
+
+        def walk(node, depth):
+            prefix = "|  " * depth
+            if isinstance(node, Leaf):
+                lines.append(f"{prefix}{leaf_text(node)}")
+                return
+            for tok, child in node.children.items():
+                if isinstance(child, Leaf):
+                    lines.append(f"{prefix}{node.name} = {tok}: {leaf_text(child)}")
+                else:
+                    lines.append(f"{prefix}{node.name} = {tok}")
+                    walk(child, depth + 1)
+
+        walk(self.root, 0)
+        return "\n".join(lines) + "\n"
 
 
 def _tokens(m, inst, schema: Dataset | None) -> dict[str, str | None]:
@@ -168,19 +194,6 @@ def _node_distribution(node, tokens, n_labels):
         for l in range(n_labels):
             mixed[l] += bw * dist[l]
     return mixed
-
-
-def predict_tree(m: TreeModel, inst, schema: Dataset | None = None):
-    """Label token and class distribution for one instance.
-
-    schema is the dataset the instance belongs to; None means the
-    training schema. Values routed by token, so instances from filtered
-    or re-interned datasets predict correctly; MISSING and unseen values
-    mix all branches by training proportion.
-    """
-    dist = _node_distribution(m.root, _tokens(m, inst, schema), len(m.labels))
-    label = _argmax_low(dist)
-    return m.labels[label], tuple(dist)
 
 
 def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -> TreeModel:
@@ -324,28 +337,6 @@ def _prune(node, cf):
     return node
 
 
-def format_tree(m: TreeModel) -> str:
-    lines: list[str] = []
-
-    def leaf_text(leaf: Leaf) -> str:
-        return f"{m.labels[leaf.label]} ({format(sum(leaf.counts), 'g')})"
-
-    def walk(node, depth):
-        prefix = "|  " * depth
-        if isinstance(node, Leaf):
-            lines.append(f"{prefix}{leaf_text(node)}")
-            return
-        for tok, child in node.children.items():
-            if isinstance(child, Leaf):
-                lines.append(f"{prefix}{node.name} = {tok}: {leaf_text(child)}")
-            else:
-                lines.append(f"{prefix}{node.name} = {tok}")
-                walk(child, depth + 1)
-
-    walk(m.root, 0)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Sequential-covering rules
 # ---------------------------------------------------------------------------
@@ -377,26 +368,18 @@ class RuleModel:
         return len(self.rules)
 
     def predict(self, inst, schema: Dataset | None = None):
-        return predict_rules(self, inst, schema)
+        """First matching rule wins; the default rule matches everything."""
+        tokens = _tokens(self, inst, schema)
+        for rule in self.rules:
+            if all(tokens.get(f) == v for f, v in rule.conditions):
+                return self.labels[rule.label], rule.distribution
+        return self.labels[self.rules[-1].label], self.rules[-1].distribution
 
     def rule_features(self) -> set[str]:
         return {f for rule in self.rules for f, _ in rule.conditions}
 
     def to_text(self) -> str:
-        return format_rules(self)
-
-
-def predict_rules(m: RuleModel, inst, schema: Dataset | None = None):
-    """First matching rule wins; the default rule matches everything."""
-    tokens = _tokens(m, inst, schema)
-    for rule in m.rules:
-        if all(tokens.get(f) == v for f, v in rule.conditions):
-            return m.labels[rule.label], rule.distribution
-    return m.labels[m.rules[-1].label], m.rules[-1].distribution
-
-
-def format_rules(m: RuleModel) -> str:
-    return "\n".join(r.text(m.labels) for r in m.rules) + "\n"
+        return "\n".join(r.text(self.labels) for r in self.rules) + "\n"
 
 
 def _gaps(mask: int) -> list[str]:
@@ -584,13 +567,6 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
 # ---------------------------------------------------------------------------
 # Shared surface
 # ---------------------------------------------------------------------------
-
-
-def model_size(m) -> int:
-    """Nodes of a tree, rules of a rule list (default included)."""
-    if isinstance(m, (TreeModel, RuleModel)):
-        return m.size
-    raise ConfigError(f"not a model: {type(m).__name__}")
 
 
 @dataclass(frozen=True)

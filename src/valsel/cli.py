@@ -195,8 +195,7 @@ def cmd_filter(io: RunConfig, values: dict, args) -> None:
     if not io.output:
         raise ConfigError("filter needs --output")
     cfg = _knobs(values)
-    if cfg.disc_method != "none":
-        d = _disc.apply(_disc.fit(d, cfg.disc_method, cfg.bins), d)
+    d = _disc.apply(_disc.fit(d, cfg.disc_method, cfg.bins), d)
 
     stats = None
     if FILTERS[cfg.method].needs_stats or args.stats_out:
@@ -267,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     disc.add_argument(
         "--disc-method",
         dest="disc_method",
-        choices=[*_disc.METHODS, "none"],
+        choices=_disc.METHODS,
         help="discretization of numeric features (default frequency)",
     )
     disc.add_argument("--bins", type=int, help="bin count for binning/frequency (default 10)")

@@ -1,6 +1,7 @@
 """Supervised and unsupervised discretization of numeric columns.
 
-Three fitting strategies produce cut lists per numeric feature:
+Three fitting strategies produce cut lists per numeric feature, and
+"none" produces no cut list at all:
 
 * binning: equal-width intervals between the observed min and max.
 * frequency: equal-frequency intervals; ties on equal values never split
@@ -18,7 +19,8 @@ Three fitting strategies produce cut lists per numeric feature:
 Applying a spec rewrites each listed feature into interval value tokens
 "(-inf-c1]", "(c1-c2]", ..., "(ck-inf)" and marks it discretized-numeric.
 Out-of-range values fall into the end bins, so application is total on
-the reals; MISSING stays MISSING.
+the reals; MISSING stays MISSING. A spec that lists no feature, such as
+every "none" spec, returns the dataset it is applied to.
 
 A feature is numeric when every observed token parses as a float. Tokens
 such as "nan", "inf" and "-inf" parse but are not real numbers: fitting
@@ -41,7 +43,7 @@ from .metrics import entropy_bits
 
 log = logging.getLogger(__name__)
 
-METHODS = ("binning", "frequency", "mdl")
+METHODS = ("binning", "frequency", "mdl", "none")
 
 
 @dataclass(frozen=True)
@@ -159,16 +161,6 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
     ys = [class_ids.setdefault(l, len(class_ids)) for _, l in pts]
     width = len(class_ids)
 
-    # cumulative class counts: cum[i][c] = count of class c among the first i points
-    cum = [[0] * width]
-    for y in ys:
-        row = cum[-1][:]
-        row[y] += 1
-        cum.append(row)
-
-    def seg_counts(lo, hi):
-        return [cum[hi][c] - cum[lo][c] for c in range(width)]
-
     cuts: list[float] = []
     stack = [(0, len(values))]
     while stack:
@@ -176,27 +168,30 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
         n = hi - lo
         if n < 2:
             continue
-        counts = seg_counts(lo, hi)
+        counts = [0] * width
+        for y in ys[lo:hi]:
+            counts[y] += 1
         e_whole = entropy_bits(counts)
         if e_whole == 0.0:
             continue
+        # class counts of [lo, p) and [p, hi), moved one point at a time
+        left, right = [0] * width, counts[:]
         best = None
         for p in range(lo + 1, hi):
+            left[ys[p - 1]] += 1
+            right[ys[p - 1]] -= 1
             if values[p - 1] == values[p]:
                 continue
-            left = seg_counts(lo, p)
-            right = seg_counts(p, hi)
             e1, e2 = entropy_bits(left), entropy_bits(right)
             weighted = ((p - lo) * e1 + (hi - p) * e2) / n
             if best is None or weighted < best[0] - 1e-12:
-                best = (weighted, p, left, right, e1, e2)
+                best = (weighted, p, e1, e2)
         if best is None:
             continue
-        weighted, p, left, right, e1, e2 = best
+        weighted, p, e1, e2 = best
         gain = e_whole - weighted
         k = sum(1 for c in counts if c > 0)
-        k1 = sum(1 for c in left if c > 0)
-        k2 = sum(1 for c in right if c > 0)
+        k1, k2 = len(set(ys[lo:p])), len(set(ys[p:hi]))
         threshold = (
             math.log2(n - 1)
             + math.log2(3**k - 2)
@@ -226,67 +221,65 @@ def interval_labels(cuts) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def numeric_feature_indices(d: Dataset) -> list[int]:
-    """Features whose every observed token parses as a float (and has one)."""
-    out = []
-    for x, f in enumerate(d.features):
-        if f.kind != CATEGORICAL:
-            continue
-        seen = {z for inst in d.instances for z in (inst.slots[x],) if z != MISSING}
-        if not seen:
-            continue
-        try:
-            for z in seen:
-                float(f.values[z])
-        except ValueError:
-            continue
-        out.append(x)
-    return out
+def _value_floats(d: Dataset, x: int, strict: bool = True) -> dict[int, float] | None:
+    """Float of each observed value id of feature x, each token parsed once.
 
-
-def _float_column(d: Dataset, x: int) -> list[float | None]:
-    name = d.features[x].name
-    col = []
-    for i, inst in enumerate(d.instances):
-        z = inst.slots[x]
-        if z == MISSING:
-            col.append(None)
-            continue
-        tok = d.features[x].values[z]
+    A token that is not a number raises DataError, or without strict
+    makes the result None; a token that parses but is not finite ("nan",
+    "inf") always raises. The error names the feature, the token and the
+    first instance holding it.
+    """
+    f = d.features[x]
+    first: dict[int, int] = {}
+    for i, z in enumerate(d.column(x)):
+        if z not in first:
+            first[z] = i
+    first.pop(MISSING, None)
+    floats = {}
+    for z, i in first.items():
         try:
-            v = float(tok)
+            floats[z] = float(f.values[z])
         except ValueError:
+            if not strict:
+                return None
             raise DataError(
-                f"feature {name!r}: value {tok!r} in instance {i} is not numeric"
+                f"feature {f.name!r}: value {f.values[z]!r} in instance {i} is not numeric"
             ) from None
+    for z, v in floats.items():
         if not math.isfinite(v):
-            raise DataError(f"feature {name!r}: value {tok!r} in instance {i} is not finite")
-        col.append(v)
-    return col
+            raise DataError(
+                f"feature {f.name!r}: value {f.values[z]!r} in instance {first[z]} is not finite"
+            )
+    return floats
 
 
 def fit(d: Dataset, method: str, bins: int = 10) -> DiscretizationSpec:
     """Fit cuts for every numeric-looking feature of d.
 
-    Numeric-looking means all observed tokens parse as floats; columns
-    with no observed values are skipped. The mdl method uses d's labels.
+    Numeric-looking means categorical with every observed token parsing
+    as a float; columns with no observed values are skipped. The mdl
+    method uses d's labels; "none" fits no feature.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown discretization method {method!r}")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     cuts: dict[str, tuple[float, ...]] = {}
+    if method == "none":
+        return DiscretizationSpec(method, bins, cuts)
     label_ids = [inst.label for inst in d.instances]
-    for x in numeric_feature_indices(d):
-        name = d.features[x].name
-        col = _float_column(d, x)
+    for x, f in enumerate(d.features):
+        floats = _value_floats(d, x, strict=False) if f.kind == CATEGORICAL else None
+        if not floats:
+            continue
+        col = [None if z == MISSING else floats[z] for z in d.column(x)]
         if method == "binning":
-            cs = fit_equal_width(col, bins, name)
+            cs = fit_equal_width(col, bins, f.name)
         elif method == "frequency":
-            cs = fit_equal_frequency(col, bins, name)
+            cs = fit_equal_frequency(col, bins, f.name)
         else:
-            cs = fit_mdl(col, label_ids, name)
-        cuts[name] = tuple(cs)
+            cs = fit_mdl(col, label_ids, f.name)
+        cuts[f.name] = tuple(cs)
     return DiscretizationSpec(method, bins, cuts)
 
 
@@ -294,32 +287,32 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
     """Rewrite the features named in spec into interval values.
 
     Total on the reals: values beyond the fitted range land in the end
-    bins. MISSING slots stay MISSING. Unlisted features pass through.
+    bins. MISSING slots stay MISSING. Unlisted features pass through, and
+    a spec that lists none returns d itself.
     """
+    if not spec.cuts:
+        return d
     by_name = {f.name: x for x, f in enumerate(d.features)}
     for name in spec.cuts:
         if name not in by_name:
             raise DataError(f"spec names feature {name!r} absent from {d.name!r}")
 
     new_features = []
-    bin_of: dict[int, list[int] | None] = {}
+    bin_of: dict[int, dict[int, int]] = {}  # feature -> value id -> bin id
     for x, f in enumerate(d.features):
         if f.name not in spec.cuts:
             new_features.append(f)
-            bin_of[x] = None
             continue
         cuts = spec.cuts[f.name]
         new_features.append(Feature(f.name, interval_labels(cuts), DISCRETIZED))
-        col = _float_column(d, x)
-        bin_of[x] = [
-            MISSING if v is None else bisect_left(cuts, v) for v in col
-        ]
+        bins = {z: bisect_left(cuts, v) for z, v in _value_floats(d, x).items()}
+        bins[MISSING] = MISSING
+        bin_of[x] = bins
 
     new_instances = []
-    for i, inst in enumerate(d.instances):
+    for inst in d.instances:
         slots = list(inst.slots)
-        for x, mapping in bin_of.items():
-            if mapping is not None:
-                slots[x] = mapping[i]
+        for x, bins in bin_of.items():
+            slots[x] = bins[slots[x]]
         new_instances.append(Instance(tuple(slots), inst.label, inst.weight))
     return Dataset(tuple(new_features), tuple(new_instances), d.labels, d.name)

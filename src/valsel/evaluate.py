@@ -177,7 +177,7 @@ class ExperimentConfig:
     the filter function when it runs.
     """
 
-    disc_method: str = "frequency"  # binning | frequency | mdl | none
+    disc_method: str = "frequency"  # one of discretize.METHODS
     bins: int = 10
     method: str = "pvs_plus"
     iota: str = "entropy"
@@ -195,7 +195,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        if self.disc_method != "none" and self.disc_method not in discretize.METHODS:
+        if self.disc_method not in discretize.METHODS:
             raise ConfigError(f"unknown discretization method {self.disc_method!r}")
         if self.method not in FILTERS:
             raise ConfigError(f"unknown filter method {self.method!r}")
@@ -210,7 +210,7 @@ class ExperimentConfig:
 
     def selection(self, seed: int) -> VSConfig:
         """The value-selection settings of one filter run."""
-        return VSConfig(self.method, self.iota, self.epsilon, seed)
+        return VSConfig(self.iota, self.epsilon, seed)
 
     def as_dict(self) -> dict:
         """Every knob but jobs, which never changes a report; JSON-ready."""
@@ -234,8 +234,7 @@ class Filter(NamedTuple):
 
 
 def _misclassified(d: Dataset, cfg: ExperimentConfig, seed: int, stats) -> Dataset:
-    # no more folds than rows, but never below the 2 a split needs
-    folds = min(cfg.folds, max(2, len(d.instances)))
+    folds = _clamped_folds(cfg.folds, len(d.instances), "misclassified filter input")
     return misclassified_filter(d, cfg.learner, folds, seed)
 
 
@@ -356,11 +355,7 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
         original_runs, filtered_runs = _run_fold_safe(d, cfg, timings)
         n_report = len(d.instances)
     else:
-        if cfg.disc_method != "none":
-            spec = discretize.fit(d, cfg.disc_method, cfg.bins)
-            d_disc = discretize.apply(spec, d)
-        else:
-            d_disc = d
+        d_disc = discretize.apply(discretize.fit(d, cfg.disc_method, cfg.bins), d)
         timings["discretize"] = time.perf_counter() - t0
         n_report = len(d_disc.instances)
 
@@ -423,10 +418,9 @@ def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
     for f, train, test in fold_splits(d, folds, cfg.seed):
         train_d = d.with_instances([rows[i] for i in train])
         test_d = d.with_instances([rows[i] for i in test])
-        if cfg.disc_method != "none":
-            spec = discretize.fit(train_d, cfg.disc_method, cfg.bins)
-            train_d = discretize.apply(spec, train_d)
-            test_d = discretize.apply(spec, test_d)
+        spec = discretize.fit(train_d, cfg.disc_method, cfg.bins)
+        train_d = discretize.apply(spec, train_d)
+        test_d = discretize.apply(spec, test_d)
         original_runs.append(
             _fold_record(cfg.learner, train_d, test_d.instances, test_d, cfg.seed, f)
         )

@@ -39,21 +39,18 @@ from dataclasses import dataclass
 
 from .data import MISSING, Dataset, Feature, Instance
 from .errors import ConfigError, DataError
-from .metrics import IOTAS, MetricTable, compute_stats, removal_probability
-
-MODES = ("pvs", "pvs_plus")
+from .metrics import IOTAS, MetricTable, removal_probability
 
 
 @dataclass(frozen=True)
 class VSConfig:
-    mode: str = "pvs_plus"
+    """The knobs both filters read; which filter runs is the caller's choice."""
+
     iota: str = "entropy"
     epsilon: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown selection mode {self.mode!r}")
         if self.iota not in IOTAS:
             raise ConfigError(f"unknown selection metric {self.iota!r}")
         if not 0.0 < self.epsilon <= 1.0:
@@ -208,12 +205,3 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         stats=stats,
         mode="pvs_plus",
     )
-
-
-def apply_selection(d: Dataset, cfg: VSConfig, stats: MetricTable | None = None) -> FilterOutcome:
-    """Dispatch on cfg.mode, computing the metric table when not supplied."""
-    if stats is None:
-        stats = compute_stats(d)
-    if cfg.mode == "pvs":
-        return pvs(d, cfg, stats)
-    return pvs_plus(d, cfg, stats)

@@ -112,7 +112,7 @@ def test_c03_removal_frequency_tracks_analytic_probability():
 
     hits = [0, 0, 0]
     for seed in range(20_000):
-        out = pvs(d, VSConfig(mode="pvs", epsilon=epsilon, seed=seed), stats)
+        out = pvs(d, VSConfig(epsilon=epsilon, seed=seed), stats)
         for x in range(3):
             hits[x] += out.removed_value_mask[x][0]
     for x, target in enumerate(targets):
@@ -120,7 +120,7 @@ def test_c03_removal_frequency_tracks_analytic_probability():
 
     slot_hits = [0, 0, 0]
     for seed in range(10_000):
-        out = pvs_plus(d, VSConfig(mode="pvs_plus", epsilon=epsilon, seed=seed), stats)
+        out = pvs_plus(d, VSConfig(epsilon=epsilon, seed=seed), stats)
         for row in out.removed_value_mask:
             for x in range(3):
                 slot_hits[x] += row[x]
@@ -137,7 +137,7 @@ def test_c04_deletion_rate_matches_missing_slot_share():
 
     deleted = 0
     for seed in range(20_000):
-        out = pvs_plus(d, VSConfig(mode="pvs_plus", epsilon=0.5, seed=seed), stats)
+        out = pvs_plus(d, VSConfig(epsilon=0.5, seed=seed), stats)
         deleted += 0 in out.removed_instances
         assert 1 not in out.removed_instances
     assert deleted / 20_000 == pytest.approx(0.75, abs=0.015)
@@ -289,7 +289,7 @@ def test_c10_fully_confused_feature_is_removed_and_never_split():
 
     for epsilon in (0.5, 0.25):
         for seed in (0, 7):
-            out = pvs(d, VSConfig(mode="pvs", epsilon=epsilon, seed=seed), stats)
+            out = pvs(d, VSConfig(epsilon=epsilon, seed=seed), stats)
             assert 0 in out.removed_features
             assert out.filtered.features[0].values == ()
             model = train_tree(out.filtered, min_leaf=1, cf=1.0)

@@ -156,9 +156,9 @@ def test_filters_registry_dispatches():
 
     assert [m for m, f in FILTERS.items() if f.needs_stats] == ["pvs", "pvs_plus"]
     assert run("none", 0) == d
-    assert run("pvs", 3, epsilon=0.7) == pvs(d, VSConfig("pvs", epsilon=0.7, seed=3), stats).filtered
+    assert run("pvs", 3, epsilon=0.7) == pvs(d, VSConfig(epsilon=0.7, seed=3), stats).filtered
     assert run("pvs_plus", 3, iota="infogain") == (
-        pvs_plus(d, VSConfig("pvs_plus", "infogain", seed=3), stats).filtered
+        pvs_plus(d, VSConfig("infogain", seed=3), stats).filtered
     )
     assert run("reservoir", 2, fraction=0.1) == reservoir_select(d, 0.1, seed=2)
     assert run("drop_columns", 0, columns=("b",)) == drop_columns(d, ["b"])

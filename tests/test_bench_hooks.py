@@ -1,10 +1,10 @@
-"""The module attributes the benchmark wraps must exist and be reached.
+"""The attributes the benchmark wraps must exist and be reached.
 
 bench/worker.py times and counts layers by replacing module attributes
-with wrappers, looked up by name. A refactor that renames one of them,
-or that binds a filter at import time so calls bypass the attribute,
-would make the benchmark's row guard read 0; these tests show that
-break in the ordinary test run.
+and class attributes with wrappers, looked up by name. A refactor that
+renames one of them, or that binds a filter at import time so calls
+bypass the attribute, would make the benchmark's row guard read 0; these
+tests show that break in the ordinary test run.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import valsel.cli as cli
 import valsel.discretize as disc
 import valsel.evaluate as ev
 import valsel.selection as sel
-from valsel import ExperimentConfig, save_dataset
+from valsel import Dataset, ExperimentConfig, RuleModel, TreeModel, save_dataset
 
 from conftest import random_dataset
 
@@ -32,11 +32,21 @@ HOOKS = {
 }
 
 
+#: Methods the tracer looks up with vars(owner), so they must be defined
+#: in the class body itself, not inherited or bound elsewhere.
+CLASS_HOOKS = {TreeModel: "predict", RuleModel: "predict", Dataset: "with_instances"}
+
+
 @pytest.mark.parametrize("module", sorted(HOOKS))
 def test_hooked_names_exist(module):
     mod = importlib.import_module(module)
     for name in HOOKS[module]:
         assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("owner", list(CLASS_HOOKS), ids=lambda c: c.__name__)
+def test_hooked_methods_are_defined_in_the_class_body(owner):
+    assert callable(vars(owner).get(CLASS_HOOKS[owner])), f"{owner.__name__}.{CLASS_HOOKS[owner]}"
 
 
 def counting(monkeypatch, owner, name) -> list:

@@ -13,11 +13,6 @@ from valsel import (
     RuleModel,
     TreeModel,
     dataset_from_rows,
-    format_rules,
-    format_tree,
-    model_size,
-    predict_rules,
-    predict_tree,
     train_rules,
     train_tree,
 )
@@ -373,18 +368,18 @@ def test_prediction_is_total_and_first_match_wins():
         labels=d.labels,
         features=d.features,
     )
-    assert predict_rules(m, d.instances[0]) == ("A", (1.0, 0.0))  # both match, first wins
+    assert m.predict(d.instances[0]) == ("A", (1.0, 0.0))  # both match, first wins
     xu = Instance((d.features[0].values.index("y"), d.features[1].values.index("u")), 0, 1.0)
-    assert predict_rules(m, xu) == ("B", (0.0, 1.0))
-    assert predict_rules(m, d.instances[1]) == ("B", (0.25, 0.75))  # default
-    assert predict_rules(m, Instance((MISSING, MISSING), 0, 1.0)) == ("B", (0.25, 0.75))
+    assert m.predict(xu) == ("B", (0.0, 1.0))
+    assert m.predict(d.instances[1]) == ("B", (0.25, 0.75))  # default
+    assert m.predict(Instance((MISSING, MISSING), 0, 1.0)) == ("B", (0.25, 0.75))
 
 
 def test_rule_lists_are_well_formed(make_dataset):
     for seed in range(5):
         d = make_dataset(seed, n=50, n_features=4)
         m = train_rules(d)
-        assert model_size(m) == len(m.rules) >= 1
+        assert m.size == len(m.rules) >= 1
         assert m.rules[-1].conditions == ()
         for rule in m.rules[:-1]:
             assert len(rule.conditions) >= 1
@@ -433,10 +428,8 @@ def test_learner_spec_routes_and_forwards_knobs():
 def test_model_size_dispatch():
     d = three_leaf_dataset()
     t = train_tree(d, min_leaf=1, cf=1.0)
-    assert model_size(t) == t.size == 4
+    assert t.size == 4
     m = train_rules(exact_rule_dataset())
-    assert model_size(m) == m.size == 2
-    with pytest.raises(ConfigError):
-        model_size("not a model")
+    assert m.size == 2
     single = train_tree(dataset_from_rows("s", ["f"], [["x"]], ["l"]))
-    assert model_size(single) == 1
+    assert single.size == 1

@@ -210,6 +210,15 @@ def test_discretize_writes_dataset_and_spec(numeric_csv, tmp_path):
     assert spec_again.read_bytes() == spec_out.read_bytes()
 
 
+def test_discretize_none_writes_the_input_rows_unchanged(numeric_csv, tmp_path):
+    out, spec_out = tmp_path / "same.csv", tmp_path / "cuts.json"
+    code = main(["discretize", "--input", str(numeric_csv), "--disc-method", "none",
+                 "--output", str(out), "--output-format", "csv", "--spec-out", str(spec_out)])
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == numeric_csv.read_text(encoding="utf-8")
+    assert DiscretizationSpec.load(spec_out).cuts == {}
+
+
 def test_non_finite_numeric_token_exits_1(tmp_path, capsys):
     raw = tmp_path / "nf.csv"
     raw.write_text("a,class\n1,x\n2,y\nnan,x\n3,y\ninf,x\n", encoding="utf-8")

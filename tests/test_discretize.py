@@ -32,7 +32,6 @@ from valsel.discretize import (
     fit_equal_width,
     fit_mdl,
     interval_labels,
-    numeric_feature_indices,
 )
 
 
@@ -239,7 +238,6 @@ def numeric_dataset():
 
 def test_fit_targets_only_numeric_features():
     d = numeric_dataset()
-    assert numeric_feature_indices(d) == [0]
     spec = fit(d, "frequency", bins=3)
     assert set(spec.cuts) == {"height"}
     assert spec.method == "frequency"
@@ -314,6 +312,16 @@ def test_fit_is_deterministic_and_label_blind():
         assert fit(relabeled, method, 4).cuts["height"] == s1.cuts["height"]
     with pytest.raises(ConfigError):
         fit(d, "chimerge")
+
+
+def test_none_fits_no_feature_and_applies_as_identity():
+    d = numeric_dataset()
+    spec = fit(d, "none", 3)
+    assert spec == DiscretizationSpec("none", 3, {})
+    assert apply(spec, d) is d
+    assert DiscretizationSpec.from_text(spec.to_text()) == spec
+    with pytest.raises(ConfigError, match="bins must be >= 1"):
+        fit(d, "none", 0)
 
 
 def test_categorical_features_pass_through_untouched():

@@ -12,7 +12,6 @@ from valsel import (
     DataError,
     FilterOutcome,
     VSConfig,
-    apply_selection,
     compute_stats,
     dataset_from_rows,
     pvs,
@@ -28,14 +27,11 @@ def mixed(seed=0, n=40):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        VSConfig(mode="delete_stuff")
-    with pytest.raises(ConfigError):
         VSConfig(iota="gini")
     with pytest.raises(ConfigError):
         VSConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         VSConfig(epsilon=1.2)
-    assert VSConfig().mode == "pvs_plus"
     assert VSConfig().epsilon == 0.5
 
 
@@ -50,34 +46,24 @@ def test_stale_stats_rejected(samples):
 def test_filters_are_deterministic():
     d = mixed(5)
     stats = compute_stats(d)
-    for mode in ("pvs", "pvs_plus"):
-        cfg = VSConfig(mode=mode, epsilon=1.0, seed=11)
-        a = apply_selection(d, cfg, stats)
-        b = apply_selection(d, cfg, stats)
+    for select in (pvs, pvs_plus):
+        cfg = VSConfig(epsilon=1.0, seed=11)
+        a = select(d, cfg, stats)
+        b = select(d, cfg, stats)
         assert a.filtered == b.filtered
         assert a.removed_value_mask == b.removed_value_mask
         assert a.removed_instances == b.removed_instances
         assert a.removed_features == b.removed_features
         assert any(
-            apply_selection(
-                d, dataclasses.replace(cfg, seed=s), stats
-            ).removed_value_mask
+            select(d, dataclasses.replace(cfg, seed=s), stats).removed_value_mask
             != a.removed_value_mask
             for s in range(12, 40)
         )
 
 
-def test_apply_selection_computes_stats_when_omitted():
-    d = mixed(7)
-    cfg = VSConfig(seed=3)
-    assert apply_selection(d, cfg).filtered == apply_selection(
-        d, cfg, compute_stats(d)
-    ).filtered
-
-
 def test_pvs_removes_values_globally():
     d = mixed(1)
-    out = pvs(d, VSConfig(mode="pvs", epsilon=0.3, seed=2), compute_stats(d))
+    out = pvs(d, VSConfig(epsilon=0.3, seed=2), compute_stats(d))
     assert out.mode == "pvs"
     assert len(out.removed_value_mask) == len(d.features)
     for x, f in enumerate(d.features):
@@ -110,7 +96,7 @@ def test_pvs_blanks_every_occurrence_and_prunes_empty_instances():
     # find a seed that removes exactly the token "a" on feature f
     target = d.features[0].values.index("a")
     for seed in range(200):
-        out = pvs(d, VSConfig(mode="pvs", epsilon=0.9, seed=seed), stats)
+        out = pvs(d, VSConfig(epsilon=0.9, seed=seed), stats)
         hit = out.removed_value_mask[0][target]
         others = sum(v for row in out.removed_value_mask for v in row) - hit
         if hit and others == 0:
@@ -164,10 +150,8 @@ def test_survivors_always_keep_an_observed_slot():
     for seed in range(12):
         d = mixed(seed)
         stats = compute_stats(d)
-        for mode in ("pvs", "pvs_plus"):
-            out = apply_selection(
-                d, VSConfig(mode=mode, epsilon=0.3, seed=seed), stats
-            )
+        for select in (pvs, pvs_plus):
+            out = select(d, VSConfig(epsilon=0.3, seed=seed), stats)
             for inst in out.filtered.instances:
                 assert any(z != MISSING for z in inst.slots)
 
@@ -176,10 +160,8 @@ def test_removed_features_never_survive_anywhere():
     for seed in range(12):
         d = mixed(seed + 100)
         stats = compute_stats(d)
-        for mode in ("pvs", "pvs_plus"):
-            out = apply_selection(
-                d, VSConfig(mode=mode, epsilon=0.25, seed=seed), stats
-            )
+        for select in (pvs, pvs_plus):
+            out = select(d, VSConfig(epsilon=0.25, seed=seed), stats)
             for x in out.removed_features:
                 assert all(
                     inst.slots[x] == MISSING for inst in out.filtered.instances
@@ -190,15 +172,15 @@ def test_more_epsilon_means_fewer_removals():
     d = mixed(8, n=50)
     stats = compute_stats(d)
 
-    def removals(mode, eps):
+    def removals(select, eps):
         total = 0
         for seed in range(1000):
-            out = apply_selection(d, VSConfig(mode=mode, epsilon=eps, seed=seed), stats)
+            out = select(d, VSConfig(epsilon=eps, seed=seed), stats)
             total += sum(1 for row in out.removed_value_mask for hit in row if hit)
         return total
 
-    for mode in ("pvs", "pvs_plus"):
-        assert removals(mode, 0.2) >= removals(mode, 0.8)
+    for select in (pvs, pvs_plus):
+        assert removals(select, 0.2) >= removals(select, 0.8)
 
 
 def test_extreme_entropy_wipes_everything():
@@ -206,12 +188,12 @@ def test_extreme_entropy_wipes_everything():
     rows = [["a", "p"], ["a", "p"], ["b", "q"], ["b", "q"]]
     d = dataset_from_rows("hot", ["f", "g"], rows, ["0", "1", "0", "1"])
     stats = compute_stats(d)
-    for mode in ("pvs", "pvs_plus"):
-        out = apply_selection(d, VSConfig(mode=mode, epsilon=1.0, seed=0), stats)
+    for select in (pvs, pvs_plus):
+        out = select(d, VSConfig(epsilon=1.0, seed=0), stats)
         assert out.filtered.instances == ()
         assert out.removed_instances == (0, 1, 2, 3)
         assert out.removed_features == (0, 1)
-        if mode == "pvs":
+        if select is pvs:
             assert out.filtered.features[0].values == ()
         else:
             assert out.filtered.features[0].values == d.features[0].values
@@ -221,17 +203,17 @@ def test_pure_values_are_never_touched():
     rows = [["a"], ["a"], ["b"], ["b"]]
     d = dataset_from_rows("pure", ["f"], rows, ["0", "0", "1", "1"])
     stats = compute_stats(d)
-    for mode in ("pvs", "pvs_plus"):
+    for select in (pvs, pvs_plus):
         for seed in range(50):
-            out = apply_selection(d, VSConfig(mode=mode, epsilon=0.5, seed=seed), stats)
-            assert out.filtered == d, (mode, seed)
+            out = select(d, VSConfig(epsilon=0.5, seed=seed), stats)
+            assert out.filtered == d, (select.__name__, seed)
             assert out.removed_instances == ()
 
 
 def test_audit_text_mentions_removals():
     d = mixed(3)
     stats = compute_stats(d)
-    out = pvs(d, VSConfig(mode="pvs", epsilon=0.3, seed=1), stats)
+    out = pvs(d, VSConfig(epsilon=0.3, seed=1), stats)
     text = out.audit_text(d)
     assert text.startswith("mode: pvs")
     assert "removed values:" in text
