@@ -29,6 +29,7 @@ import io
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from pathlib import Path
 
 from .errors import ConfigError, DataError, UnsupportedFeatureError
@@ -291,16 +292,12 @@ def load_csv(
 def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
     if any(inst.weight != 1.0 for inst in d.instances):
         log.warning("CSV output drops instance weights; use ARFF to keep them")
+    # Per-feature token tables end in the missing token, which MISSING (-1) indexes.
+    tables = [f.values + (missing_token,) for f in d.features] + [d.labels]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f.name for f in d.features] + ["class"])
-    for inst in d.instances:
-        row = [
-            missing_token if z == MISSING else d.features[x].values[z]
-            for x, z in enumerate(inst.slots)
-        ]
-        row.append(d.labels[inst.label])
-        writer.writerow(row)
+    writer.writerows(map(getitem, tables, inst.slots + (inst.label,)) for inst in d.instances)
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -311,7 +308,9 @@ def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
 _ARFF_QUOTE_TRIGGERS = set(" ,{}%'\"\t\\")
 
 
-def _arff_quote(token: str) -> str:
+def _arff_quote(token: str, owner: str) -> str:
+    if "\n" in token or "\r" in token:
+        raise DataError(f"{owner}: token {token!r} holds a line break, which ARFF cannot store")
     if token == "" or token == "?" or any(c in _ARFF_QUOTE_TRIGGERS for c in token):
         escaped = token.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{escaped}'"
@@ -432,7 +431,10 @@ def load_arff(path) -> Dataset:
             # data section
             if line.startswith("{"):
                 raise UnsupportedFeatureError(f"{where}: sparse rows are not supported")
-            toks = _split_quoted(line, where)
+            if "'" in line or '"' in line:
+                toks = _split_quoted(line, where)
+            else:  # the tokens _split_quoted gives for a line without quotes
+                toks = [(t.strip(), False) for t in line.split(",")]
             weight = 1.0
             if len(toks) == len(attr_names) + 1:
                 last, was_quoted = toks[-1]
@@ -480,22 +482,21 @@ def load_arff(path) -> Dataset:
 
 
 def _save_arff(d: Dataset, path: Path) -> None:
-    lines = [f"@relation {_arff_quote(d.name)}"]
-    for f in d.features:
-        domain = ",".join(_arff_quote(v) for v in f.values)
-        lines.append(f"@attribute {_arff_quote(f.name)} {{{domain}}}")
-    class_domain = ",".join(_arff_quote(v) for v in d.labels)
-    lines.append(f"@attribute class {{{class_domain}}}")
+    lines = [f"@relation {_arff_quote(d.name, 'the relation name')}"]
+    # Each token is quoted once; a feature's table ends in "?", which MISSING (-1) indexes.
+    tables = [
+        [_arff_quote(v, f"feature {f.name!r}") for v in f.values] + ["?"] for f in d.features
+    ]
+    tables.append([_arff_quote(v, "the class") for v in d.labels])
+    for f, table in zip(d.features, tables):
+        domain = ",".join(table[:-1])
+        lines.append(f"@attribute {_arff_quote(f.name, 'a feature name')} {{{domain}}}")
+    lines.append(f"@attribute class {{{','.join(tables[-1])}}}")
     if any(f.kind != CATEGORICAL for f in d.features):
         lines.append("% kinds: " + ",".join(f.kind for f in d.features))
     lines.append("@data")
     for inst in d.instances:
-        toks = [
-            "?" if z == MISSING else _arff_quote(d.features[x].values[z])
-            for x, z in enumerate(inst.slots)
-        ]
-        toks.append(_arff_quote(d.labels[inst.label]))
-        row = ",".join(toks)
+        row = ",".join(map(getitem, tables, inst.slots + (inst.label,)))
         if inst.weight != 1.0:
             row += ",{" + repr(inst.weight) + "}"
         lines.append(row)

@@ -48,7 +48,10 @@ METHODS = ("binning", "frequency", "mdl", "none")
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Fitted cut lists, keyed by feature name in feature order."""
+    """Fitted cut lists, keyed by feature name in feature order.
+
+    Cuts are finite and strictly ascending; a "none" spec lists no feature.
+    """
 
     method: str
     bins: int
@@ -62,7 +65,11 @@ class DiscretizationSpec:
             raise ConfigError(f"unknown discretization method {self.method!r}")
         if self.bins < 1:
             raise ConfigError(f"bins must be >= 1, got {self.bins}")
+        if self.method == "none" and self.cuts:
+            raise ConfigError(f"method 'none' lists no feature, got cuts for {sorted(self.cuts)}")
         for name, cs in self.cuts.items():
+            if not all(math.isfinite(c) for c in cs):
+                raise ConfigError(f"cuts for {name!r} are not all finite: {list(cs)}")
             if any(b <= a for a, b in zip(cs, cs[1:])):
                 raise ConfigError(f"cuts for {name!r} are not strictly ascending")
 
@@ -135,7 +142,11 @@ def fit_equal_frequency(column, bins: int, name: str = "column") -> list[float]:
     cuts = []
     for k in range(1, bins):
         target = k * n / bins
-        j = min(legal, key=lambda pos: (abs(pos - target), pos))
+        # nearest legal boundary; of two equally near, the lower one
+        i = bisect_left(legal, target)
+        if i == len(legal) or (i > 0 and target - legal[i - 1] <= legal[i] - target):
+            i -= 1
+        j = legal[i]
         c = (vals[j - 1] + vals[j]) / 2.0
         if c not in cuts:
             cuts.append(c)

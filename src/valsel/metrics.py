@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .data import MISSING, Dataset
 from .errors import ConfigError, DataError
@@ -88,11 +89,12 @@ class MetricTable:
     dataset_confusion: float
     per_feature: tuple[tuple[ValueStats, ...], ...]
 
+    @cached_property
+    def _by_value(self) -> dict[tuple[int, int], ValueStats]:
+        return {(x, s.value): s for x, group in enumerate(self.per_feature) for s in group}
+
     def get(self, feature: int, value: int) -> ValueStats | None:
-        for s in self.per_feature[feature]:
-            if s.value == value:
-                return s
-        return None
+        return self._by_value.get((feature, value))
 
     def entries(self):
         """All stats, features in index order, values in identifier order."""

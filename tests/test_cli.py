@@ -244,6 +244,18 @@ def test_filter_none_passes_data_through(arff_input, tmp_path):
     assert load_dataset(out) == load_dataset(arff_input)
 
 
+def test_filter_to_arff_rejects_a_token_with_a_line_break(tmp_path, capsys):
+    raw = tmp_path / "nl.csv"
+    raw.write_text('a,class\n"x\ny",p\nz,q\n', encoding="utf-8")
+    out = tmp_path / "o.arff"
+    code = main(["filter", "--input", str(raw), "--method", "none",
+                 "--disc-method", "none", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "feature 'a'" in err and "'x\\ny'" in err
+    assert not out.exists()
+
+
 def test_filter_reservoir_keeps_the_requested_share(tmp_path):
     src = tmp_path / "big.arff"
     save_dataset(random_dataset(1, n=100, missing_rate=0.0), src)

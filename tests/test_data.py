@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valsel import (
@@ -24,6 +25,7 @@ from valsel import (
     load_dataset,
     save_dataset,
 )
+from valsel.data import _arff_quote, _split_quoted
 
 
 def test_interning_follows_first_appearance(samples):
@@ -252,6 +254,18 @@ def test_arff_quotes_awkward_tokens(tmp_path):
     assert back.features[0].values == tuple(weird)
 
 
+@pytest.mark.parametrize("token", ["x\ny", "x\r\ny", "\rx"])
+def test_arff_writer_rejects_tokens_with_line_breaks(tmp_path, token):
+    p = tmp_path / "nl.arff"
+    value = dataset_from_rows("nl", ["a"], [[token], ["z"]], ["0", "1"])
+    with pytest.raises(DataError, match=f"feature 'a': token {re.escape(repr(token))}"):
+        save_dataset(value, p)
+    label = dataset_from_rows("nl", ["a"], [["x"], ["z"]], [token, "1"])
+    with pytest.raises(DataError, match=f"the class: token {re.escape(repr(token))}"):
+        save_dataset(label, p)
+    assert not p.exists()
+
+
 def test_arff_numeric_attribute_becomes_open_domain(tmp_path):
     p = tmp_path / "n.arff"
     p.write_text(
@@ -344,7 +358,7 @@ def test_load_dataset_dispatches_on_suffix(tmp_path, samples):
         save_dataset(samples, tmp_path / "d.bin", format="xml")
 
 
-TOKEN_ALPHABET = "ab0 ?,'{}%\\\"\tzX-"
+TOKEN_ALPHABET = "ab0 ?,'{}%\\\"\tzX-é中"
 tokens = st.text(alphabet=TOKEN_ALPHABET, min_size=0, max_size=5)
 
 
@@ -397,3 +411,42 @@ def test_referential_closure(d):
         for x, z in enumerate(inst.slots):
             assert z == MISSING or 0 <= z < len(d.features[x].values)
     assert all(f.kind == CATEGORICAL for f in d.features)
+
+
+UNQUOTED_ALPHABET = "ab0 ?{}%\\\t.é中\u00a0"
+
+
+@st.composite
+def unquoted_data_lines(draw):
+    """(attribute count, data line): tokens without quotes, commas or line breaks,
+    sometimes followed by a weight token."""
+    n_attr = draw(st.integers(1, 4))
+    toks = draw(st.lists(st.text(UNQUOTED_ALPHABET, max_size=4), min_size=n_attr, max_size=n_attr))
+    if draw(st.booleans()):
+        toks.append(draw(st.sampled_from(["{2.5}", " {0.25}", "{1} ", "{3}\t"])))
+    return n_attr, ",".join(toks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unquoted_data_lines())
+def test_unquoted_data_lines_read_as_split_quoted_reads_them(tmp_path_factory, case):
+    n_attr, raw = case
+    line = raw.strip()
+    assume(line and line[0] not in "%{")
+    # oracle: the quote-aware splitter, then load_arff's weight and missing rules
+    toks = _split_quoted(line, "line")
+    weight = 1.0
+    if len(toks) == n_attr + 1:
+        weight = float(toks[-1][0][1:-1])
+        toks = toks[:-1]
+    cells = [None if t == "?" else t for t, _ in toks]
+    assume(cells[-1] is not None)
+    header = [f"@attribute x{k} numeric" for k in range(n_attr - 1)]
+    header.append(f"@attribute class {{{_arff_quote(cells[-1], 'the class')}}}")
+    p = tmp_path_factory.mktemp("lines") / "l.arff"
+    p.write_text("\n".join(["@relation l", *header, "@data", raw]) + "\n", encoding="utf-8")
+    d = load_arff(p)
+    (inst,) = d.instances
+    assert [d.value_token(x, z) for x, z in enumerate(inst.slots)] == cells[:-1]
+    assert d.labels[inst.label] == cells[-1]
+    assert inst.weight == weight

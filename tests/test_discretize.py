@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valsel import (
@@ -80,6 +80,23 @@ def mdl_oracle(column, labels):
     return segment(pairs)
 
 
+def equal_frequency_oracle(column, bins):
+    """Each cut at the legal boundary nearest k*n/bins, found by a full scan;
+    of two equally near boundaries, the lower one."""
+    vals = sorted(v for v in column if v is not None)
+    n = len(vals)
+    legal = [j for j in range(1, n) if vals[j - 1] != vals[j]]
+    if not legal:
+        return []
+    cuts = []
+    for k in range(1, bins):
+        j = min(legal, key=lambda pos: (abs(pos - k * n / bins), pos))
+        c = (vals[j - 1] + vals[j]) / 2.0
+        if c not in cuts:
+            cuts.append(c)
+    return sorted(cuts)
+
+
 # ---------------------------------------------------------------------------
 # equal width
 # ---------------------------------------------------------------------------
@@ -144,6 +161,21 @@ def test_equal_frequency_bins_balanced(vals, bins):
         k = bisect.bisect_left(svals, c)
         assert 0 < k < len(svals)
         assert svals[k - 1] < c < svals[k]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.integers(-6, 6)), min_size=1, max_size=60),
+    st.integers(1, 12),
+)
+def test_equal_frequency_matches_oracle(column, bins):
+    assume(any(v is not None for v in column))
+    assert fit_equal_frequency(column, bins) == equal_frequency_oracle(column, bins)
+
+
+def test_equal_frequency_tie_goes_to_the_lower_boundary():
+    # n=4, bins=2: target 2 sits midway between the legal boundaries 1 and 3
+    assert fit_equal_frequency([1, 2, 2, 3], 2) == [1.5]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +381,25 @@ def test_spec_validates_cut_order():
         DiscretizationSpec("binning", 2, {"height": (1.0, 1.0)})
     with pytest.raises(ConfigError):
         DiscretizationSpec("guess", 2, {})
+
+
+def test_spec_rejects_cuts_under_method_none():
+    with pytest.raises(ConfigError, match="'none'"):
+        DiscretizationSpec("none", 10, {"a": (1.5,)})
+    with pytest.raises(ConfigError, match="'none'"):
+        DiscretizationSpec("none", 10, {"a": ()})
+    text = '{"method": "none", "bins": 10, "cuts": {"a": [1.5]}}'
+    with pytest.raises(ConfigError, match="'none'"):
+        DiscretizationSpec.from_text(text)
+
+
+@pytest.mark.parametrize("cut", ["NaN", "Infinity", "-Infinity"])
+def test_spec_rejects_non_finite_cuts(cut):
+    text = f'{{"method": "binning", "bins": 3, "cuts": {{"a": [0.5, {cut}]}}}}'
+    with pytest.raises(ConfigError, match="'a'.*finite"):
+        DiscretizationSpec.from_text(text)
+    with pytest.raises(ConfigError, match="finite"):
+        DiscretizationSpec("binning", 3, {"a": (float(cut),)})
 
 
 @settings(max_examples=80, deadline=None)
