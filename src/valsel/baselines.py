@@ -57,9 +57,8 @@ def misclassified_filter(d: Dataset, learner=None, folds: int = 10, seed: int = 
     keep = []
     for _, train, test in fold_splits(d, folds, seed):
         model = learner.train(d.with_instances([rows[i] for i in train]))
-        for i in test:
-            label, _ = model.predict(rows[i], d)
-            if label == d.labels[rows[i].label]:
+        for i, y in zip(test, model.predict_ids([rows[i] for i in test], d)):
+            if model.labels[y] == d.labels[rows[i].label]:
                 keep.append(i)
     keep.sort()
     if not keep:

@@ -16,7 +16,8 @@ Prediction routes by value token, so models survive re-interned or
 re-filtered schemas; a MISSING or unseen value fans out across all
 branches weighted by the training proportions and the resulting class
 distributions are mixed. Ties in the final argmax go to the earliest
-label.
+label. Models compile this routing once per schema, and predict_ids
+scores a whole list of instances through the compiled form.
 
 train_rules runs sequential covering: classes from rarest to most
 frequent, each growing conjunctive rules condition by condition to
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, count
 from statistics import NormalDist
+from typing import NamedTuple
 
 from .data import MISSING, Dataset, Feature
 from .errors import ConfigError, DataError
@@ -116,6 +118,17 @@ class Split:
         return sum(c.n_leaves for c in self.children.values())
 
 
+def _compiled(model, schema: Dataset | None):
+    """model's token routing compiled for schema's features, cached on model
+    by their id next to the tuple itself; a hit must hold that very tuple."""
+    features = model.features if schema is None else schema.features
+    cache = model.__dict__.setdefault("_by_schema", {})
+    if cache.get(id(features), (None,))[0] is not features:
+        pos = {f.name: x for x, f in enumerate(features)}
+        cache[id(features)] = (features, model._compile(pos, features))
+    return cache[id(features)][1]
+
+
 @dataclass(frozen=True)
 class TreeModel:
     root: Leaf | Split
@@ -133,15 +146,26 @@ class TreeModel:
         return self.root.n_leaves
 
     def predict(self, inst, schema: Dataset | None = None):
-        """Label token and class distribution for one instance.
-
-        schema is the dataset the instance belongs to; None means the
-        training schema. Values routed by token, so instances from filtered
-        or re-interned datasets predict correctly; MISSING and unseen values
-        mix all branches by training proportion.
-        """
-        dist = _node_distribution(self.root, _tokens(self, inst, schema), len(self.labels))
+        """Label token and class distribution for one instance of schema
+        (None: the training schema); see the module docstring for routing."""
+        dist = _distribution(_compiled(self, schema), inst.slots, len(self.labels))
         return self.labels[_argmax_low(dist)], tuple(dist)
+
+    def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
+        """Label id, into self.labels, that predict picks for each instance."""
+        root, n_labels = _compiled(self, schema), len(self.labels)
+        return [_argmax_low(_distribution(root, inst.slots, n_labels)) for inst in instances]
+
+    def _compile(self, pos, features):
+        def walk(node):
+            if isinstance(node, Leaf):
+                return _normalized(node.counts)
+            kids = {t: walk(c) for t, c in node.children.items()}
+            x = pos.get(node.name)
+            table = [] if x is None else [kids.get(t) for t in features[x].values] + [None]
+            return _Route(x, table, [(node.branch_weights[t], c) for t, c in kids.items()])
+
+        return walk(self.root)
 
     def split_features(self) -> set[str]:
         out: set[str] = set()
@@ -175,25 +199,28 @@ class TreeModel:
         return "\n".join(lines) + "\n"
 
 
-def _tokens(m, inst, schema: Dataset | None) -> dict[str, str | None]:
-    """Value token per feature name, None for MISSING; schema None means m's own."""
-    features = schema.features if schema is not None else m.features
-    return {f.name: (None if z == MISSING else f.values[z]) for f, z in zip(features, inst.slots)}
+class _Route(NamedTuple):
+    """A compiled Split (a compiled Leaf is its distribution): table maps value
+    ids of schema feature x, then MISSING, to a child or to None, which fans out
+    over the (branch weight, child) pairs; it is empty when the schema lacks x."""
+
+    x: int | None
+    table: list
+    fan: list
 
 
-def _node_distribution(node, tokens, n_labels):
-    if isinstance(node, Leaf):
-        return _normalized(node.counts)
-    tok = tokens.get(node.name)
-    if tok is not None and tok in node.children:
-        return _node_distribution(node.children[tok], tokens, n_labels)
-    mixed = [0.0] * n_labels
-    for t, child in node.children.items():
-        bw = node.branch_weights[t]
-        dist = _node_distribution(child, tokens, n_labels)
-        for l in range(n_labels):
-            mixed[l] += bw * dist[l]
-    return mixed
+def _distribution(node, slots, n_labels):
+    while type(node) is _Route:
+        child = node.table[slots[node.x]] if node.table else None
+        if child is None:
+            mixed = [0.0] * n_labels
+            for bw, c in node.fan:
+                dist = _distribution(c, slots, n_labels)
+                for l in range(n_labels):
+                    mixed[l] += bw * dist[l]
+            return mixed
+        node = child
+    return node
 
 
 def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -> TreeModel:
@@ -369,11 +396,39 @@ class RuleModel:
 
     def predict(self, inst, schema: Dataset | None = None):
         """First matching rule wins; the default rule matches everything."""
-        tokens = _tokens(self, inst, schema)
-        for rule in self.rules:
-            if all(tokens.get(f) == v for f, v in rule.conditions):
+        slots = inst.slots
+        for conds, rule in _compiled(self, schema):
+            if all(slots[x] == z for x, z in conds):
                 return self.labels[rule.label], rule.distribution
         return self.labels[self.rules[-1].label], self.rules[-1].distribution
+
+    def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
+        """predict's label ids (into self.labels): with one bitset per
+        (feature, value id), each rule takes the rows no earlier rule took."""
+        compiled = _compiled(self, schema)
+        used = {x for conds, _ in compiled for x, _ in conds}
+        masks = {x: _row_masks([inst.slots[x] for inst in instances]) for x in used}
+        out = [self.rules[-1].label] * len(instances)
+        remaining = (1 << len(instances)) - 1
+        for conds, rule in compiled:
+            covered = remaining
+            for x, z in conds:
+                covered &= masks[x].get(z, 0)
+            for i in _bits(covered):
+                out[i] = rule.label
+            remaining ^= covered
+        return out
+
+    def _compile(self, pos, features):
+        ids = [{t: z for z, t in enumerate(f.values)} for f in features]
+        compiled = []
+        for rule in self.rules:
+            try:
+                conds = [(pos[f], ids[pos[f]][v]) for f, v in rule.conditions]
+            except KeyError:  # a feature or token the schema lacks never matches
+                continue
+            compiled.append((conds, rule))
+        return compiled
 
     def rule_features(self) -> set[str]:
         return {f for rule in self.rules for f, _ in rule.conditions}
@@ -387,6 +442,11 @@ def _gaps(mask: int) -> list[str]:
     gaps = bin(mask)[:1:-1].split("1")
     gaps.pop()  # nothing lies above the highest set bit
     return gaps
+
+
+def _bits(mask: int):
+    """Set-bit indices of mask, ascending: the k-th lies above k + 1 zero runs and k ones."""
+    return map(operator.add, accumulate(map(len, _gaps(mask))), count())
 
 
 def _row_masks(keys) -> dict[int, int]:
@@ -462,10 +522,8 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
     else:
         def mass(mask):
             # Add the weights in ascending row order, as a loop over the
-            # rows would, so the float sum comes out the same. The k-th set
-            # bit sits above the first k + 1 runs of zeros and k other ones.
-            ones = map(operator.add, accumulate(map(len, _gaps(mask))), count())
-            return reduce(operator.add, map(ws.__getitem__, ones), 0.0)
+            # rows would, so the float sum comes out the same.
+            return reduce(operator.add, map(ws.__getitem__, _bits(mask)), 0.0)
 
     def coverage(conds, rows):
         for x, z in conds:

@@ -294,9 +294,12 @@ def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
         log.warning("CSV output drops instance weights; use ARFF to keep them")
     # Per-feature token tables end in the missing token, which MISSING (-1) indexes.
     tables = [f.values + (missing_token,) for f in d.features] + [d.labels]
+    header = [f.name for f in d.features] + ["class"]
+    # csv.writer quotes only its lineterminator's characters; "\r" needs QUOTE_ALL.
+    cr = "\r" in "".join(map("".join, [header, *tables]))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f.name for f in d.features] + ["class"])
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL)
+    writer.writerow(header)
     writer.writerows(map(getitem, tables, inst.slots + (inst.label,)) for inst in d.instances)
     path.write_text(buf.getvalue(), encoding="utf-8")
 
@@ -305,13 +308,14 @@ def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
 # ARFF subset
 # ---------------------------------------------------------------------------
 
-_ARFF_QUOTE_TRIGGERS = set(" ,{}%'\"\t\\")
+# Any str.isspace character triggers quoting too: load_arff strips and splits on them.
+_ARFF_QUOTE_TRIGGERS = set(",{}%'\"\\")
 
 
 def _arff_quote(token: str, owner: str) -> str:
     if "\n" in token or "\r" in token:
         raise DataError(f"{owner}: token {token!r} holds a line break, which ARFF cannot store")
-    if token == "" or token == "?" or any(c in _ARFF_QUOTE_TRIGGERS for c in token):
+    if token == "" or token == "?" or any(c in _ARFF_QUOTE_TRIGGERS or c.isspace() for c in token):
         escaped = token.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{escaped}'"
     return token

@@ -35,6 +35,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import log2
 from pathlib import Path
 
 from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Instance
@@ -185,7 +186,8 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
         e_whole = entropy_bits(counts)
         if e_whole == 0.0:
             continue
-        # class counts of [lo, p) and [p, hi), moved one point at a time
+        # class counts of [lo, p) and [p, hi), moved one point at a time;
+        # the side entropies are entropy_bits written out, step for step
         left, right = [0] * width, counts[:]
         best = None
         for p in range(lo + 1, hi):
@@ -193,8 +195,15 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
             right[ys[p - 1]] -= 1
             if values[p - 1] == values[p]:
                 continue
-            e1, e2 = entropy_bits(left), entropy_bits(right)
-            weighted = ((p - lo) * e1 + (hi - p) * e2) / n
+            nl, nr = p - lo, hi - p
+            e1 = e2 = 0.0
+            for c in left:
+                if c > 0:
+                    e1 -= (q := c / nl) * log2(q)
+            for c in right:
+                if c > 0:
+                    e2 -= (q := c / nr) * log2(q)
+            weighted = (nl * e1 + nr * e2) / n
             if best is None or weighted < best[0] - 1e-12:
                 best = (weighted, p, e1, e2)
         if best is None:
@@ -241,25 +250,25 @@ def _value_floats(d: Dataset, x: int, strict: bool = True) -> dict[int, float] |
     first instance holding it.
     """
     f = d.features[x]
-    first: dict[int, int] = {}
-    for i, z in enumerate(d.column(x)):
-        if z not in first:
-            first[z] = i
-    first.pop(MISSING, None)
+    column = d.column(x)
     floats = {}
-    for z, i in first.items():
+    for z in dict.fromkeys(column):  # first appearances, in row order
+        if z == MISSING:
+            continue
         try:
             floats[z] = float(f.values[z])
         except ValueError:
             if not strict:
                 return None
             raise DataError(
-                f"feature {f.name!r}: value {f.values[z]!r} in instance {i} is not numeric"
+                f"feature {f.name!r}: value {f.values[z]!r} in instance {column.index(z)} "
+                "is not numeric"
             ) from None
     for z, v in floats.items():
         if not math.isfinite(v):
             raise DataError(
-                f"feature {f.name!r}: value {f.values[z]!r} in instance {first[z]} is not finite"
+                f"feature {f.name!r}: value {f.values[z]!r} in instance {column.index(z)} "
+                "is not finite"
             )
     return floats
 
@@ -308,22 +317,22 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
         if name not in by_name:
             raise DataError(f"spec names feature {name!r} absent from {d.name!r}")
 
+    # Per feature, new value id by old one, ending in MISSING for slot -1.
     new_features = []
-    bin_of: dict[int, dict[int, int]] = {}  # feature -> value id -> bin id
+    tables = []
     for x, f in enumerate(d.features):
         if f.name not in spec.cuts:
             new_features.append(f)
+            tables.append(list(range(len(f.values))) + [MISSING])
             continue
         cuts = spec.cuts[f.name]
         new_features.append(Feature(f.name, interval_labels(cuts), DISCRETIZED))
-        bins = {z: bisect_left(cuts, v) for z, v in _value_floats(d, x).items()}
-        bins[MISSING] = MISSING
-        bin_of[x] = bins
+        floats = _value_floats(d, x)
+        tables.append([bisect_left(cuts, floats[z]) if z in floats else MISSING
+                       for z in range(len(f.values))] + [MISSING])
 
-    new_instances = []
-    for inst in d.instances:
-        slots = list(inst.slots)
-        for x, bins in bin_of.items():
-            slots[x] = bins[slots[x]]
-        new_instances.append(Instance(tuple(slots), inst.label, inst.weight))
+    new_instances = [
+        Instance(tuple(map(list.__getitem__, tables, inst.slots)), inst.label, inst.weight)
+        for inst in d.instances
+    ]
     return Dataset(tuple(new_features), tuple(new_instances), d.labels, d.name)

@@ -134,13 +134,12 @@ class RunRecord:
 
 
 def _fold_record(learner, train: Dataset, test, schema: Dataset, seed: int, fold: int):
-    """Train on train and score on the test instances, whose slots index schema."""
+    """Train on train; score the test instances, whose slots index schema, in one pass."""
     model = learner.train(train)
     good = total = 0.0
-    for inst in test:
-        label, _ = model.predict(inst, schema)
+    for inst, y in zip(test, model.predict_ids(test, schema)):
         total += inst.weight
-        if label == schema.labels[inst.label]:
+        if model.labels[y] == schema.labels[inst.label]:
             good += inst.weight
     if total <= 0:
         raise DataError("empty or zero-weight test fold")

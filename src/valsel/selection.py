@@ -166,6 +166,11 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
     n_feat = len(d.features)
     infogain = cfg.iota == "infogain"
     eps = cfg.epsilon
+    # Per feature, the metric the slot rule reads by value id; None: no stats entry.
+    metric = [[None] * len(f.values) for f in d.features]
+    for x, group in enumerate(stats.per_feature):
+        for s in group:
+            metric[x][s.value] = s.norm_info_gain if infogain else s.entropy
 
     mask_rows = []
     survivors = []
@@ -177,19 +182,15 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
             if z == MISSING:
                 continue
             r = rng.random()
-            s = stats.get(x, z)
-            if s is None:
+            m = metric[x][z]
+            if m is None:
                 continue
-            if infogain:
-                hit = s.norm_info_gain < r * eps
-            else:
-                hit = s.entropy > r * eps
-            if hit:
+            if (m < r * eps) if infogain else (m > r * eps):
                 slots[x] = MISSING
                 row[x] = True
         mask_rows.append(tuple(row))
         if n_feat:
-            miss_rate = sum(1 for z in slots if z == MISSING) / n_feat
+            miss_rate = slots.count(MISSING) / n_feat
             r = rng.random()
             if miss_rate > r:
                 removed_instances.append(i)

@@ -182,6 +182,27 @@ def test_csv_quoted_cells_round_trip(tmp_path):
     assert load_csv(p) == d
 
 
+@pytest.mark.parametrize("token", ["\rx", "x\r", "a\r\nb"])
+def test_csv_tokens_with_carriage_returns_round_trip(tmp_path, token):
+    p = tmp_path / "cr.csv"
+    value = dataset_from_rows("cr", ["a"], [[token], ["z"], [None]], ["0", "1", "0"])
+    save_dataset(value, p, format="csv")
+    assert load_csv(p) == value
+    label = dataset_from_rows("cr", ["a"], [["x"], ["z"]], [token, "1"])
+    save_dataset(label, p, format="csv")
+    assert load_csv(p) == label
+    name = dataset_from_rows("cr", [token], [["x"], ["z"]], ["0", "1"])
+    save_dataset(name, p, format="csv")
+    assert load_csv(p) == name
+
+
+def test_csv_without_carriage_returns_quotes_minimally(tmp_path):
+    d = dataset_from_rows("q", ["a", "b c"], [["x,y", None], ["p", "q"]], ["0", "1"])
+    p = tmp_path / "q.csv"
+    save_dataset(d, p, format="csv")
+    assert p.read_bytes() == b'a,b c,class\n"x,y",?,0\np,q,1\n'
+
+
 def test_csv_rejects_ragged_and_empty(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,class\nx\n", encoding="utf-8")
@@ -242,7 +263,8 @@ def test_arff_keeps_weights_kinds_and_unobserved_values(tmp_path):
 
 
 def test_arff_quotes_awkward_tokens(tmp_path):
-    weird = ["a,b", "c'd", "{x}", "%pct", "two words", "?", "", "back\\slash", 'dq"x']
+    weird = ["a,b", "c'd", "{x}", "%pct", "two words", "?", "", "back\\slash", 'dq"x',
+             "\xa0x", "x\x0b", "\x0cx\x0c", "in\xa0side"]
     d = dataset_from_rows(
         "quoting",
         ["f"],
@@ -252,6 +274,13 @@ def test_arff_quotes_awkward_tokens(tmp_path):
     back = arff_round_trip(tmp_path, d)
     assert back == d
     assert back.features[0].values == tuple(weird)
+
+
+def test_arff_keeps_whitespace_in_names(tmp_path):
+    d = dataset_from_rows("\x0crel", ["a\xa0b", "\xa0", "c\x0b"], [["x", "y", "z"]], [" 0"])
+    back = arff_round_trip(tmp_path, d)
+    assert back == d
+    assert back.name == "\x0crel"
 
 
 @pytest.mark.parametrize("token", ["x\ny", "x\r\ny", "\rx"])
@@ -358,7 +387,7 @@ def test_load_dataset_dispatches_on_suffix(tmp_path, samples):
         save_dataset(samples, tmp_path / "d.bin", format="xml")
 
 
-TOKEN_ALPHABET = "ab0 ?,'{}%\\\"\tzX-é中"
+TOKEN_ALPHABET = "ab0 ?,'{}%\\\"\tzX-é中\u00a0\x0b\x0c"
 tokens = st.text(alphabet=TOKEN_ALPHABET, min_size=0, max_size=5)
 
 

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import random
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import valsel.selection as sel
 from valsel import (
     MISSING,
     ConfigError,
@@ -222,3 +228,91 @@ def test_audit_text_mentions_removals():
     text2 = out2.audit_text(d)
     assert "removed slots:" in text2
     assert isinstance(out2, FilterOutcome)
+
+
+# ---------------------------------------------------------------------------
+# invariants as properties
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def filter_inputs(draw):
+    """A small dataset with missing slots and some pure values, plus two ε."""
+    n_features = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 25))
+    rows = [
+        [draw(st.sampled_from([None, "a", "b", "c"])) for _ in range(n_features)]
+        for _ in range(n)
+    ]
+    labels = [draw(st.sampled_from(["0", "1", "2"])) for _ in range(n)]
+    weights = [draw(st.sampled_from([1.0, 0.5, 2.0])) for _ in range(n)]
+    d = dataset_from_rows("prop", [f"f{x}" for x in range(n_features)], rows, labels,
+                          weights=weights)
+    epsilons = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
+    return d, epsilons, draw(st.integers(0, 2**32))
+
+
+def observed(d):
+    return any(z != MISSING for inst in d.instances for z in inst.slots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_inputs())
+def test_values_with_zero_entropy_are_never_removed(case):
+    d, epsilons, seed = case
+    if not observed(d):
+        return
+    stats = compute_stats(d)
+    pure = {(s.feature, s.value) for s in stats.entries() if s.entropy == 0.0}
+    for eps, filter_seed in itertools.product(epsilons, range(seed, seed + 10)):
+        cfg = VSConfig("entropy", eps, filter_seed)
+        mask = pvs(d, cfg, stats).removed_value_mask
+        assert not any(mask[x][z] for x, z in pure)
+        rows = pvs_plus(d, cfg, stats).removed_value_mask
+        for inst, row in zip(d.instances, rows):
+            assert not any(row[x] for x, z in enumerate(inst.slots) if (x, z) in pure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_inputs())
+def test_every_pvs_survivor_keeps_an_observed_slot(case):
+    d, epsilons, seed = case
+    if not observed(d):
+        return
+    stats = compute_stats(d)
+    for iota in ("entropy", "infogain"):
+        for eps in epsilons:
+            out = pvs(d, VSConfig(iota, eps, seed), stats)
+            assert all(any(z != MISSING for z in inst.slots) for inst in out.filtered.instances)
+
+
+class CountingRandom(random.Random):
+    draws = 0
+
+    def random(self):
+        CountingRandom.draws += 1
+        return super().random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(filter_inputs())
+def test_number_of_draws_does_not_depend_on_epsilon(case):
+    d, epsilons, seed = case
+    if not observed(d):
+        return
+    stats = compute_stats(d)
+    observed_slots = sum(z != MISSING for inst in d.instances for z in inst.slots)
+    expected = {
+        pvs: sum(len(group) for group in stats.per_feature),
+        pvs_plus: observed_slots + len(d.instances),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sel, "random", types.SimpleNamespace(Random=CountingRandom))
+        for select in (pvs, pvs_plus):
+            for iota in ("entropy", "infogain"):
+                counts = []
+                for eps in epsilons:
+                    CountingRandom.draws = 0
+                    select(d, VSConfig(iota, eps, seed), stats)
+                    counts.append(CountingRandom.draws)
+                assert counts == [expected[select]] * len(epsilons), (select.__name__, iota)
