@@ -12,6 +12,14 @@ collapses any subtree whose error estimate as a single leaf does not
 exceed the sum over its leaves, using the upper confidence bound of the
 binomial error at confidence cf; cf = 1 disables pruning.
 
+Counting reads one key column per feature, built once per fit: value id *
+label count + label, or MISSING (-1 // label count is -1 again). Where all
+items weigh 1.0 (an unweighted fit above any missing-value fan-out) one
+Counter over the keys counts a feature, in first-appearance order as the
+gain-ratio float sums need, float(count) being a sum of count ones; a split's
+counts serve as its children's. Below a fan-out, fractional weights add up
+per key in item order. Every tree is the one an item-by-item count gives.
+
 Prediction routes by value token, so models survive re-interned or
 re-filtered schemas; a MISSING or unseen value fans out across all
 branches weighted by the training proportions and the resulting class
@@ -49,9 +57,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import accumulate, count
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, count, repeat
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -233,14 +242,43 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
         raise DataError("cannot train a tree on an empty dataset")
 
     n_labels = len(d.labels)
-    cols = [d.column(x) for x in range(len(d.features))]
     ys = [inst.label for inst in d.instances]
-    ws = [inst.weight for inst in d.instances]
+    # Per feature and row: value id * n_labels + label, or MISSING (MISSING // n_labels too).
+    keys = [
+        [MISSING if z == MISSING else z * n_labels + y for z, y in zip(col, ys)]
+        for col in zip(*(inst.slots for inst in d.instances))
+    ]
 
-    def grow(items, avail):
-        counts = [0.0] * n_labels
-        for i, w in items:
-            counts[ys[i]] += w
+    entropy = lru_cache(maxsize=None)(entropy_bits)  # once per class-weight tuple in this fit
+
+    def value_counts(x, items, unit):
+        # Class weights per value id of x over items, by first appearance, and their sum;
+        # weights add up per key in item order, as they would per (value, label).
+        key = keys[x]
+        if unit:
+            # Counter keeps first-appearance order and float(c) is a sum of c ones; a unit
+            # node as large as the dataset is the root, whose items are all rows in order.
+            by_key = Counter(key if len(items) == len(key) else map(key.__getitem__, items))
+            known_w = float(len(items) - by_key.pop(MISSING, 0))
+        else:
+            by_key, known_w = {}, 0.0
+            for i, w in items:
+                k = key[i]
+                if k != MISSING:
+                    by_key[k] = by_key.get(k, 0.0) + w
+                    known_w += w
+        val_counts: dict[int, list[float]] = {}
+        for k, c in by_key.items():
+            val_counts.setdefault(k // n_labels, [0.0] * n_labels)[k % n_labels] = float(c)
+        return val_counts, known_w
+
+    def grow(items, unit, counts, avail):
+        # items are row ids of weight 1.0 when unit and (row id, weight) pairs
+        # otherwise; counts are their class weights, or None to count them.
+        if counts is None:
+            counts = [0.0] * n_labels
+            for i, w in zip(items, repeat(1.0)) if unit else items:
+                counts[ys[i]] += w
         total = sum(counts)
         label = _argmax_low(counts)
         if (
@@ -252,16 +290,7 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
 
         best = None  # (ratio, x, val_counts, known_w)
         for x in sorted(avail):
-            col = cols[x]
-            val_counts: dict[int, list[float]] = {}
-            known_w = 0.0
-            for i, w in items:
-                z = col[i]
-                if z == MISSING:
-                    continue
-                per = val_counts.setdefault(z, [0.0] * n_labels)
-                per[ys[i]] += w
-                known_w += w
+            val_counts, known_w = value_counts(x, items, unit)
             if known_w <= 0 or len(val_counts) < 2:
                 continue
             known_counts = [0.0] * n_labels
@@ -271,7 +300,7 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
                 vw = sum(per)
                 for l in range(n_labels):
                     known_counts[l] += per[l]
-                info += (vw / known_w) * entropy_bits(per)
+                info += (vw / known_w) * entropy(tuple(per))
                 q = vw / total
                 if q > 0:
                     split_info -= q * math.log2(q)
@@ -279,7 +308,7 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
             if miss_w > 0:
                 q = miss_w / total
                 split_info -= q * math.log2(q)
-            gain = (known_w / total) * (entropy_bits(known_counts) - info)
+            gain = (known_w / total) * (entropy(tuple(known_counts)) - info)
             if gain <= 1e-12 or split_info <= 0:
                 continue
             ratio = gain / split_info
@@ -289,15 +318,18 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
             return Leaf(tuple(counts), label)
 
         _, x, val_counts, known_w = best
-        col = cols[x]
+        ks = map(keys[x].__getitem__, items if unit else map(operator.itemgetter(0), items))
         buckets: dict[int, list] = {z: [] for z in sorted(val_counts)}
         missing_items = []
-        for i, w in items:
-            z = col[i]
-            if z == MISSING:
-                missing_items.append((i, w))
+        for item, k in zip(items, ks):
+            if k == MISSING:
+                missing_items.append(item)
             else:
-                buckets[z].append((i, w))
+                buckets[k // n_labels].append(item)
+        if unit and missing_items:  # the children get fanned-out fractional weights
+            unit = False
+            buckets = {z: list(zip(b, repeat(1.0))) for z, b in buckets.items()}
+            missing_items = list(zip(missing_items, repeat(1.0)))
         children: dict[str, Leaf | Split] = {}
         branch_weights: dict[str, float] = {}
         sub_avail = avail - {x}
@@ -308,19 +340,21 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
                     (i, w * share) for i, w in missing_items if w * share > 1e-12
                 ]
             tok = d.features[x].values[z]
-            children[tok] = grow(child_items, sub_avail)
+            children[tok] = grow(child_items, unit, val_counts[z] if unit else None, sub_avail)
             branch_weights[tok] = share
         return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label)
 
-    items = [(i, w) for i, w in enumerate(ws)]
-    root = grow(items, set(range(len(d.features))))
+    unit = all(inst.weight == 1.0 for inst in d.instances)
+    items = range(len(ys)) if unit else [(i, inst.weight) for i, inst in enumerate(d.instances)]
+    root = grow(items, unit, None, set(range(len(d.features))))
     if cf < 1.0:
-        root = _prune(root, cf)
+        root = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
     return TreeModel(root, d.labels, d.features)
 
 
-def _added_errors(n: float, e: float, cf: float) -> float:
-    """Upper-confidence-bound extra errors for e observed errors in n cases."""
+def _added_errors(n: float, e: float, cf: float, z: float) -> float:
+    """Upper-confidence-bound extra errors for e observed errors in n cases;
+    z is the normal quantile NormalDist().inv_cdf(1 - cf)."""
     if cf >= 0.5:
         return 0.0
     if n <= 0:
@@ -329,10 +363,9 @@ def _added_errors(n: float, e: float, cf: float) -> float:
         base = n * (1.0 - cf ** (1.0 / n))
         if e == 0:
             return base
-        return base + e * (_added_errors(n, 1.0, cf) - base)
+        return base + e * (_added_errors(n, 1.0, cf, z) - base)
     if e + 0.5 >= n:
         return max(n - e, 0.0)
-    z = NormalDist().inv_cdf(1.0 - cf)
     f = (e + 0.5) / n
     r = (
         f
@@ -342,24 +375,24 @@ def _added_errors(n: float, e: float, cf: float) -> float:
     return r * n - e
 
 
-def _leaf_errors(node, cf) -> float:
+def _leaf_errors(node, cf, z) -> float:
     """Pessimistic error estimate of node collapsed to a leaf."""
     total = sum(node.counts)
     errors = total - node.counts[node.label]
-    return errors + _added_errors(total, errors, cf)
+    return errors + _added_errors(total, errors, cf, z)
 
 
-def _estimated_errors(node, cf) -> float:
+def _estimated_errors(node, cf, z) -> float:
     if isinstance(node, Leaf):
-        return _leaf_errors(node, cf)
-    return sum(_estimated_errors(c, cf) for c in node.children.values())
+        return _leaf_errors(node, cf, z)
+    return sum(_estimated_errors(c, cf, z) for c in node.children.values())
 
 
-def _prune(node, cf):
+def _prune(node, cf, z):
     if isinstance(node, Leaf):
         return node
-    node.children = {t: _prune(c, cf) for t, c in node.children.items()}
-    if _leaf_errors(node, cf) <= _estimated_errors(node, cf) + 1e-9:
+    node.children = {t: _prune(c, cf, z) for t, c in node.children.items()}
+    if _leaf_errors(node, cf, z) <= _estimated_errors(node, cf, z) + 1e-9:
         return Leaf(node.counts, node.label)
     return node
 

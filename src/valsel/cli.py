@@ -185,6 +185,7 @@ def cmd_discretize(io: RunConfig, values: dict, args) -> None:
         raise ConfigError("discretize needs --output")
     spec = _disc.fit(d, values["disc_method"], values["bins"])
     out = _disc.apply(spec, d)
+    del d  # the raw rows need not stay in memory while the output is written
     save_dataset(out, _out_path(io.output), args.output_format, io.missing_token)
     if args.spec_out:
         spec.save(_out_path(args.spec_out))
@@ -220,11 +221,14 @@ def cmd_filter(io: RunConfig, values: dict, args) -> None:
 
 
 def cmd_experiment(io: RunConfig, values: dict, args) -> None:
-    d = _load_input(io)
     if args.epsilon is None:
         eps_values = [values["epsilon"]]
     else:
         eps_values = _parse_epsilon(args.epsilon, args.epsilon_step)
+    method = _knobs(values).method
+    if len(eps_values) > 1 and not FILTERS[method].needs_stats:
+        raise ConfigError(f"method {method!r} reads no epsilon, so a sweep repeats one report")
+    d = _load_input(io)
     reports = []
     for eps in eps_values:
         report = run_experiment(d, _knobs(values, epsilon=eps))

@@ -7,6 +7,13 @@ cheap array work; MISSING is a reserved sentinel distinct from any
 identifier. Datasets are immutable after construction: filters and
 discretizers return new Dataset objects.
 
+Rows are validated where they come in (the Dataset constructor, and
+dataset_from_rows for what interning does not guarantee); datasets derived
+from valid ones are not re-validated. discretize.apply, pvs and pvs_plus
+map slots through tables over the schema and build via Dataset._trusted;
+with_instances checks unless its rows are, by identity, its own in their
+order (Instance is frozen, so those stay valid), as folds and row filters.
+
 Readers: RFC-4180 CSV with a configurable missing token, and the ARFF
 subset covering @relation, nominal and numeric @attribute declarations,
 and dense @data rows with '?' for missing. String, date, relational and
@@ -29,7 +36,8 @@ import io
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
+from itertools import repeat
+from operator import contains, getitem
 from pathlib import Path
 
 from .errors import ConfigError, DataError, UnsupportedFeatureError
@@ -60,6 +68,18 @@ class Feature:
         if len(set(self.values)) != len(self.values):
             raise DataError(f"feature {self.name!r} declares duplicate values")
 
+    @cached_property
+    def floats(self) -> tuple[float | None, ...]:
+        """float() of each value token by value id, None where it is not a number."""
+        return tuple(map(_float_or_none, self.values))
+
+
+def _float_or_none(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -85,6 +105,14 @@ class Dataset:
         object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "labels", tuple(self.labels))
         self._validate()
+
+    @classmethod
+    def _trusted(cls, features, instances, labels, name: str) -> "Dataset":
+        """A Dataset built without _validate, for rows already known valid."""
+        d = object.__new__(cls)
+        d.__dict__.update(features=tuple(features), instances=tuple(instances),
+                          labels=tuple(labels), name=name)
+        return d
 
     def _validate(self):
         names = [f.name for f in self.features]
@@ -148,8 +176,13 @@ class Dataset:
         return [inst.slots[x] for inst in self.instances]
 
     def with_instances(self, instances) -> "Dataset":
-        """New dataset sharing this schema (features and labels)."""
-        return Dataset(self.features, tuple(instances), self.labels, self.name)
+        """New dataset sharing this schema (features and labels); validated
+        unless the instances are, by identity, rows of this dataset in order."""
+        instances = tuple(instances)
+        rows = map(id, self.instances)  # each contains() below consumes it through its match
+        if all(map(contains, repeat(rows), map(id, instances))):
+            return Dataset._trusted(self.features, instances, self.labels, self.name)
+        return Dataset(self.features, instances, self.labels, self.name)
 
     def describe(self) -> str:
         return (
@@ -172,21 +205,22 @@ def dataset_from_rows(
     """Intern token rows (None = missing) into a Dataset.
 
     Value and label identifiers follow the declared domain when one is
-    given, first appearance order otherwise.
+    given, first appearance order otherwise. Interning yields valid slots
+    and labels, so only names, declared domains and weights are checked.
     """
     arity = len(feature_names)
-    value_ids: list[dict[str, int]] = []
-    open_domain: list[bool] = []
-    for x in range(arity):
-        if domains is not None and domains[x] is not None:
-            value_ids.append({v: i for i, v in enumerate(domains[x])})
-            open_domain.append(False)
-        else:
-            value_ids.append({})
-            open_domain.append(True)
+    if len(set(feature_names)) != arity:
+        raise DataError("duplicate feature names")
+    declared = [None] * arity if domains is None else domains
+    value_ids = [{} if dom is None else {v: i for i, v in enumerate(dom)} for dom in declared]
+    for x, dom in enumerate(declared):
+        if dom is not None and len(value_ids[x]) != len(dom):
+            raise DataError(f"feature {feature_names[x]!r} declares duplicate values")
     label_ids: dict[str, int] = (
         {} if label_domain is None else {v: i for i, v in enumerate(label_domain)}
     )
+    if label_domain is not None and len(label_ids) != len(label_domain):
+        raise DataError("duplicate labels")
 
     instances = []
     for i, (row, lab) in enumerate(zip(rows, labels)):
@@ -199,7 +233,7 @@ def dataset_from_rows(
                 continue
             ids = value_ids[x]
             if tok not in ids:
-                if not open_domain[x]:
+                if declared[x] is not None:
                     raise DataError(
                         f"row {i + 1}: value {tok!r} not in the declared domain "
                         f"of feature {feature_names[x]!r}"
@@ -211,6 +245,8 @@ def dataset_from_rows(
                 raise DataError(f"row {i + 1}: label {lab!r} not in the declared classes")
             label_ids[lab] = len(label_ids)
         w = 1.0 if weights is None else weights[i]
+        if not w >= 0.0:
+            raise DataError(f"instance {i} has negative or NaN weight")
         instances.append(Instance(tuple(slots), label_ids[lab], w))
 
     features = tuple(
@@ -221,8 +257,7 @@ def dataset_from_rows(
         )
         for x in range(arity)
     )
-    label_list = tuple(label_ids)
-    return Dataset(features, tuple(instances), label_list, name)
+    return Dataset._trusted(features, instances, tuple(label_ids), name)
 
 
 # ---------------------------------------------------------------------------

@@ -241,31 +241,27 @@ def interval_labels(cuts) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _value_floats(d: Dataset, x: int, strict: bool = True) -> dict[int, float] | None:
-    """Float of each observed value id of feature x, each token parsed once.
+def _value_floats(d: Dataset, x: int, strict: bool = True) -> tuple[float | None, ...] | None:
+    """Feature x's Feature.floats, once every value id observed in d is a finite number.
 
-    A token that is not a number raises DataError, or without strict
-    makes the result None; a token that parses but is not finite ("nan",
-    "inf") always raises. The error names the feature, the token and the
-    first instance holding it.
+    An observed token that is not a number raises DataError, or without
+    strict makes the result None; a token that parses but is not finite
+    ("nan", "inf") always raises. The error names the feature, the token
+    and the first instance holding it.
     """
-    f = d.features[x]
-    column = d.column(x)
-    floats = {}
-    for z in dict.fromkeys(column):  # first appearances, in row order
-        if z == MISSING:
-            continue
-        try:
-            floats[z] = float(f.values[z])
-        except ValueError:
+    f, column = d.features[x], d.column(x)
+    floats = f.floats
+    seen = [z for z in dict.fromkeys(column) if z != MISSING]  # first appearances, in row order
+    for z in seen:
+        if floats[z] is None:
             if not strict:
                 return None
             raise DataError(
                 f"feature {f.name!r}: value {f.values[z]!r} in instance {column.index(z)} "
                 "is not numeric"
-            ) from None
-    for z, v in floats.items():
-        if not math.isfinite(v):
+            )
+    for z in seen:
+        if not math.isfinite(floats[z]):
             raise DataError(
                 f"feature {f.name!r}: value {f.values[z]!r} in instance {column.index(z)} "
                 "is not finite"
@@ -290,9 +286,11 @@ def fit(d: Dataset, method: str, bins: int = 10) -> DiscretizationSpec:
     label_ids = [inst.label for inst in d.instances]
     for x, f in enumerate(d.features):
         floats = _value_floats(d, x, strict=False) if f.kind == CATEGORICAL else None
-        if not floats:
+        if floats is None:
             continue
         col = [None if z == MISSING else floats[z] for z in d.column(x)]
+        if col.count(None) == len(col):
+            continue
         if method == "binning":
             cs = fit_equal_width(col, bins, f.name)
         elif method == "frequency":
@@ -327,12 +325,12 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
             continue
         cuts = spec.cuts[f.name]
         new_features.append(Feature(f.name, interval_labels(cuts), DISCRETIZED))
-        floats = _value_floats(d, x)
-        tables.append([bisect_left(cuts, floats[z]) if z in floats else MISSING
-                       for z in range(len(f.values))] + [MISSING])
+        # Only a value id that d never uses can hold a token that is not a number.
+        tables.append([MISSING if v is None else bisect_left(cuts, v)
+                       for v in _value_floats(d, x)] + [MISSING])
 
     new_instances = [
         Instance(tuple(map(list.__getitem__, tables, inst.slots)), inst.label, inst.weight)
         for inst in d.instances
     ]
-    return Dataset(tuple(new_features), tuple(new_instances), d.labels, d.name)
+    return Dataset._trusted(new_features, new_instances, d.labels, d.name)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import random
 import time
 from collections.abc import Callable
@@ -375,8 +376,8 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
         if cfg.method == "none":
             # reuse baseline records; a null filter must give MR = 0, AR = 1 exactly
             filtered_runs = list(original_runs)
-        elif cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        elif (workers := min(cfg.jobs, cfg.repeats, os.cpu_count() or 1)) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 batches = list(pool.map(one_repeat, range(cfg.repeats)))
             filtered_runs = [r for batch in batches for r in batch]
         else:

@@ -107,48 +107,47 @@ def _check_stats(d: Dataset, stats: MetricTable) -> None:
 
 
 def _removed_features(filtered: Dataset) -> tuple[int, ...]:
-    return tuple(
-        x
-        for x in range(len(filtered.features))
-        if all(inst.slots[x] == MISSING for inst in filtered.instances)
-    )
+    """Features with no observed slot left (all of them when no instance is)."""
+    n = len(filtered.instances)
+    columns = zip(*(inst.slots for inst in filtered.instances))
+    missing = [col.count(MISSING) for col in columns] or [0] * len(filtered.features)
+    return tuple(x for x, m in enumerate(missing) if m == n)
 
 
 def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
     """Global per-value removal: one draw per observed (feature, value)."""
     _check_stats(d, stats)
     rng = random.Random(cfg.seed)
-    removed_ids: list[set[int]] = [set() for _ in d.features]
+    removed = [[False] * len(f.values) for f in d.features]
     for x in range(len(d.features)):
         for s in stats.per_feature[x]:
             r = rng.random()
             if r < removal_probability(s, cfg.iota, cfg.epsilon):
-                removed_ids[x].add(s.value)
+                removed[x][s.value] = True
+    mask = tuple(map(tuple, removed))
 
-    mask = tuple(
-        tuple(z in removed_ids[x] for z in range(len(f.values)))
-        for x, f in enumerate(d.features)
-    )
-    new_features = []
-    remap: list[dict[int, int]] = []
-    for x, f in enumerate(d.features):
-        keep = [z for z in range(len(f.values)) if z not in removed_ids[x]]
-        remap.append({z: i for i, z in enumerate(keep)})
+    # Per feature, new value id by old one (MISSING if removed), ending in
+    # MISSING for slot -1.
+    new_features, tables = [], []
+    for f, gone in zip(d.features, mask):
+        keep = [z for z, hit in enumerate(gone) if not hit]
+        table = [MISSING] * (len(gone) + 1)
+        for new_id, z in enumerate(keep):
+            table[z] = new_id
+        tables.append(table)
         new_features.append(Feature(f.name, tuple(f.values[z] for z in keep), f.kind))
 
+    n_feat = len(d.features)
     survivors = []
     removed_instances = []
     for i, inst in enumerate(d.instances):
-        slots = tuple(
-            MISSING if z == MISSING or z in removed_ids[x] else remap[x][z]
-            for x, z in enumerate(inst.slots)
-        )
-        if d.features and all(z == MISSING for z in slots):
+        slots = tuple(map(list.__getitem__, tables, inst.slots))
+        if n_feat and slots.count(MISSING) == n_feat:
             removed_instances.append(i)
         else:
             survivors.append(Instance(slots, inst.label, inst.weight))
 
-    filtered = Dataset(tuple(new_features), tuple(survivors), d.labels, d.name)
+    filtered = Dataset._trusted(new_features, survivors, d.labels, d.name)
     return FilterOutcome(
         filtered=filtered,
         removed_value_mask=mask,
@@ -197,7 +196,7 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
                 continue
         survivors.append(Instance(tuple(slots), inst.label, inst.weight))
 
-    filtered = d.with_instances(survivors)
+    filtered = Dataset._trusted(d.features, survivors, d.labels, d.name)
     return FilterOutcome(
         filtered=filtered,
         removed_value_mask=tuple(mask_rows),

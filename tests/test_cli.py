@@ -349,6 +349,24 @@ def test_experiment_epsilon_sweep_writes_one_report_per_value(arff_input, tmp_pa
     assert one["config"]["epsilon"] == 0.4
 
 
+@pytest.mark.parametrize("method", ["reservoir", "none", "misclassified"])
+def test_epsilon_sweep_needs_a_method_that_reads_epsilon(arff_input, tmp_path, capsys, method):
+    before = sorted(tmp_path.iterdir())
+    code = main([
+        "experiment", "--input", str(arff_input), "--method", method,
+        "--epsilon", "0.1..1.0", "--disc-method", "none", "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "reads no epsilon" in err
+    assert sorted(tmp_path.iterdir()) == before
+    # one point is not a sweep, so it runs
+    assert main([
+        "experiment", "--input", str(arff_input), "--method", method, "--epsilon", "0.5..0.5",
+        "--disc-method", "none", "--repeats", "1", "--folds", "4",
+    ]) == 0
+
+
 def test_learner_and_iota_flags_reach_the_report(arff_input, tmp_path):
     report = tmp_path / "r.json"
     code = main([

@@ -368,6 +368,36 @@ def test_arff_weight_suffix_parsed(tmp_path):
     assert d.instances[1].weight == 1.0
 
 
+@pytest.mark.parametrize("weight", ["-1", "nan", "-0.5"])
+def test_arff_rejects_negative_and_nan_weights(tmp_path, weight):
+    p = tmp_path / "w.arff"
+    p.write_text(
+        "@relation w\n@attribute a {x}\n@attribute class {0,1}\n@data\n"
+        f"x,0\nx,1,{{{weight}}}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError, match="instance 1 has negative or NaN weight"):
+        load_arff(p)
+
+
+@pytest.mark.parametrize(
+    "declarations, message",
+    [
+        ("@attribute a {x,x,y}\n@attribute class {0,1}", "feature 'a' declares duplicate values"),
+        ("@attribute a {x,y}\n@attribute class {0,0,1}", "duplicate labels"),
+        ("@attribute a {x,y}\n@attribute a {x,y}\n@attribute class {0,1}", "duplicate feature names"),
+    ],
+)
+def test_arff_rejects_duplicate_declarations(tmp_path, declarations, message):
+    # Rows use only the first token of each doubled domain, which interning
+    # would otherwise give the id of its later copy.
+    p = tmp_path / "dup.arff"
+    row = "x,x,0" if declarations.count("@attribute a") == 2 else "x,0"
+    p.write_text(f"@relation r\n{declarations}\n@data\n{row}\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_arff(p)
+
+
 def test_zero_feature_dataset_round_trips(tmp_path):
     d = Dataset((), (Instance((), 0), Instance((), 1)), ("0", "1"), "bare")
     back = arff_round_trip(tmp_path, d)
@@ -479,3 +509,67 @@ def test_unquoted_data_lines_read_as_split_quoted_reads_them(tmp_path_factory, c
     assert [d.value_token(x, z) for x, z in enumerate(inst.slots)] == cells[:-1]
     assert d.labels[inst.label] == cells[-1]
     assert inst.weight == weight
+
+
+# ---------------------------------------------------------------------------
+# Derived datasets skip validation and must still be valid
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """Numeric and categorical columns with missing slots, 1-3 labels, weights."""
+    kinds = draw(st.lists(st.sampled_from(["num", "cat"]), min_size=1, max_size=4))
+    tokens = {"num": [None, "0.5", "1", "2.25", "-3", "7", "1e3"], "cat": [None, "a", "b", "c"]}
+    n = draw(st.integers(4, 30))
+    rows = [[draw(st.sampled_from(tokens[k])) for k in kinds] for _ in range(n)]
+    domain = ("0", "1", "2")[: draw(st.integers(1, 3))]
+    labels = [draw(st.sampled_from(domain)) for _ in range(n)]
+    weights = [draw(st.sampled_from([1.0, 0.5, 2.0])) for _ in range(n)]
+    d = dataset_from_rows("p", [f"f{x}" for x in range(len(kinds))], rows, labels, weights=weights)
+    return d, draw(st.sampled_from([0.3, 0.7, 1.0])), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipeline_inputs())
+def test_folds_filter_outputs_and_discretized_data_are_valid(case):
+    from valsel import ExperimentConfig, compute_stats, discretize
+    from valsel.evaluate import FILTERS, filter_dataset, fold_splits
+
+    d, eps, seed = case
+    d._validate()
+    for method in discretize.METHODS:
+        discretize.apply(discretize.fit(d, method, 3), d)._validate()
+    d = discretize.apply(discretize.fit(d, "frequency", 3), d)
+    rows = d.instances
+    for _, train, test in fold_splits(d, 2, seed):
+        d.with_instances(rows[i] for i in train)._validate()
+        d.with_instances(rows[i] for i in test)._validate()
+    observed = any(z != MISSING for inst in rows for z in inst.slots)
+    for name, flt in FILTERS.items():
+        if flt.needs_stats and not observed:
+            continue  # compute_stats rejects a dataset with no observed value
+        cfg = ExperimentConfig(
+            disc_method="none", method=name, epsilon=eps, folds=2,
+            columns=(d.features[0].name,), rate=0.4, fraction=0.5,
+        )
+        stats = compute_stats(d) if flt.needs_stats else None
+        filter_dataset(d, cfg, seed, stats)._validate()
+
+
+def test_with_instances_checks_every_row_it_does_not_own(samples):
+    rows = list(samples.instances)
+    inst = rows[1]
+    assert samples.with_instances(rows[::-1]) == Dataset(
+        samples.features, rows[::-1], samples.labels, samples.name
+    )
+    bad = [
+        Instance((len(samples.features[0].values),) + inst.slots[1:], inst.label),
+        Instance(inst.slots, len(samples.labels)),
+        Instance(inst.slots, inst.label, -1.0),
+        Instance(inst.slots[1:], inst.label),
+    ]
+    for foreign in bad:
+        for given_rows in ([foreign], rows + [foreign], [foreign] + rows):
+            with pytest.raises(DataError):
+                samples.with_instances(given_rows)

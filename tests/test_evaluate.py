@@ -22,6 +22,7 @@ from valsel import (
     run_experiment,
     stratified_fold_assignment,
 )
+from valsel import evaluate
 from valsel.evaluate import UNDEFINED
 
 
@@ -191,6 +192,40 @@ def test_parallel_jobs_match_serial(make_separable):
     serial = run_experiment(d, ExperimentConfig(**base, jobs=1))
     parallel = run_experiment(d, ExperimentConfig(**base, jobs=3))
     assert serial.to_json() == parallel.to_json()
+
+
+class SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps in this thread."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, repeats, cpus, size",
+    [(8, 3, 4, 3), (8, 5, 2, 2), (2, 5, 8, 2), (10**6, 4, None, None), (3, 1, 8, None)],
+)
+def test_pool_size_is_bounded_by_repeats_and_cpus(make_separable, monkeypatch, jobs, repeats, cpus, size):
+    d = make_separable(seed=9, n=40, noise=0.1)
+    base = dict(disc_method="none", method="pvs_plus", epsilon=1.0, repeats=repeats, folds=4)
+    serial = run_experiment(d, ExperimentConfig(**base, jobs=1))
+    SerialPool.sizes = []
+    monkeypatch.setattr(evaluate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: cpus)
+    pooled = run_experiment(d, ExperimentConfig(**base, jobs=jobs))
+    assert SerialPool.sizes == ([] if size is None else [size])  # None: no pool at all
+    assert pooled.to_json() == serial.to_json()
 
 
 def test_report_aggregates_match_runs(make_dataset):

@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valsel.selection as sel
+from valsel.data import Dataset, Feature, Instance
+from valsel.metrics import removal_probability
+from valsel.selection import _check_stats
 from valsel import (
     MISSING,
     ConfigError,
@@ -316,3 +319,99 @@ def test_number_of_draws_does_not_depend_on_epsilon(case):
                     select(d, VSConfig(iota, eps, seed), stats)
                     counts.append(CountingRandom.draws)
                 assert counts == [expected[select]] * len(epsilons), (select.__name__, iota)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: pvs with per-slot dict remapping, verbatim
+# ---------------------------------------------------------------------------
+#
+# pvs_oracle and _removed_features below are a verbatim copy (pvs renamed)
+# of the pvs that remapped every slot through a per-feature dict and a
+# removed-id set, built its output through the validating Dataset
+# constructor, and scanned each feature's slots for an observed one. pvs
+# must give an equal FilterOutcome, field by field, with the same filtered
+# features (kinds included) and dataset name; pvs_plus must report the
+# removed features that scan finds.
+
+
+def _removed_features(filtered: Dataset) -> tuple[int, ...]:
+    return tuple(
+        x
+        for x in range(len(filtered.features))
+        if all(inst.slots[x] == MISSING for inst in filtered.instances)
+    )
+
+
+def pvs_oracle(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
+    """Global per-value removal: one draw per observed (feature, value)."""
+    _check_stats(d, stats)
+    rng = random.Random(cfg.seed)
+    removed_ids: list[set[int]] = [set() for _ in d.features]
+    for x in range(len(d.features)):
+        for s in stats.per_feature[x]:
+            r = rng.random()
+            if r < removal_probability(s, cfg.iota, cfg.epsilon):
+                removed_ids[x].add(s.value)
+
+    mask = tuple(
+        tuple(z in removed_ids[x] for z in range(len(f.values)))
+        for x, f in enumerate(d.features)
+    )
+    new_features = []
+    remap: list[dict[int, int]] = []
+    for x, f in enumerate(d.features):
+        keep = [z for z in range(len(f.values)) if z not in removed_ids[x]]
+        remap.append({z: i for i, z in enumerate(keep)})
+        new_features.append(Feature(f.name, tuple(f.values[z] for z in keep), f.kind))
+
+    survivors = []
+    removed_instances = []
+    for i, inst in enumerate(d.instances):
+        slots = tuple(
+            MISSING if z == MISSING or z in removed_ids[x] else remap[x][z]
+            for x, z in enumerate(inst.slots)
+        )
+        if d.features and all(z == MISSING for z in slots):
+            removed_instances.append(i)
+        else:
+            survivors.append(Instance(slots, inst.label, inst.weight))
+
+    filtered = Dataset(tuple(new_features), tuple(survivors), d.labels, d.name)
+    return FilterOutcome(
+        filtered=filtered,
+        removed_value_mask=mask,
+        removed_instances=tuple(removed_instances),
+        removed_features=_removed_features(filtered),
+        stats=stats,
+        mode="pvs",
+    )
+
+
+def assert_same_outcome(d, cfg, stats):
+    want = pvs_oracle(d, cfg, stats)
+    got = pvs(d, cfg, stats)
+    for f in dataclasses.fields(FilterOutcome):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.filtered.features == want.filtered.features
+    assert got.filtered.name == want.filtered.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_inputs())
+def test_pvs_matches_oracle_on_drawn_data(case):
+    d, epsilons, seed = case
+    if not observed(d):
+        return
+    stats = compute_stats(d)
+    for iota in ("entropy", "infogain"):
+        for eps in epsilons:
+            assert_same_outcome(d, VSConfig(iota, eps, seed), stats)
+            out = pvs_plus(d, VSConfig(iota, eps, seed), stats)
+            assert out.removed_features == _removed_features(out.filtered)
+
+
+def test_pvs_matches_oracle_on_seeded_data():
+    for d in [mixed(seed, n=120) for seed in range(4)]:
+        stats = compute_stats(d)
+        for iota, eps, seed in itertools.product(("entropy", "infogain"), (0.2, 0.6, 1.0), range(3)):
+            assert_same_outcome(d, VSConfig(iota, eps, seed), stats)
