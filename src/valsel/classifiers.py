@@ -304,9 +304,8 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
                 q = vw / total
                 if q > 0:
                     split_info -= q * math.log2(q)
-            miss_w = total - known_w
-            if miss_w > 0:
-                q = miss_w / total
+            q = (total - known_w) / total  # the missing share
+            if q > 0:
                 split_info -= q * math.log2(q)
             gain = (known_w / total) * (entropy(tuple(known_counts)) - info)
             if gain <= 1e-12 or split_info <= 0:
@@ -348,7 +347,7 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
     items = range(len(ys)) if unit else [(i, inst.weight) for i, inst in enumerate(d.instances)]
     root = grow(items, unit, None, set(range(len(d.features))))
     if cf < 1.0:
-        root = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
+        root, _ = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
     return TreeModel(root, d.labels, d.features)
 
 
@@ -382,19 +381,21 @@ def _leaf_errors(node, cf, z) -> float:
     return errors + _added_errors(total, errors, cf, z)
 
 
-def _estimated_errors(node, cf, z) -> float:
-    if isinstance(node, Leaf):
-        return _leaf_errors(node, cf, z)
-    return sum(_estimated_errors(c, cf, z) for c in node.children.values())
-
-
 def _prune(node, cf, z):
+    """node with its subtrees pruned bottom-up, and its pessimistic error estimate.
+
+    A split collapses to a leaf when the leaf's estimate is no worse than
+    the sum of its (already pruned) children's estimates.
+    """
+    leaf_errors = _leaf_errors(node, cf, z)
     if isinstance(node, Leaf):
-        return node
-    node.children = {t: _prune(c, cf, z) for t, c in node.children.items()}
-    if _leaf_errors(node, cf, z) <= _estimated_errors(node, cf, z) + 1e-9:
-        return Leaf(node.counts, node.label)
-    return node
+        return node, leaf_errors
+    pruned = {t: _prune(c, cf, z) for t, c in node.children.items()}
+    node.children = {t: c for t, (c, _) in pruned.items()}
+    errors = sum(e for _, e in pruned.values())
+    if leaf_errors <= errors + 1e-9:
+        return Leaf(node.counts, node.label), leaf_errors
+    return node, errors
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +574,8 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
         pos = rows & class_bits[target]
         neg = rows ^ pos
         p0, n0 = mass(pos), mass(neg)
-        if p0 <= 0:
+        # a precision that underflows to 0 counts as no positive mass
+        if p0 <= 0 or p0 / (p0 + n0) <= 0:
             return None
         used: set[int] = set()
         while n0 > 0:
@@ -587,7 +589,10 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
                     if p1 <= 0:
                         continue
                     q1 = mass(neg & bits)
-                    gain = p1 * (math.log2(p1 / (p1 + q1)) - log_acc0)
+                    acc1 = p1 / (p1 + q1)
+                    if acc1 <= 0:  # underflowed: as if p1 were 0
+                        continue
+                    gain = p1 * (math.log2(acc1) - log_acc0)
                     if best is None or gain > best[0] + 1e-12:
                         best = (gain, x, z, p1, q1)
             if best is None or best[0] <= 1e-12:

@@ -119,25 +119,13 @@ def _knobs(values: dict, **overrides) -> ExperimentConfig:
 def _load_input(cfg: RunConfig):
     if not cfg.input:
         raise ConfigError("no input file given (use --input or input= in the config)")
-    kwargs = {}
-    fmt = cfg.format
-    if fmt is None:
-        fmt = "arff" if Path(cfg.input).suffix.lower() == ".arff" else "csv"
-    if fmt == "csv":
-        class_index = cfg.class_index
-        if class_index != "last":
-            try:
-                class_index = int(class_index)
-            except ValueError:
-                raise ConfigError(
-                    f"bad class index {class_index!r}: expected a 0-based column or 'last'"
-                ) from None
-        kwargs = {
-            "class_index": class_index,
-            "missing_token": cfg.missing_token,
-            "header": cfg.header,
-        }
-    return load_dataset(cfg.input, fmt, **kwargs)
+    return load_dataset(
+        cfg.input,
+        cfg.format,
+        class_index=cfg.class_index,
+        missing_token=cfg.missing_token,
+        header=cfg.header,
+    )
 
 
 def _out_path(text: str | None) -> Path | None:
@@ -338,7 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="refit preprocessing inside each training fold",
     )
-    p_exp.add_argument("--jobs", type=int, help="concurrent filter repetitions (default 1)")
+    p_exp.add_argument(
+        "--jobs", type=int, help="kept for old configs; repetitions run one at a time (default 1)"
+    )
     p_exp.add_argument("--report", help="write the JSON report here")
     p_exp.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
     return parser

@@ -278,6 +278,13 @@ def load_csv(
     missing_token become MISSING. With header=False, columns are named
     f1..fn.
     """
+    if class_index != "last":
+        try:
+            class_index = int(class_index)
+        except ValueError:
+            raise ConfigError(
+                f"bad class index {class_index!r}: expected a 0-based column or 'last'"
+            ) from None
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -300,7 +307,7 @@ def load_csv(
     if class_index == "last":
         cls = arity - 1
     else:
-        cls = int(class_index)
+        cls = class_index
         if not 0 <= cls < arity:
             raise DataError(f"{path}: class index {class_index} out of range for {arity} columns")
 

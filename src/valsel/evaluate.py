@@ -29,11 +29,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
 import random
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -174,7 +172,8 @@ class ExperimentConfig:
     Defaults: entropy metric, frequency discretization, epsilon 0.5,
     10 folds, 5 repeats, seed 0. A filter knob is checked only when
     cfg.method reads it: the value-selection knobs here, the others by
-    the filter function when it runs.
+    the filter function when it runs. jobs is kept so existing configs
+    load; filter repeats run one at a time whatever its value.
     """
 
     disc_method: str = "frequency"  # one of discretize.METHODS
@@ -366,24 +365,16 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
 
         t2 = time.perf_counter()
         stats = _stats_for(d_disc, cfg)
-
-        def one_repeat(rep: int):
-            fseed = cfg.seed + rep
-            d_f = filter_dataset(d_disc, cfg, fseed, stats)
-            folds_p = _clamped_folds(cfg.folds, len(d_f.instances), "filtered dataset")
-            return _cv_records(d_f, cfg.learner, folds_p, cfg.seed, fseed)
-
         if cfg.method == "none":
             # reuse baseline records; a null filter must give MR = 0, AR = 1 exactly
             filtered_runs = list(original_runs)
-        elif (workers := min(cfg.jobs, cfg.repeats, os.cpu_count() or 1)) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(one_repeat, range(cfg.repeats)))
-            filtered_runs = [r for batch in batches for r in batch]
         else:
-            filtered_runs = [
-                r for rep in range(cfg.repeats) for r in one_repeat(rep)
-            ]
+            filtered_runs = []
+            for rep in range(cfg.repeats):
+                fseed = cfg.seed + rep
+                d_f = filter_dataset(d_disc, cfg, fseed, stats)
+                folds_p = _clamped_folds(cfg.folds, len(d_f.instances), "filtered dataset")
+                filtered_runs += _cv_records(d_f, cfg.learner, folds_p, cfg.seed, fseed)
         timings["filter_evaluate"] = time.perf_counter() - t2
 
     acc_o, size_o = _means(original_runs)

@@ -53,8 +53,8 @@ def entropy_bits(counts) -> float:
         return 0.0
     ent = 0.0
     for c in counts:
-        if c > 0:
-            p = c / total
+        p = c / total
+        if p > 0:  # not c > 0: a tiny c over a large total underflows to 0
             ent -= p * math.log2(p)
     return ent
 
@@ -124,8 +124,8 @@ def _value_entropy(class_counts, support: float, n_labels: int) -> float:
     log_base = math.log(n_labels)
     ent = 0.0
     for c in class_counts:
-        if c > 0:
-            p = c / support
+        p = c / support
+        if p > 0:
             ent -= p * (math.log(p) / log_base)
     return min(1.0, max(0.0, ent))
 

@@ -393,6 +393,17 @@ def test_rule_lists_are_well_formed(make_dataset):
             assert label in d.labels and len(dist) == len(d.labels)
 
 
+def test_a_precision_that_underflows_is_no_candidate():
+    # a='x' covers 5e-324 of the target class against 12.0 of the other: its
+    # precision rounds to 0, so it is skipped as if it covered no target rows
+    rows = [["y"], ["x"]] + [["x"]] * 6 + [["y"]] * 2
+    labels = ["1", "1"] + ["0"] * 6 + ["1"] * 2
+    d = dataset_from_rows("r", ["a"], rows, labels, weights=[1.0, 5e-324] + [2.0] * 6 + [1.0] * 2)
+    model = train_rules(d)
+    assert [r.conditions for r in model.rules] == [(("a", "y"),), ()]
+    assert [model.labels[r.label] for r in model.rules] == ["1", "0"]
+
+
 def test_prune_split_can_be_disabled():
     m = train_rules(exact_rule_dataset(), prune_fraction=0.0)
     assert m.to_text() == "(f1 = 'a') => class=X\n=> class=Y\n"

@@ -70,6 +70,8 @@ def test_filter_requires_output(arff_input):
     code = main(["filter", "--input", str(arff_input), "--method", "none",
                  "--disc-method", "none"])
     assert code == 2
+    assert main(["discretize", "--input", str(arff_input), "--disc-method", "none"]) == 2
+    assert main(["experiment", "--method", "none", "--disc-method", "none"]) == 2
 
 
 def test_config_file_matches_flags(arff_input, tmp_path):
@@ -231,6 +233,20 @@ def test_non_finite_numeric_token_exits_1(tmp_path, capsys):
     assert not out.exists() and not spec_out.exists()
 
 
+@pytest.mark.parametrize("learner", ["tree", "rules"])
+def test_class_share_that_underflows_exits_0(tmp_path, capsys, learner):
+    raw = tmp_path / "u.arff"
+    raw.write_text(
+        "@relation u\n@attribute a {x,y}\n@attribute class {0,1}\n@data\n"
+        "x,0,{2.0}\ny,1,{5e-324}\ny,1,{5e-324}\nx,0,{2.0}\n",
+        encoding="utf-8",
+    )
+    code = main(["experiment", "--input", str(raw), "--method", "none", "--disc-method", "none",
+                 "--folds", "2", "--repeats", "1", "--min-leaf", "1", "--learner", learner])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("dataset")
+
+
 # ---------------------------------------------------------------------------
 # filter
 # ---------------------------------------------------------------------------
@@ -309,6 +325,15 @@ def test_csv_dialect_flags(tmp_path):
     assert len(d.features) == 2
     assert d.instances[0].slots[1] == MISSING
     assert d.instances[3].slots[0] == MISSING
+    conf = tmp_path / "dialect.conf"
+    conf.write_text(
+        f"input = {raw}\nheader = no\nclass_index = 0\nmissing_token = NA\n", encoding="utf-8"
+    )
+    again = tmp_path / "again.arff"
+    code = main(["filter", "--config", str(conf), "--method", "none", "--disc-method", "none",
+                 "--output", str(again)])
+    assert code == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,10 @@ def test_dataset_validation_rejects_bad_shapes():
         Dataset(f, (Instance((0,), 0, weight=-1.0),), ("0",), "t")
     with pytest.raises(DataError):
         Dataset(f, (Instance((0,), 0),), ("0", "0"), "t")
+    with pytest.raises(DataError, match="at least one label"):
+        Dataset(f, (Instance((0,), 0),), (), "t")
+    with pytest.raises(DataError, match="unknown feature kind 'bogus'"):
+        Feature("a", ("x",), kind="bogus")
 
 
 def test_equality_ignores_name_and_kind(samples):
@@ -163,6 +167,11 @@ def test_csv_class_index_column(tmp_path):
     assert d.labels == ("0", "1")
     with pytest.raises(DataError):
         load_csv(p, class_index=7)
+    with pytest.raises(ConfigError, match="bad class index 'foo'"):
+        load_csv(p, class_index="foo")
+    with pytest.raises(ConfigError, match="bad class index"):
+        load_csv(tmp_path / "absent.csv", class_index="foo")  # checked before the file is read
+    assert load_csv(p, class_index="0") == d
 
 
 def test_csv_headerless_names_columns(tmp_path):
@@ -213,6 +222,9 @@ def test_csv_rejects_ragged_and_empty(tmp_path):
         load_csv(p)
     p.write_text("a,class\nx,?\n", encoding="utf-8")
     with pytest.raises(DataError):
+        load_csv(p)
+    p.write_text("\nx,0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="no columns"):
         load_csv(p)
 
 
@@ -354,6 +366,20 @@ def test_arff_rejects_malformed_files(tmp_path):
     )
     with pytest.raises(DataError):
         load_arff(p)
+    header = "@relation r\n@attribute a {x}\n@attribute class {0}\n@data\n"
+    for text, message in [
+        (header + "'x,0\n", "unterminated quote"),
+        (header + "'x' y,0\n", "expected ',' after quoted token"),
+        ("@relation r\n@attribute\n", "missing name"),
+        ("@relation r\n@attribute a {x,y\n", "unterminated nominal domain"),
+        ("@relation r\n@foo bar\n", "unrecognized declaration '@foo'"),
+        (header + "x,0,{abc}\n", "bad instance weight '{abc}'"),
+        ("@relation r\n", "no @attribute declarations"),
+        ("% kinds: categorical, categorical\n" + header + "x,0\n", "kinds comment"),
+    ]:
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            load_arff(p)
 
 
 def test_arff_weight_suffix_parsed(tmp_path):

@@ -544,6 +544,8 @@ def test_spec_rejects_cuts_under_method_none():
     text = '{"method": "none", "bins": 10, "cuts": {"a": [1.5]}}'
     with pytest.raises(ConfigError, match="'none'"):
         DiscretizationSpec.from_text(text)
+    with pytest.raises(DataError, match="bad discretization spec"):
+        DiscretizationSpec.from_text("{")
 
 
 @pytest.mark.parametrize("cut", ["NaN", "Infinity", "-Infinity"])

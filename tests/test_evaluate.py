@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 from collections import Counter
 
 import pytest
@@ -22,7 +24,6 @@ from valsel import (
     run_experiment,
     stratified_fold_assignment,
 )
-from valsel import evaluate
 from valsel.evaluate import UNDEFINED
 
 
@@ -194,38 +195,17 @@ def test_parallel_jobs_match_serial(make_separable):
     assert serial.to_json() == parallel.to_json()
 
 
-class SerialPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps in this thread."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        SerialPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize(
-    "jobs, repeats, cpus, size",
-    [(8, 3, 4, 3), (8, 5, 2, 2), (2, 5, 8, 2), (10**6, 4, None, None), (3, 1, 8, None)],
-)
-def test_pool_size_is_bounded_by_repeats_and_cpus(make_separable, monkeypatch, jobs, repeats, cpus, size):
+def test_repeats_run_in_the_calling_thread(make_separable, monkeypatch):
     d = make_separable(seed=9, n=40, noise=0.1)
-    base = dict(disc_method="none", method="pvs_plus", epsilon=1.0, repeats=repeats, folds=4)
+    base = dict(disc_method="none", method="pvs_plus", epsilon=1.0, repeats=4, folds=4)
     serial = run_experiment(d, ExperimentConfig(**base, jobs=1))
-    SerialPool.sizes = []
-    monkeypatch.setattr(evaluate, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: cpus)
-    pooled = run_experiment(d, ExperimentConfig(**base, jobs=jobs))
-    assert SerialPool.sizes == ([] if size is None else [size])  # None: no pool at all
-    assert pooled.to_json() == serial.to_json()
+
+    def no_threads(self):
+        raise AssertionError("run_experiment started a thread")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    assert run_experiment(d, ExperimentConfig(**base, jobs=8)).to_json() == serial.to_json()
 
 
 def test_report_aggregates_match_runs(make_dataset):
@@ -275,10 +255,15 @@ def test_folds_clamp_when_filtering_shrinks(make_dataset, caplog):
     assert len(rep.filtered_runs) == 4  # ceil(0.1 * 40) survivors, one fold each
 
 
-def test_degenerate_data_errors():
+def test_degenerate_data_errors(make_dataset):
     tiny = dataset_from_rows("tiny", ["f"], [["x"]], ["a"])
     with pytest.raises(DataError):
         run_experiment(tiny, ExperimentConfig(disc_method="none", method="none"))
+    cfg = ExperimentConfig(
+        disc_method="none", method="random_value", rate=1.0, repeats=1, folds=4, fold_safe=True
+    )
+    with pytest.raises(DataError, match="fold 0: filter removed every training instance"):
+        run_experiment(make_dataset(1, n=40), cfg)
 
 
 def test_report_table_layout(make_dataset):

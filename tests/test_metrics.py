@@ -18,6 +18,7 @@ from valsel import (
     selection_weights,
 )
 from valsel.data import MISSING
+from valsel.metrics import _value_entropy, entropy_bits
 
 from conftest import random_dataset
 
@@ -221,6 +222,14 @@ def test_single_label_dataset_has_zero_entropies():
     table = compute_stats(d)
     assert all(s.entropy == 0.0 for s in table.entries())
     assert table.dataset_confusion == 0.0
+
+
+def test_a_share_that_underflows_adds_no_entropy():
+    # 5e-324 / 2.0 rounds to 0.0: the term is 0 * log 0, not a math domain error
+    assert entropy_bits([2.0, 5e-324]) == 0.0
+    assert entropy_bits([1.0, 1.0]) == 1.0
+    assert _value_entropy([2.0, 5e-324], 2.0 + 5e-324, 2) == 0.0
+    assert _value_entropy([3.0, 3.0], 6.0, 2) == 1.0
 
 
 def test_removal_probability_clamps_and_validates(samples):
