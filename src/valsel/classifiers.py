@@ -13,19 +13,32 @@ exceed the sum over its leaves, using the upper confidence bound of the
 binomial error at confidence cf; cf = 1 disables pruning.
 
 Counting reads one key column per feature, built once per fit: value id *
-label count + label, or MISSING (-1 // label count is -1 again). Where all
-items weigh 1.0 (an unweighted fit above any missing-value fan-out) one
-Counter over the keys counts a feature, in first-appearance order as the
-gain-ratio float sums need, float(count) being a sum of count ones; a split's
-counts serve as its children's. Below a fan-out, fractional weights add up
-per key in item order. Every tree is the one an item-by-item count gives.
+label count + label, or MISSING (-1 // label count is -1 again). A feature
+with fewer than two values in the schema can never split and gets no
+column. Where all items weigh 1.0 (an unweighted fit above any
+missing-value fan-out) one Counter over the keys counts a feature, in
+first-appearance order as the gain-ratio float sums need, float(count)
+being a sum of count ones; a split's counts serve as its children's. Below
+a fan-out, fractional weights add up per key in item order. Every tree is
+the one an item-by-item count gives.
+
+At a unit node whose items all hold a value of the scored feature, the
+per-value class counts are whole numbers that add up exactly to the
+node's own counts, so the node entropy is taken once per node and the
+known-weight share is exactly 1: no per-label sum of the known counts.
+
+A fit leaves no reference cycles behind, so reference counting frees its
+key columns and entropy cache the moment it returns; growth runs with the
+cyclic collector paused, since its passes would find nothing, and the
+collector's previous state is restored however growth ends.
 
 Prediction routes by value token, so models survive re-interned or
 re-filtered schemas; a MISSING or unseen value fans out across all
 branches weighted by the training proportions and the resulting class
 distributions are mixed. Ties in the final argmax go to the earliest
 label. Models compile this routing once per schema, and predict_ids
-scores a whole list of instances through the compiled form.
+scores a whole list of instances through the compiled form, routing each
+distinct slot tuple once: a filtered test fold repeats a few dozen tuples.
 
 train_rules runs sequential covering: classes from rarest to most
 frequent, each growing conjunctive rules condition by condition to
@@ -55,6 +68,7 @@ every rule of a rule list including the default.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 from collections import Counter
@@ -161,9 +175,17 @@ class TreeModel:
         return self.labels[_argmax_low(dist)], tuple(dist)
 
     def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
-        """Label id, into self.labels, that predict picks for each instance."""
+        """Label id, into self.labels, that predict picks for each instance;
+        each distinct slot tuple is routed once."""
         root, n_labels = _compiled(self, schema), len(self.labels)
-        return [_argmax_low(_distribution(root, inst.slots, n_labels)) for inst in instances]
+        memo: dict[tuple[int, ...], int] = {}
+        out = []
+        for inst in instances:
+            y = memo.get(inst.slots)
+            if y is None:
+                y = memo[inst.slots] = _argmax_low(_distribution(root, inst.slots, n_labels))
+            out.append(y)
+        return out
 
     def _compile(self, pos, features):
         def walk(node):
@@ -238,16 +260,37 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
         raise ConfigError(f"min_leaf must be >= 1, got {min_leaf}")
     if not 0.0 < cf <= 1.0:
         raise ConfigError(f"cf must lie in (0, 1], got {cf}")
+    if 1.0 - cf == 1.0:
+        raise ConfigError(f"cf {cf} is too small: 1 - cf rounds to 1, which has no normal quantile")
     if not d.instances:
         raise DataError("cannot train a tree on an empty dataset")
 
+    collecting = gc.isenabled()
+    gc.disable()  # growth leaves no cycles, so collector passes would find nothing
+    try:
+        root = _grow(d, min_leaf)
+    finally:
+        if collecting:
+            gc.enable()
+    if cf < 1.0:
+        root, _ = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
+    return TreeModel(root, d.labels, d.features)
+
+
+def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
+    """The unpruned tree on d; see the module docstring for the counting."""
     n_labels = len(d.labels)
     ys = [inst.label for inst in d.instances]
-    # Per feature and row: value id * n_labels + label, or MISSING (MISSING // n_labels too).
-    keys = [
-        [MISSING if z == MISSING else z * n_labels + y for z, y in zip(col, ys)]
-        for col in zip(*(inst.slots for inst in d.instances))
-    ]
+    slots = [inst.slots for inst in d.instances]
+    # Per feature with two or more values, and row: value id * n_labels + label, or MISSING.
+    # One table per label maps value ids to keys; its last entry serves slot MISSING (-1).
+    keys: list[list[int] | None] = [None] * len(d.features)
+    for x, f in enumerate(d.features):
+        if len(f.values) >= 2:
+            ids = range(len(f.values))
+            tables = [[z * n_labels + y for z in ids] + [MISSING] for y in range(n_labels)]
+            column = map(operator.itemgetter(x), slots)
+            keys[x] = list(map(operator.getitem, map(tables.__getitem__, ys), column))
 
     entropy = lru_cache(maxsize=None)(entropy_bits)  # once per class-weight tuple in this fit
 
@@ -288,26 +331,35 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
         ):
             return Leaf(tuple(counts), label)
 
+        h_node = entropy(tuple(counts)) if unit else None
         best = None  # (ratio, x, val_counts, known_w)
         for x in sorted(avail):
             val_counts, known_w = value_counts(x, items, unit)
             if known_w <= 0 or len(val_counts) < 2:
                 continue
-            known_counts = [0.0] * n_labels
             info = 0.0
             split_info = 0.0
-            for per in val_counts.values():
-                vw = sum(per)
-                for l in range(n_labels):
-                    known_counts[l] += per[l]
-                info += (vw / known_w) * entropy(tuple(per))
-                q = vw / total
+            if unit and known_w == total:
+                # No slot is missing: the per-value counts add up to counts exactly.
+                for per in val_counts.values():
+                    q = sum(per) / total  # vw / known_w as well
+                    info += q * entropy(tuple(per))
+                    split_info -= q * math.log2(q)
+                gain = h_node - info
+            else:
+                known_counts = [0.0] * n_labels
+                for per in val_counts.values():
+                    vw = sum(per)
+                    for l in range(n_labels):
+                        known_counts[l] += per[l]
+                    info += (vw / known_w) * entropy(tuple(per))
+                    q = vw / total
+                    if q > 0:
+                        split_info -= q * math.log2(q)
+                q = (total - known_w) / total  # the missing share
                 if q > 0:
                     split_info -= q * math.log2(q)
-            q = (total - known_w) / total  # the missing share
-            if q > 0:
-                split_info -= q * math.log2(q)
-            gain = (known_w / total) * (entropy(tuple(known_counts)) - info)
+                gain = (known_w / total) * (entropy(tuple(known_counts)) - info)
             if gain <= 1e-12 or split_info <= 0:
                 continue
             ratio = gain / split_info
@@ -345,10 +397,10 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
 
     unit = all(inst.weight == 1.0 for inst in d.instances)
     items = range(len(ys)) if unit else [(i, inst.weight) for i, inst in enumerate(d.instances)]
-    root = grow(items, unit, None, set(range(len(d.features))))
-    if cf < 1.0:
-        root, _ = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
-    return TreeModel(root, d.labels, d.features)
+    try:
+        return grow(items, unit, None, {x for x, key in enumerate(keys) if key is not None})
+    finally:
+        del grow  # grow's closure holds grow; emptying the cell frees the fit's columns now
 
 
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:

@@ -33,6 +33,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -113,9 +114,12 @@ def stratified_fold_assignment(label_ids, folds: int, seed: int) -> list[int]:
 def fold_splits(d: Dataset, folds: int, seed: int):
     """Yield (fold, train rows, test rows) of a stratified split as index lists."""
     fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, seed)
-    for f in range(folds):
-        train = [i for i, g in enumerate(fold_of) if g != f]
-        test = [i for i, g in enumerate(fold_of) if g == f]
+    tests: list[list[int]] = [[] for _ in range(folds)]
+    for i, g in enumerate(fold_of):
+        tests[g].append(i)
+    for f, test in enumerate(tests):
+        # every other fold's test rows, each list ascending, merged into one ascending list
+        train = sorted(chain.from_iterable(tests[:f] + tests[f + 1 :]))
         if not train or not test:
             raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
         yield f, train, test

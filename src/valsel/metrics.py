@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,13 +146,27 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
 
     counts: list[dict[int, list[float]]] = [{} for _ in d.features]
     feature_total = [0.0] * len(d.features)
-    for inst in d.instances:
-        for x, z in enumerate(inst.slots):
-            if z == MISSING:
-                continue
-            per_class = counts[x].setdefault(z, [0.0] * n_labels)
-            per_class[inst.label] += inst.weight
-            feature_total[x] += inst.weight
+    if all(inst.weight == 1.0 for inst in d.instances):
+        # Every sum is a whole number, so counting value id * n_labels + label
+        # keys per column gives the same floats; MISSING slots key below 0.
+        ys = [inst.label for inst in d.instances]
+        slots = [inst.slots for inst in d.instances]
+        for x in range(len(d.features)):
+            column = map(operator.itemgetter(x), slots)
+            by_key = Counter(map(operator.add, map(n_labels.__mul__, column), ys))
+            for k, c in by_key.items():
+                if k >= 0:
+                    z, y = divmod(k, n_labels)
+                    counts[x].setdefault(z, [0.0] * n_labels)[y] = float(c)
+                    feature_total[x] += c
+    else:
+        for inst in d.instances:
+            for x, z in enumerate(inst.slots):
+                if z == MISSING:
+                    continue
+                per_class = counts[x].setdefault(z, [0.0] * n_labels)
+                per_class[inst.label] += inst.weight
+                feature_total[x] += inst.weight
     if not any(feature_total):
         raise DataError("dataset has no observed values")
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from valsel import (
@@ -16,7 +19,9 @@ from valsel import (
     train_rules,
     train_tree,
 )
+from valsel import classifiers
 from valsel.classifiers import Leaf, Rule, Split
+from valsel.metrics import entropy_bits
 
 from conftest import random_dataset, separable_dataset
 
@@ -287,9 +292,68 @@ def test_tree_argument_validation():
         train_tree(d, cf=0.0)
     with pytest.raises(ConfigError):
         train_tree(d, cf=1.0001)
+    for tiny in (1e-300, 5e-17):  # 1 - cf rounds to 1: no normal quantile
+        with pytest.raises(ConfigError, match="too small"):
+            train_tree(d, cf=tiny)
+    train_tree(d, cf=1.2e-16)  # the smallest cf whose 1 - cf stays below 1 prunes
     empty = dataset_from_rows("e", ["f"], [], [])
     with pytest.raises(DataError):
         train_tree(empty)
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_fit_leaves_no_cyclic_garbage(weighted):
+    # Unit weights and fractional weights below missing-value fan-outs, pruned
+    # and not: every object a fit makes is freed by reference counting alone.
+    d = random_dataset(4, n=2000, n_features=6, n_labels=3, n_values=4, missing_rate=0.2)
+    if weighted:
+        d = d.with_instances(
+            Instance(inst.slots, inst.label, 0.5 + i % 3) for i, inst in enumerate(d.instances)
+        )
+    with collector(False):
+        gc.collect()
+        assert train_tree(d, cf=1.0).size > 100
+        assert gc.collect() == 0
+        train_tree(d)
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_fit_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    seen = []
+
+    def entropy(counts):
+        seen.append(gc.isenabled())
+        return entropy_bits(counts)
+
+    monkeypatch.setattr(classifiers, "entropy_bits", entropy)
+    with collector(enabled):
+        train_tree(random_dataset(2, n=200))
+        assert gc.isenabled() is enabled
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failing_fit_restores_the_collector(enabled, monkeypatch):
+    def entropy(counts):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(classifiers, "entropy_bits", entropy)
+    with collector(enabled):
+        with pytest.raises(RuntimeError, match="boom"):
+            train_tree(random_dataset(2, n=200))
+        assert gc.isenabled() is enabled
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,27 @@ def test_bad_epsilon_is_a_config_error(arff_input, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["experiment", "filter"])
+def test_a_cf_too_small_for_a_normal_quantile_is_a_config_error(arff_input, tmp_path, capsys, command):
+    out = tmp_path / "out.arff"
+    argv = ["experiment", "--input", str(arff_input), "--method", "none", "--folds", "2",
+            "--repeats", "1", "--cf", "1e-300"]
+    if command == "filter":
+        argv = ["filter", "--input", str(arff_input), "--method", "misclassified",
+                "--cf", "1e-300", "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "too small" in err
+    assert not out.exists()
+
+
+def test_python_dash_m_valsel_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "valsel", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0 and "experiment" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "valsel", "experiment"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr.startswith("config error:")
+
+
 # ---------------------------------------------------------------------------
 # discretize
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from valsel import (
     run_experiment,
     stratified_fold_assignment,
 )
-from valsel.evaluate import UNDEFINED
+from valsel.evaluate import UNDEFINED, fold_splits
+
+from conftest import random_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,24 @@ def test_fold_assignment_seeding():
     a = stratified_fold_assignment(labels, 5, seed=0)
     assert a == stratified_fold_assignment(labels, 5, seed=0)
     assert a != stratified_fold_assignment(labels, 5, seed=1)
+
+
+def fold_splits_oracle(d, folds, seed):
+    """fold_splits with two comprehensions over fold_of per fold, verbatim."""
+    fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, seed)
+    for f in range(folds):
+        train = [i for i, g in enumerate(fold_of) if g != f]
+        test = [i for i, g in enumerate(fold_of) if g == f]
+        if not train or not test:
+            raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
+        yield f, train, test
+
+
+@pytest.mark.parametrize("n, n_labels, folds", [(2, 1, 2), (7, 2, 7), (60, 3, 10), (503, 4, 5)])
+def test_fold_splits_match_the_per_fold_comprehensions(n, n_labels, folds):
+    d = random_dataset(n, n=n, n_labels=n_labels)
+    for seed in range(3):
+        assert list(fold_splits(d, folds, seed)) == list(fold_splits_oracle(d, folds, seed))
 
 
 def test_fold_assignment_validation(caplog):

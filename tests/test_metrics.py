@@ -18,7 +18,14 @@ from valsel import (
     selection_weights,
 )
 from valsel.data import MISSING
-from valsel.metrics import _value_entropy, entropy_bits
+from valsel.metrics import (
+    DATASET_ENTROPIES,
+    MetricTable,
+    ValueStats,
+    _value_entropy,
+    entropy_bits,
+    log,
+)
 
 from conftest import random_dataset
 
@@ -312,3 +319,135 @@ def test_entropy_bounds_and_entry_order(seed):
         per_feature_weight[s.feature] = per_feature_weight.get(s.feature, 0.0) + s.weight
     for x, total in per_feature_weight.items():
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Counting oracle: compute_stats with the per-slot loop, verbatim
+# ---------------------------------------------------------------------------
+
+
+def compute_stats_oracle(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable:
+    """Count once over d and derive every per-value metric.
+
+    Counts use instance weights. Requires at least one instance and one
+    observed value overall.
+    """
+    if dataset_entropy not in DATASET_ENTROPIES:
+        raise ConfigError(f"unknown dataset_entropy mode {dataset_entropy!r}")
+    if not d.instances:
+        raise DataError("cannot compute stats of an empty dataset")
+    n_labels = len(d.labels)
+
+    counts: list[dict[int, list[float]]] = [{} for _ in d.features]
+    feature_total = [0.0] * len(d.features)
+    for inst in d.instances:
+        for x, z in enumerate(inst.slots):
+            if z == MISSING:
+                continue
+            per_class = counts[x].setdefault(z, [0.0] * n_labels)
+            per_class[inst.label] += inst.weight
+            feature_total[x] += inst.weight
+    if not any(feature_total):
+        raise DataError("dataset has no observed values")
+
+    # First pass: supports, weights, entropies.
+    raw: list[list[tuple[int, float, tuple[float, ...], float, float]]] = []
+    for x in range(len(d.features)):
+        group = []
+        for z in sorted(counts[x]):
+            per_class = counts[x][z]
+            support = sum(per_class)
+            if support <= 0:
+                continue
+            probs = tuple(c / support for c in per_class)
+            ent = _value_entropy(per_class, support, n_labels)
+            group.append((z, support, probs, support / feature_total[x], ent))
+        raw.append(group)
+
+    if dataset_entropy == "value-sum":
+        h_dataset = sum(ent for group in raw for (_, _, _, _, ent) in group)
+    else:
+        label_counts = [0.0] * n_labels
+        for inst in d.instances:
+            label_counts[inst.label] += inst.weight
+        h_dataset = _value_entropy(label_counts, sum(label_counts), n_labels)
+
+    per_feature = []
+    for x, group in enumerate(raw):
+        gains = [max(0.0, h_dataset - ent) for (_, _, _, _, ent) in group]
+        max_gain = max(gains, default=0.0)
+        if group and max_gain == 0.0:
+            log.warning(
+                "feature %r: max information gain is 0, IG_N set to 1 for all values",
+                d.features[x].name,
+            )
+        stats = []
+        for (z, support, probs, weight, ent), gain in zip(group, gains):
+            ig_n = 1.0 if max_gain == 0.0 else gain / max_gain
+            stats.append(
+                ValueStats(
+                    feature=x,
+                    value=z,
+                    token=d.features[x].values[z],
+                    support=support,
+                    class_probs=probs,
+                    weight=weight,
+                    entropy=ent,
+                    info_gain=gain,
+                    norm_info_gain=ig_n,
+                )
+            )
+        per_feature.append(tuple(stats))
+    return MetricTable(d.fingerprint, h_dataset, tuple(per_feature))
+
+
+@st.composite
+def stats_inputs(draw):
+    """Small datasets with missing slots, possibly an all-missing feature, a
+    declared value nobody holds, 1-4 labels and unit, dyadic or real weights."""
+    n_features = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    rows = [[draw(st.sampled_from([None, "a", "b", "c"])) for _ in range(n_features)] for _ in range(n)]
+    if draw(st.booleans()):
+        empty = draw(st.integers(0, n_features - 1))
+        for row in rows:
+            row[empty] = None
+    label_domain = tuple(str(c) for c in range(n_labels))
+    labels = [draw(st.sampled_from(label_domain)) for _ in range(n)]
+    weight = draw(
+        st.sampled_from(
+            [
+                st.just(1.0),
+                st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                st.floats(0.0, 4.0, allow_subnormal=False),
+            ]
+        )
+    )
+    return dataset_from_rows(
+        "drawn", [f"f{x}" for x in range(n_features)], rows, labels,
+        domains=[("a", "b", "c", "d")] * n_features, label_domain=label_domain,
+        weights=[draw(weight) for _ in range(n)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(stats_inputs(), st.sampled_from(DATASET_ENTROPIES))
+def test_counting_matches_the_per_slot_loop(d, dataset_entropy):
+    try:
+        want = compute_stats_oracle(d, dataset_entropy)
+    except DataError:
+        with pytest.raises(DataError):
+            compute_stats(d, dataset_entropy)
+        return
+    got = compute_stats(d, dataset_entropy)
+    assert got.fingerprint == want.fingerprint
+    assert got.dataset_confusion == want.dataset_confusion
+    assert got.per_feature == want.per_feature  # every ValueStats field, floats exactly
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_counting_matches_the_per_slot_loop_on_larger_data(seed):
+    d = random_dataset(seed, n=3000, n_features=6, n_labels=2 + seed, n_values=5, missing_rate=0.3)
+    assert repr(compute_stats(d)) == repr(compute_stats_oracle(d))

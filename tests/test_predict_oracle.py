@@ -33,6 +33,7 @@ from valsel.classifiers import (
     LearnerSpec,
     Rule,
     RuleModel,
+    Split,
     TreeModel,
     _argmax_low,
     _normalized,
@@ -291,3 +292,26 @@ def test_a_cache_entry_for_another_features_tuple_is_never_used(name, learn):
     copy.__dict__["_by_schema"] = {id(d.features): (d.features[:1], [])}
     assert [copy.predict(inst, d) for inst in d.instances] == want
     assert [copy.labels[y] for y in copy.predict_ids(d.instances, d)] == [w[0] for w in want]
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("name, learn", LEARNERS[:2], ids=[n for n, _ in LEARNERS[:2]])
+def test_predict_ids_matches_predict_on_repeated_slot_tuples(name, learn, weighting):
+    # A pvs-filtered fold repeats a few slot tuples many times, and many of
+    # them miss a split feature; predict_ids routes each distinct tuple once.
+    repeated = fanned = 0
+    for seed in range(12):
+        d = random_weighted_dataset(seed, weighting)
+        model = learn(d)
+        filtered = pvs(d, VSConfig(epsilon=1.0, seed=seed), compute_stats(d)).filtered
+        rows = list(filtered.instances)
+        test = rows + rows[::-1] + rows[::3]
+        random.Random(seed).shuffle(test)
+        want = [model.predict(inst, filtered)[0] for inst in test]
+        assert [model.labels[y] for y in model.predict_ids(test, filtered)] == want
+        assert [oracle_predict(model, inst, filtered)[0] for inst in test] == want
+        repeated += len({inst.slots for inst in rows}) < len(rows) // 2
+        if isinstance(model.root, Split):
+            x = [f.name for f in filtered.features].index(model.root.name)
+            fanned += any(inst.slots[x] == MISSING for inst in test)
+    assert repeated >= 6 and fanned >= 3

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valsel import classifiers, dataset_from_rows
+from valsel import VSConfig, classifiers, compute_stats, dataset_from_rows, pvs, pvs_plus
 from valsel.classifiers import TREE_CF, TREE_MIN_LEAF, Leaf, Split, TreeModel, _argmax_low
 from valsel.data import MISSING, Dataset, Instance
 from valsel.errors import ConfigError, DataError
@@ -268,3 +268,55 @@ def test_oracle_rejects_what_train_tree_rejects(samples):
             train_tree(*bad)
         with pytest.raises(want.type):
             classifiers.train_tree(*bad)
+
+
+def filter_outputs():
+    """Training sets the pvs and pvs_plus filters really produce.
+
+    With the entropy metric pvs drops most values from the schema, leaving
+    features with 0 or 1 values, and pvs_plus clears most slots, leaving
+    columns all missing or with one observed value below a fan-out. With
+    the infogain metric both keep deep trees whose nodes fan out again and
+    again. Every other output gets random weights, about 5% of them zero.
+    """
+    k = 0
+    for seed in range(3):
+        d = random_dataset(seed, n=400, n_features=6, n_labels=3, n_values=4, missing_rate=0.1)
+        stats = compute_stats(d)
+        for iota in ("entropy", "infogain"):
+            for eps in (0.8, 1.0):
+                cfg = VSConfig(iota=iota, epsilon=eps, seed=seed)
+                for select in (pvs, pvs_plus):
+                    filtered = select(d, cfg, stats).filtered
+                    k += 1
+                    yield reweighted(filtered, "random", seed) if k % 2 else filtered
+
+
+def test_matches_oracle_on_filter_outputs():
+    cases = list(filter_outputs())
+    for d in cases:
+        for min_leaf, cf in KNOBS:
+            assert_same_tree(d, min_leaf, cf)
+    # The cases hold features with 0 or 1 schema values (no key column),
+    # features with values in the schema but 0 or 1 of them observed, zero
+    # weights, and splits below a fan-out that fan out again.
+    n_values = [len(f.values) for d in cases for f in d.features]
+    assert 0 in n_values and 1 in n_values
+    observed = [
+        (len(f.values), len({inst.slots[x] for inst in d.instances} - {MISSING}))
+        for d in cases for x, f in enumerate(d.features)
+    ]
+    assert (4, 0) in observed and (4, 1) in observed
+    assert any(inst.weight == 0.0 for d in cases for inst in d.instances)
+    nested = 0
+    for d in cases:
+        stack = [(classifiers.train_tree(d, 1, 1.0).root, d.instances)]
+        while stack:
+            node, rows = stack.pop()
+            if isinstance(node, Split):
+                fanned = [inst for inst in rows if inst.slots[node.feature] == MISSING]
+                nested += bool(fanned) and rows is not d.instances
+                for tok, child in node.children.items():
+                    z = d.features[node.feature].values.index(tok)
+                    stack.append((child, [inst for inst in rows if inst.slots[node.feature] in (z, MISSING)]))
+    assert nested >= 20
