@@ -168,9 +168,9 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
 
 
 def cmd_discretize(io: RunConfig, values: dict, args) -> None:
-    d = _load_input(io)
     if not io.output:
         raise ConfigError("discretize needs --output")
+    d = _load_input(io)
     spec = _disc.fit(d, values["disc_method"], values["bins"])
     out = _disc.apply(spec, d)
     del d  # the raw rows need not stay in memory while the output is written
@@ -180,10 +180,10 @@ def cmd_discretize(io: RunConfig, values: dict, args) -> None:
 
 
 def cmd_filter(io: RunConfig, values: dict, args) -> None:
-    d = _load_input(io)
     if not io.output:
         raise ConfigError("filter needs --output")
     cfg = _knobs(values)
+    d = _load_input(io)
     d = _disc.apply(_disc.fit(d, cfg.disc_method, cfg.bins), d)
 
     stats = None

@@ -34,9 +34,10 @@ import csv
 import hashlib
 import io
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import contains, getitem
 from pathlib import Path
 
@@ -163,8 +164,20 @@ class Dataset:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Content hash used to detect stale metric tables."""
-        return hashlib.sha1(repr(self._canonical()).encode()).hexdigest()[:16]
+        """Content hash used to detect stale metric tables.
+
+        Datasets equal under == hash alike: the header (feature names and
+        value tuples, labels, row count) goes in as its repr, then slots,
+        label ids and weights as flat arrays, each weight as a double with
+        -0.0 read as 0.0.
+        """
+        rows = self.instances
+        features = tuple((f.name, f.values) for f in self.features)
+        h = hashlib.sha1(repr((features, self.labels, len(rows))).encode())
+        h.update(array("q", list(chain.from_iterable(i.slots for i in rows))))
+        h.update(array("q", [i.label for i in rows]))
+        h.update(array("d", [i.weight + 0.0 for i in rows]))  # -0.0 + 0.0 is 0.0
+        return h.hexdigest()[:16]
 
     def value_token(self, x: int, z: int) -> str | None:
         """Token for value id z of feature x; None when z is MISSING."""

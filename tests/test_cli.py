@@ -3,16 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import valsel
 from valsel import DISCRETIZED, MISSING, ConfigError, load_dataset, save_dataset
 from valsel.cli import _parse_epsilon, main
 from valsel.discretize import DiscretizationSpec
 
 from conftest import random_dataset, separable_dataset
+
+# Child interpreters import the valsel this process imported, installed or from src/.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(valsel.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(*argv):
@@ -20,6 +31,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "valsel.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -72,6 +84,21 @@ def test_filter_requires_output(arff_input):
     assert code == 2
     assert main(["discretize", "--input", str(arff_input), "--disc-method", "none"]) == 2
     assert main(["experiment", "--method", "none", "--disc-method", "none"]) == 2
+
+
+def test_output_and_knobs_are_checked_before_the_input_is_read(tmp_path, capsys):
+    absent = str(tmp_path / "absent.csv")
+    out = str(tmp_path / "out.arff")
+    assert main(["discretize", "--input", absent]) == 2
+    assert capsys.readouterr().err == "config error: discretize needs --output\n"
+    assert main(["filter", "--input", absent]) == 2
+    assert capsys.readouterr().err == "config error: filter needs --output\n"
+    assert main(["filter", "--input", absent, "--method", "pvs", "--epsilon", "0",
+                 "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "epsilon" in err
+    assert main(["filter", "--input", absent, "--output", out]) == 1
+    assert capsys.readouterr().err.startswith("data error:")
 
 
 def test_config_file_matches_flags(arff_input, tmp_path):
@@ -198,9 +225,13 @@ def test_a_cf_too_small_for_a_normal_quantile_is_a_config_error(arff_input, tmp_
 
 
 def test_python_dash_m_valsel_runs_the_cli():
-    proc = subprocess.run([sys.executable, "-m", "valsel", "--help"], capture_output=True, text=True)
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "valsel", *argv],
+                              capture_output=True, text=True, env=CHILD_ENV)
+
+    proc = run("--help")
     assert proc.returncode == 0 and "experiment" in proc.stdout
-    proc = subprocess.run([sys.executable, "-m", "valsel", "experiment"], capture_output=True, text=True)
+    proc = run("experiment")
     assert proc.returncode == 2 and proc.stderr.startswith("config error:")
 
 

@@ -115,6 +115,58 @@ def test_fingerprint_tracks_content(samples):
     assert len(samples.fingerprint) == 16
 
 
+def test_equal_datasets_share_a_fingerprint(samples, tmp_path):
+    save_dataset(samples, tmp_path / "s.csv", "csv")
+    save_dataset(samples, tmp_path / "s.arff", "arff")
+    from_csv = load_dataset(tmp_path / "s.csv")
+    from_arff = load_dataset(tmp_path / "s.arff")
+    rows = [[samples.value_token(x, z) for x, z in enumerate(i.slots)] for i in samples.instances]
+    from_rows = dataset_from_rows(
+        "rows", [f.name for f in samples.features], rows,
+        [samples.labels[i.label] for i in samples.instances],
+    )
+
+    def reweighted(d, weight):
+        return d.with_instances(Instance(i.slots, i.label, weight) for i in d.instances)
+
+    twins = [from_csv, from_arff, from_rows, build_copy(samples),
+             reweighted(samples, 1), reweighted(samples, True)]
+    zero = reweighted(samples, 0.0)
+    twins_of_zero = [reweighted(samples, -0.0), reweighted(samples, 0)]
+    for d in twins:
+        assert d == samples
+        assert d.fingerprint == samples.fingerprint
+    for d in twins_of_zero:
+        assert d == zero
+        assert d.fingerprint == zero.fingerprint
+
+
+def test_fingerprint_changes_with_any_slot_label_weight_or_value_order(samples):
+    def changed(row, **edit):
+        rows = list(samples.instances)
+        rows[row] = dataclasses.replace(rows[row], **edit)
+        return samples.with_instances(rows)
+
+    first = samples.instances[0]
+    f0 = samples.features[0]
+    flip = [*range(len(f0.values) - 1, -1, -1), MISSING]  # by old id; MISSING stays
+    swapped = Dataset(
+        (Feature(f0.name, f0.values[::-1]), *samples.features[1:]),
+        [Instance((flip[i.slots[0]], *i.slots[1:]), i.label, i.weight) for i in samples.instances],
+        samples.labels,
+    )
+    variants = [
+        changed(0, slots=(0, *first.slots[1:])),
+        changed(0, label=1 - first.label),
+        changed(0, weight=0.5),
+        swapped,
+    ]
+    for d in variants:
+        assert d != samples
+        assert d.fingerprint != samples.fingerprint
+    assert len({d.fingerprint for d in variants}) == len(variants)
+
+
 def build_copy(d: Dataset) -> Dataset:
     return Dataset(
         tuple(Feature(f.name, f.values, f.kind) for f in d.features),

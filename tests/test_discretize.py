@@ -25,6 +25,7 @@ from valsel import (
     DiscretizationSpec,
     dataset_from_rows,
 )
+from valsel import discretize
 from valsel.discretize import (
     apply,
     fit,
@@ -336,14 +337,14 @@ def test_mdl_scan_matches_entropy_bits_oracle(case):
     assert fit_mdl(col, ys) == fit_mdl_scan_oracle(col, ys)
 
 
-@pytest.mark.parametrize(
-    "blocks, cuts",
-    [
-        ([(6, 0, 0), (0, 0, 1), (0, 6, 0)], [0.75]),
-        ([(2, 6, 0), (0, 0, 1), (8, 0, 0)], [0.75]),
-        ([(8, 0, 0), (0, 0, 8), (3, 0, 0), (8, 8, 0)], [0.75, 2.25]),
-    ],
-)
+TIED_BLOCKS = [
+    ([(6, 0, 0), (0, 0, 1), (0, 6, 0)], [0.75]),
+    ([(2, 6, 0), (0, 0, 1), (8, 0, 0)], [0.75]),
+    ([(8, 0, 0), (0, 0, 8), (3, 0, 0), (8, 8, 0)], [0.75, 2.25]),
+]
+
+
+@pytest.mark.parametrize("blocks, cuts", TIED_BLOCKS)
 def test_mdl_tied_cut_points_go_to_the_first(blocks, cuts):
     # Two cut points tie exactly here; the scan keeps the first, and the
     # rest of the recursion depends on which one it kept.
@@ -382,6 +383,127 @@ def test_mdl_ignores_missing_rows():
     kept_col = [1, 2, 3, 4]
     kept_ys = ["A", "A", "B", "B"]
     assert fit_mdl(col, ys) == fit_mdl(kept_col, kept_ys)
+
+
+def bench_sized_column(seed, n, n_classes):
+    """n Gaussian values at 3 decimals (so duplicates), 2% missing, and
+    n_classes labels from a noisy threshold on the value: the columns a
+    fold-safe MDL run fits."""
+    rng = random.Random(seed)
+    col, ys = [], []
+    for _ in range(n):
+        v = round(rng.gauss(0.0, 1.0), 3)
+        score = (v + rng.gauss(0.0, 0.6) + 1.5) * n_classes / 3
+        ys.append(f"c{min(n_classes - 1, max(0, int(score)))}")
+        col.append(None if rng.random() < 0.02 else v)
+    return col, ys
+
+
+def count_exact_scans(monkeypatch):
+    """Record the segment (lo, hi) of every call to the verbatim fallback scan."""
+    calls = []
+    scan = discretize._exact_scan
+
+    def counted(values, ys, lo, hi, counts, width):
+        calls.append((lo, hi))
+        return scan(values, ys, lo, hi, counts, width)
+
+    monkeypatch.setattr(discretize, "_exact_scan", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed, n, n_classes", [(1, 4000, 2), (2, 4000, 3), (3, 6000, 3), (4, 4000, 4)])
+def test_mdl_bench_sized_columns_match_the_oracle_without_the_exact_scan(
+    monkeypatch, seed, n, n_classes
+):
+    col, ys = bench_sized_column(seed, n, n_classes)
+    calls = count_exact_scans(monkeypatch)
+    got = fit_mdl(col, ys)
+    assert calls == []
+    assert len(got) >= 2  # nested cuts, not one rejected scan
+    assert got == fit_mdl_scan_oracle(col, ys)
+
+
+@pytest.mark.parametrize(
+    "blocks, cuts",
+    TIED_BLOCKS + [
+        # The later of two tied points has the smaller proxy here, so only
+        # the earlier best, kept as runner-up, shows the gap is too small.
+        ([(0, 0), (8, 0), (3, 6), (0, 4, 8), (1, 4), (0, 4, 4), (8, 0)], [2.25, 8.25]),
+        ([(0, 8), (0, 2), (4, 4), (0, 1, 2), (6, 0), (8, 3, 8)], [2.25]),
+        ([(0, 4), (0, 1, 4), (4, 3, 2), (6, 0)], []),
+        ([(0, 0, 8), (2, 6), (6, 2, 6), (0, 1, 3), (0, 8)], [0.75]),
+    ],
+)
+def test_mdl_ties_take_the_exact_scan(monkeypatch, blocks, cuts):
+    col, ys = block_column(blocks)
+    calls = count_exact_scans(monkeypatch)
+    assert fit_mdl(col, ys) == fit_mdl_scan_oracle(col, ys) == cuts
+    assert calls
+
+
+ONE_ULP = math.nextafter(1.0, 2.0)
+NEXT_ULP = math.nextafter(ONE_ULP, 2.0)
+
+
+def test_a_cut_between_adjacent_floats_separates_them():
+    col = [ONE_ULP] * 10 + [NEXT_ULP] * 10
+    ys = ["a"] * 10 + ["b"] * 10
+    assert (ONE_ULP + NEXT_ULP) / 2 == NEXT_ULP  # the plain midpoint would join them
+    assert fit_mdl(col, ys) == [ONE_ULP]
+    assert fit_equal_frequency(col, 2) == [ONE_ULP]
+    assert fit_equal_width(col, 2) == [ONE_ULP]
+
+
+@pytest.mark.parametrize("method", ["binning", "frequency", "mdl"])
+def test_cuts_near_the_float_range_ends_stay_finite(method):
+    # (1e308 + 1.5e308) / 2 and 1.5e308 - (-1.7e308) overflow to inf
+    tokens = ["-1.7e308"] * 6 + ["-1e308"] * 6 + ["1e308"] * 6 + ["1.5e308"] * 6
+    d = dataset_from_rows("huge", ["x"], [[t] for t in tokens], ["a"] * 18 + ["b"] * 6)
+    spec = fit(d, method, 4)
+    cuts = spec.cuts["x"]
+    assert cuts and all(math.isfinite(c) for c in cuts)
+    if method == "binning":
+        assert cuts == pytest.approx([-0.9e308, -0.1e308, 0.7e308], rel=1e-12)
+    else:
+        slots = [inst.slots[0] for inst in apply(spec, d).instances]
+        assert slots[12] != slots[18]  # 1e308 and 1.5e308 fall apart
+
+
+@st.composite
+def crowded_columns(draw):
+    """Values a few ulps apart around anchors that include both ends of the
+    float range, labels mostly following the sign, so cuts get accepted."""
+    anchors = draw(st.lists(st.sampled_from([0.0, 1.0, -3.5, 1e-300, 1e308, -1e308, 1.7e308]),
+                            min_size=1, max_size=3, unique=True))
+    pool = []
+    for a in anchors:
+        v = a
+        for _ in range(draw(st.integers(1, 4))):
+            pool.append(v)
+            v = math.nextafter(v, math.inf)
+    col = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+    flips = draw(st.lists(st.booleans(), min_size=len(col), max_size=len(col)))
+    ys = [("p" if v > 0 else "n") if not flip else "q" for v, flip in zip(col, flips)]
+    return col, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowded_columns(), st.integers(2, 6))
+def test_every_cut_lies_in_its_boundary(case, bins):
+    col, ys = case
+    vals = sorted(set(col))
+    for cuts in (fit_mdl(col, ys), fit_equal_frequency(col, bins)):
+        for c in cuts:
+            k = bisect.bisect_right(vals, c)
+            assert 0 < k < len(vals), (c, vals)
+            a, b = vals[k - 1], vals[k]
+            assert a <= c < b
+            mid = (a + b) / 2.0
+            if math.isfinite(mid) and mid < b:
+                assert c == mid  # ordinary boundaries keep the plain midpoint
+    for c in fit_equal_width(col, bins):
+        assert math.isfinite(c) and vals[0] <= c < vals[-1]
 
 
 # ---------------------------------------------------------------------------
