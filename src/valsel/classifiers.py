@@ -68,7 +68,6 @@ every rule of a rule list including the default.
 
 from __future__ import annotations
 
-import gc
 import math
 import operator
 from collections import Counter
@@ -78,7 +77,7 @@ from itertools import accumulate, count, repeat
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .data import MISSING, Dataset, Feature
+from .data import MISSING, Dataset, Feature, collector_paused
 from .errors import ConfigError, DataError
 from .metrics import entropy_bits
 
@@ -265,13 +264,8 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
     if not d.instances:
         raise DataError("cannot train a tree on an empty dataset")
 
-    collecting = gc.isenabled()
-    gc.disable()  # growth leaves no cycles, so collector passes would find nothing
-    try:
+    with collector_paused():  # growth leaves no cycles, so collector passes would find nothing
         root = _grow(d, min_leaf)
-    finally:
-        if collecting:
-            gc.enable()
     if cf < 1.0:
         root, _ = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
     return TreeModel(root, d.labels, d.features)

@@ -82,7 +82,10 @@ def _coerce(name: str, raw):
 def load_config_file(path) -> dict[str, str]:
     """Flat key=value lines; # and ; start comments; blank lines ignored."""
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):

@@ -14,11 +14,22 @@ map slots through tables over the schema and build via Dataset._trusted;
 with_instances checks unless its rows are, by identity, its own in their
 order (Instance is frozen, so those stay valid), as folds and row filters.
 
+Datasets are built a column at a time. dataset_from_rows, load_csv and
+load_arff all transpose their token rows into columns and intern each
+column with one C-level pass of table lookups (_intern); rows are then
+zipped from the id columns. Only a lookup that misses, a bad row length,
+label or weight makes the builder search for the fault, and it raises
+the error of the first faulty row, as a row-at-a-time reader would.
+Building makes no reference cycles, so it runs with the cyclic collector
+paused (collector_paused).
+
 Readers: RFC-4180 CSV with a configurable missing token, and the ARFF
 subset covering @relation, nominal and numeric @attribute declarations,
 and dense @data rows with '?' for missing. String, date, relational and
 sparse ARFF constructs are rejected with UnsupportedFeatureError. The
-last attribute is the class by convention.
+last attribute is the class by convention. ARFF keywords are whole
+words ("@database" is not "@data"). Input must be UTF-8: a file that is
+not raises DataError naming it.
 
 Writers are byte-stable: the same Dataset always serializes to the same
 bytes. ARFF output is lossless (declared value order, unobserved values,
@@ -31,14 +42,17 @@ CSV round-trip exactly.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import logging
 from array import array
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import contains, getitem
+from itertools import chain, count, islice, repeat
+from operator import contains, getitem, le
 from pathlib import Path
 
 from .errors import ConfigError, DataError, UnsupportedFeatureError
@@ -72,7 +86,10 @@ class Feature:
     @cached_property
     def floats(self) -> tuple[float | None, ...]:
         """float() of each value token by value id, None where it is not a number."""
-        return tuple(map(_float_or_none, self.values))
+        try:
+            return tuple(map(float, self.values))
+        except ValueError:
+            return tuple(map(_float_or_none, self.values))
 
 
 def _float_or_none(token: str) -> float | None:
@@ -204,6 +221,123 @@ class Dataset:
         )
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector while building objects that form no
+    reference cycles, so no collector pass walks them as they are made."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _same(token):
+    return token
+
+
+def _columns(rows, width: int) -> list:
+    """The width token columns of rows that all hold width tokens."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _intern(column, domain, missing, name_of):
+    """Value ids of one token column, and the value names they index.
+
+    missing is the token of an absent value, and name_of(token) the value
+    any other token names (None for missing). Ids follow first appearance
+    when domain is None: each new token takes the next id as the column
+    is read, and tokens naming one value merge after. Otherwise they
+    follow the declared domain: each token is one lookup in a table that
+    starts with the missing token and the declared values that name
+    themselves, and only a token it misses is named, once. Where a token
+    names no declared value its id is None and the names are None.
+    """
+    if domain is None:
+        raw = defaultdict(count().__next__)
+        raw[missing] = MISSING
+        ids = list(map(raw.__getitem__, column))
+        del raw[missing]
+        if name_of is _same:
+            return ids, tuple(raw)
+        names: dict = {}
+        remap = [MISSING if (v := name_of(tok)) is None else names.setdefault(v, len(names))
+                 for tok in raw]
+        return list(map((*remap, MISSING).__getitem__, ids)), tuple(names)
+    names = dict(zip(domain, range(len(domain))))
+    table = {v: i for v, i in names.items() if name_of(v) == v}
+    table[missing] = MISSING
+    try:
+        return list(map(table.__getitem__, column)), tuple(domain)
+    except KeyError:
+        pass
+    for tok in dict.fromkeys(column):
+        if tok not in table:
+            v = name_of(tok)
+            table[tok] = MISSING if v is None else names.get(v)
+    ids = list(map(table.__getitem__, column))
+    return ids, (None if None in table.values() else tuple(domain))
+
+
+def _build(name, feature_names, columns, labels, domains, label_domain, kinds, weights,
+           missing, name_of) -> Dataset:
+    """Intern token columns into a Dataset, one C-level pass per column.
+
+    columns holds one token sequence per feature, each as long as labels,
+    and is emptied as it is interned; weights, when given, is at least as
+    long. missing is the token of an absent value, and name_of(token) the
+    value any other token names. A fault raises the error of the first
+    faulty row, in each row its slots in column order, then its label,
+    then its weight.
+    """
+    arity = len(feature_names)
+    if len(set(feature_names)) != arity:
+        raise DataError("duplicate feature names")
+    declared = [None] * arity if domains is None else domains
+    for x, dom in enumerate(declared):
+        if dom is not None and len(set(dom)) != len(dom):
+            raise DataError(f"feature {feature_names[x]!r} declares duplicate values")
+    if label_domain is not None and len(set(label_domain)) != len(label_domain):
+        raise DataError("duplicate labels")
+
+    faults = []  # (row, rank in the row, error); the least one is raised
+    id_columns, values = [], []
+    for x, dom in enumerate(declared):
+        ids, names = _intern(columns[x], dom, missing, name_of)
+        if names is None:
+            i = ids.index(None)
+            faults.append((i, x, DataError(
+                f"row {i + 1}: value {name_of(columns[x][i])!r} not in the declared domain "
+                f"of feature {feature_names[x]!r}"
+            )))
+        columns[x] = None  # the tokens are not needed once interned
+        id_columns.append(ids)
+        values.append(names)
+    label_ids, label_names = _intern(labels, label_domain, object(), name_of)  # no label is missing
+    if label_names is None:
+        i = label_ids.index(None)
+        faults.append((i, arity, DataError(
+            f"row {i + 1}: label {name_of(labels[i])!r} not in the declared classes"
+        )))
+    n = len(label_ids)
+    if weights is None:
+        weights = repeat(1.0, n)
+    elif not all(map(le, repeat(0.0), islice(weights, n))):
+        i = next(i for i, w in enumerate(weights) if not w >= 0.0)
+        faults.append((i, arity + 1, DataError(f"instance {i} has negative or NaN weight")))
+    if faults:
+        raise min(faults)[2]
+
+    kinds = [CATEGORICAL] * arity if kinds is None else kinds
+    features = [Feature(feature_names[x], values[x], kinds[x]) for x in range(arity)]
+    slots = zip(*id_columns) if arity else repeat((), n)
+    return Dataset._trusted(features, map(Instance, slots, label_ids, weights), label_names, name)
+
+
+@collector_paused()
 def dataset_from_rows(
     name: str,
     feature_names: list[str],
@@ -218,59 +352,35 @@ def dataset_from_rows(
     """Intern token rows (None = missing) into a Dataset.
 
     Value and label identifiers follow the declared domain when one is
-    given, first appearance order otherwise. Interning yields valid slots
-    and labels, so only names, declared domains and weights are checked.
+    given, first appearance order otherwise. Rows pair with labels as zip
+    pairs them; weights, when given, holds one per row. Interning yields
+    valid slots and labels, so only names, declared domains and weights
+    are checked, and the first faulty row raises.
     """
+    n = min(len(rows), len(labels))
+    if weights is not None and len(weights) < n:
+        raise DataError(f"{len(weights)} weights for {n} rows")
+    rows, labels = rows[:n], labels[:n]
     arity = len(feature_names)
-    if len(set(feature_names)) != arity:
-        raise DataError("duplicate feature names")
-    declared = [None] * arity if domains is None else domains
-    value_ids = [{} if dom is None else {v: i for i, v in enumerate(dom)} for dom in declared]
-    for x, dom in enumerate(declared):
-        if dom is not None and len(value_ids[x]) != len(dom):
-            raise DataError(f"feature {feature_names[x]!r} declares duplicate values")
-    label_ids: dict[str, int] = (
-        {} if label_domain is None else {v: i for i, v in enumerate(label_domain)}
-    )
-    if label_domain is not None and len(label_ids) != len(label_domain):
-        raise DataError("duplicate labels")
+    lengths = list(map(len, rows))
+    if lengths.count(arity) != n:
+        bad = next(i for i, k in enumerate(lengths) if k != arity)
+        # a fault in an earlier row is raised first
+        _build(name, feature_names, _columns(rows[:bad], arity), labels[:bad], domains,
+               label_domain, None, weights, None, _same)
+        raise DataError(f"row {bad + 1} has {lengths[bad]} values, expected {arity}")
+    return _build(name, feature_names, _columns(rows, arity), labels, domains, label_domain,
+                  kinds, weights, None, _same)
 
-    instances = []
-    for i, (row, lab) in enumerate(zip(rows, labels)):
-        if len(row) != arity:
-            raise DataError(f"row {i + 1} has {len(row)} values, expected {arity}")
-        slots = []
-        for x, tok in enumerate(row):
-            if tok is None:
-                slots.append(MISSING)
-                continue
-            ids = value_ids[x]
-            if tok not in ids:
-                if declared[x] is not None:
-                    raise DataError(
-                        f"row {i + 1}: value {tok!r} not in the declared domain "
-                        f"of feature {feature_names[x]!r}"
-                    )
-                ids[tok] = len(ids)
-            slots.append(ids[tok])
-        if lab not in label_ids:
-            if label_domain is not None:
-                raise DataError(f"row {i + 1}: label {lab!r} not in the declared classes")
-            label_ids[lab] = len(label_ids)
-        w = 1.0 if weights is None else weights[i]
-        if not w >= 0.0:
-            raise DataError(f"instance {i} has negative or NaN weight")
-        instances.append(Instance(tuple(slots), label_ids[lab], w))
 
-    features = tuple(
-        Feature(
-            feature_names[x],
-            tuple(value_ids[x]),
-            CATEGORICAL if kinds is None else kinds[x],
-        )
-        for x in range(arity)
-    )
-    return Dataset._trusted(features, instances, tuple(label_ids), name)
+@contextmanager
+def _open_text(path: Path, newline: str | None = None):
+    """path opened as UTF-8 text; a byte that is not UTF-8 raises DataError."""
+    try:
+        with path.open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +388,7 @@ def dataset_from_rows(
 # ---------------------------------------------------------------------------
 
 
+@collector_paused()
 def load_csv(
     path,
     class_index: int | str = "last",
@@ -299,19 +410,19 @@ def load_csv(
                 f"bad class index {class_index!r}: expected a 0-based column or 'last'"
             ) from None
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    with _open_text(path, newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
 
     if header:
-        column_names = rows[0]
-        data_rows = rows[1:]
+        column_names = rows.pop(0)
         first_line = 2
     else:
         column_names = [f"f{k + 1}" for k in range(len(rows[0]))]
-        data_rows = rows
         first_line = 1
     arity = len(column_names)
     if arity == 0:
@@ -324,24 +435,25 @@ def load_csv(
         if not 0 <= cls < arity:
             raise DataError(f"{path}: class index {class_index} out of range for {arity} columns")
 
-    feature_names = [n for k, n in enumerate(column_names) if k != cls]
-    token_rows: list[list[str | None]] = []
-    labels: list[str] = []
-    for j, row in enumerate(data_rows):
-        if len(row) != arity:
-            raise DataError(
-                f"{path}: line {first_line + j} has {len(row)} fields, expected {arity}"
-            )
-        cells = [None if c == missing_token else c for c in row]
-        lab = cells[cls]
-        if lab is None:
-            raise DataError(f"{path}: line {first_line + j} has a missing class label")
-        token_rows.append([c for k, c in enumerate(cells) if k != cls])
-        labels.append(lab)
-
-    return dataset_from_rows(
-        name if name is not None else path.stem, feature_names, token_rows, labels
-    )
+    lengths = list(map(len, rows))
+    bad = len(rows)
+    if lengths.count(arity) != bad:
+        bad = next(j for j, k in enumerate(lengths) if k != arity)
+        del rows[bad:]
+    columns = _columns(rows, arity)
+    del rows
+    labels = columns.pop(cls)
+    if missing_token in labels:
+        raise DataError(
+            f"{path}: line {first_line + labels.index(missing_token)} has a missing class label"
+        )
+    if bad < len(lengths):
+        raise DataError(
+            f"{path}: line {first_line + bad} has {lengths[bad]} fields, expected {arity}"
+        )
+    feature_names = column_names[:cls] + column_names[cls + 1:]
+    return _build(name if name is not None else path.stem, feature_names, columns, labels,
+                  None, None, None, None, missing_token, _same)
 
 
 def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
@@ -436,84 +548,100 @@ def _read_name(text: str, where: str):
     return parts[0], (parts[1].strip() if len(parts) > 1 else "")
 
 
+def _arff_name(token):
+    """The value a data-line token names: a quoted token, kept as a
+    1-tuple, its text; an unquoted one its stripped text, None for '?'."""
+    if type(token) is tuple:
+        return token[0]
+    token = token.strip()
+    return None if token == "?" else token
+
+
+def _arff_quoted_row(line: str, width: int, where: str):
+    """Tokens and weight of a data line holding a quote or a brace; quoted
+    tokens come as 1-tuples, so they name their text as is (see _arff_name)."""
+    if line.startswith("{"):
+        raise UnsupportedFeatureError(f"{where}: sparse rows are not supported")
+    toks = _split_quoted(line, where)
+    weight = 1.0
+    if len(toks) == width + 1:
+        last, was_quoted = toks[-1]
+        if not was_quoted and last.startswith("{") and last.endswith("}"):
+            try:
+                weight = float(last[1:-1])
+            except ValueError:
+                raise DataError(f"{where}: bad instance weight {last!r}") from None
+            toks = toks[:-1]
+    if len(toks) != width:
+        raise DataError(f"{where}: {len(toks)} values, expected {width}")
+    if toks[-1] == ("?", False):
+        raise DataError(f"{where}: missing class label")
+    return [(t,) if q else t for t, q in toks], weight
+
+
+@collector_paused()
 def load_arff(path) -> Dataset:
     path = Path(path)
     relation = path.stem
     attr_names: list[str] = []
     attr_domains: list[tuple[str, ...] | None] = []
     kinds_override: list[str] | None = None
-    token_rows: list[list[str | None]] = []
-    labels: list[str] = []
-    weights: list[float] = []
+    rows: list[list] = []  # raw tokens per data line (see _arff_name)
+    weighted: dict[int, float] = {}  # row -> weight, for rows that give one
     in_data = False
 
-    with path.open(encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            where = f"{path}:{lineno}"
             if not line:
                 continue
-            if line.startswith("%"):
+            if line[0] == "%":
                 body = line[1:].strip()
                 if body.startswith("kinds:"):
                     kinds_override = [k.strip() for k in body[len("kinds:") :].split(",")]
                 continue
-            if not in_data:
-                lowered = line.lower()
-                if lowered.startswith("@relation"):
-                    relation, _ = _read_name(line[len("@relation") :], where)
-                elif lowered.startswith("@attribute"):
-                    aname, spec = _read_name(line[len("@attribute") :], where)
-                    attr_names.append(aname)
-                    if spec.startswith("{"):
-                        if not spec.endswith("}"):
-                            raise DataError(f"{where}: unterminated nominal domain")
-                        domain = tuple(
-                            tok for tok, _ in _split_quoted(spec[1:-1], where)
-                        )
-                        attr_domains.append(domain)
-                    elif spec.lower() in ("numeric", "real", "integer"):
-                        attr_domains.append(None)
-                    else:
-                        kind = spec.split(None, 1)[0] if spec else "(empty)"
-                        raise UnsupportedFeatureError(
-                            f"{where}: unsupported attribute type {kind!r}"
-                        )
-                elif lowered.startswith("@data"):
-                    if not attr_names:
-                        raise DataError(f"{where}: @data before any @attribute")
-                    in_data = True
+            if in_data:
+                if "'" in line or '"' in line or "{" in line:
+                    toks, weight = _arff_quoted_row(line, width, f"{path}:{lineno}")
+                    if weight != 1.0:
+                        weighted[len(rows)] = weight
                 else:
-                    raise DataError(f"{where}: unrecognized declaration {line.split()[0]!r}")
+                    toks = line.split(",")
+                    if len(toks) != width:
+                        raise DataError(f"{path}:{lineno}: {len(toks)} values, expected {width}")
+                    if toks[-1].strip() == "?":
+                        raise DataError(f"{path}:{lineno}: missing class label")
+                rows.append(toks)
                 continue
 
-            # data section
-            if line.startswith("{"):
-                raise UnsupportedFeatureError(f"{where}: sparse rows are not supported")
-            if "'" in line or '"' in line:
-                toks = _split_quoted(line, where)
-            else:  # the tokens _split_quoted gives for a line without quotes
-                toks = [(t.strip(), False) for t in line.split(",")]
-            weight = 1.0
-            if len(toks) == len(attr_names) + 1:
-                last, was_quoted = toks[-1]
-                if not was_quoted and last.startswith("{") and last.endswith("}"):
-                    try:
-                        weight = float(last[1:-1])
-                    except ValueError:
-                        raise DataError(f"{where}: bad instance weight {last!r}") from None
-                    toks = toks[:-1]
-            if len(toks) != len(attr_names):
-                raise DataError(
-                    f"{where}: {len(toks)} values, expected {len(attr_names)}"
-                )
-            cells = [None if (t == "?" and not q) else t for t, q in toks]
-            lab = cells[-1]
-            if lab is None:
-                raise DataError(f"{where}: missing class label")
-            token_rows.append(cells[:-1])
-            labels.append(lab)
-            weights.append(weight)
+            where = f"{path}:{lineno}"
+            keyword = line.split(None, 1)[0].lower()  # a whole word: "@database" is not "@data"
+            if keyword == "@relation":
+                relation, _ = _read_name(line[len("@relation") :], where)
+            elif keyword == "@attribute":
+                aname, spec = _read_name(line[len("@attribute") :], where)
+                attr_names.append(aname)
+                if spec.startswith("{"):
+                    if not spec.endswith("}"):
+                        raise DataError(f"{where}: unterminated nominal domain")
+                    domain = tuple(
+                        tok for tok, _ in _split_quoted(spec[1:-1], where)
+                    )
+                    attr_domains.append(domain)
+                elif spec.lower() in ("numeric", "real", "integer"):
+                    attr_domains.append(None)
+                else:
+                    kind = spec.split(None, 1)[0] if spec else "(empty)"
+                    raise UnsupportedFeatureError(
+                        f"{where}: unsupported attribute type {kind!r}"
+                    )
+            elif keyword == "@data":
+                if not attr_names:
+                    raise DataError(f"{where}: @data before any @attribute")
+                in_data = True
+                width = len(attr_names)
+            else:
+                raise DataError(f"{where}: unrecognized declaration {line.split()[0]!r}")
 
     if not attr_names:
         raise DataError(f"{path}: no @attribute declarations")
@@ -523,21 +651,18 @@ def load_arff(path) -> Dataset:
         raise UnsupportedFeatureError(f"{path}: numeric class attribute is not supported")
 
     feature_names = attr_names[:-1]
-    kinds = None
-    if kinds_override is not None:
-        if len(kinds_override) != len(feature_names):
-            raise DataError(f"{path}: kinds comment does not match the attribute count")
-        kinds = kinds_override
-    return dataset_from_rows(
-        relation,
-        feature_names,
-        token_rows,
-        labels,
-        domains=list(attr_domains[:-1]),
-        label_domain=attr_domains[-1],
-        kinds=kinds,
-        weights=weights,
-    )
+    if kinds_override is not None and len(kinds_override) != len(feature_names):
+        raise DataError(f"{path}: kinds comment does not match the attribute count")
+    columns = _columns(rows, width)
+    del rows
+    labels = columns.pop()
+    weights = None
+    if weighted:
+        weights = [1.0] * len(labels)
+        for i, w in weighted.items():
+            weights[i] = w
+    return _build(relation, feature_names, columns, labels, attr_domains[:-1], attr_domains[-1],
+                  kinds_override, weights, "?", _arff_name)
 
 
 def _save_arff(d: Dataset, path: Path) -> None:

@@ -27,7 +27,10 @@ Applying a spec rewrites each listed feature into interval value tokens
 "(-inf-c1]", "(c1-c2]", ..., "(ck-inf)" and marks it discretized-numeric.
 Out-of-range values fall into the end bins, so application is total on
 the reals; MISSING stays MISSING. A spec that lists no feature, such as
-every "none" spec, returns the dataset it is applied to.
+every "none" spec, returns the dataset it is applied to. Both fitting
+and applying work a column at a time: fit reads each feature's column of
+value ids once, and apply maps each listed column through a table from
+old value id to interval id, then zips the columns back into rows.
 
 A feature is numeric when every observed token parses as a float. Tokens
 such as "nan", "inf" and "-inf" parse but are not real numbers: fitting
@@ -41,12 +44,14 @@ import json
 import logging
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
 from math import log2
-from operator import eq, sub
+from operator import attrgetter, eq, ne, sub
 from pathlib import Path
 
-from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Instance
+from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Instance, collector_paused
 from .errors import ConfigError, DataError
 from .metrics import entropy_bits
 
@@ -162,13 +167,23 @@ def fit_equal_frequency(column, bins: int, name: str = "column") -> list[float]:
     Each cut lands on the legal boundary (between distinct adjacent
     values) closest to the ideal position k*n/bins, at the midpoint of
     the two values. Boundaries forced together by duplicates collapse
-    into one, merging the empty bins.
+    into one, merging the empty bins. Only the distinct values are
+    sorted: the legal boundaries are the running sums of their counts.
     """
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    vals = sorted(_observed(column, name))
-    n = len(vals)
-    legal = [j for j in range(1, n) if vals[j - 1] != vals[j]]
+    counts = Counter(_observed(column, name))
+    vals = sorted(counts)
+    return _equal_frequency_cuts(vals, list(map(counts.__getitem__, vals)), bins)
+
+
+def _equal_frequency_cuts(vals, counts, bins: int) -> list[float]:
+    """fit_equal_frequency's cuts for ascending vals, where counts[i]
+    values equal vals[i]; a value may repeat, and no boundary splits it."""
+    ends = list(accumulate(counts))
+    n = ends[-1]
+    between = list(compress(count(), map(ne, vals, vals[1:])))  # vals[j] < vals[j + 1]
+    legal = list(map(ends.__getitem__, between))
     if not legal:
         return []
     cuts = []
@@ -178,8 +193,8 @@ def fit_equal_frequency(column, bins: int, name: str = "column") -> list[float]:
         i = bisect_left(legal, target)
         if i == len(legal) or (i > 0 and target - legal[i - 1] <= legal[i] - target):
             i -= 1
-        j = legal[i]
-        c = _midpoint(vals[j - 1], vals[j])
+        j = between[i]
+        c = _midpoint(vals[j], vals[j + 1])
         if c not in cuts:
             cuts.append(c)
     return sorted(cuts)
@@ -389,24 +404,31 @@ def fit(d: Dataset, method: str, bins: int = 10) -> DiscretizationSpec:
     cuts: dict[str, tuple[float, ...]] = {}
     if method == "none":
         return DiscretizationSpec(method, bins, cuts)
-    label_ids = [inst.label for inst in d.instances]
-    for x, f in enumerate(d.features):
+    rows = d.instances
+    label_ids = list(map(attrgetter("label"), rows))
+    columns = zip(*map(attrgetter("slots"), rows))  # none when d has no rows
+    for x, (f, ids) in enumerate(zip(d.features, columns)):
         floats = _value_floats(d, x, strict=False) if f.kind == CATEGORICAL else None
-        if floats is None:
+        if floats is None or ids.count(MISSING) == len(ids):
             continue
-        col = list(map((*floats, None).__getitem__, d.column(x)))  # MISSING is -1
-        if col.count(None) == len(col):
-            continue
-        if method == "binning":
-            cs = fit_equal_width(col, bins, f.name)
-        elif method == "frequency":
-            cs = fit_equal_frequency(col, bins, f.name)
+        if method == "frequency":
+            # count value ids; ids of one float ("1.0", "1.00") sort next to each other
+            counts = Counter(ids)
+            counts.pop(MISSING, None)
+            order = sorted(counts, key=floats.__getitem__)
+            cs = _equal_frequency_cuts(list(map(floats.__getitem__, order)),
+                                       list(map(counts.__getitem__, order)), bins)
         else:
-            cs = fit_mdl(col, label_ids, f.name)
+            col = list(map((*floats, None).__getitem__, ids))  # MISSING is -1
+            if method == "binning":
+                cs = fit_equal_width(col, bins, f.name)
+            else:
+                cs = fit_mdl(col, label_ids, f.name)
         cuts[f.name] = tuple(cs)
     return DiscretizationSpec(method, bins, cuts)
 
 
+@collector_paused()
 def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
     """Rewrite the features named in spec into interval values.
 
@@ -421,13 +443,13 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
         if name not in by_name:
             raise DataError(f"spec names feature {name!r} absent from {d.name!r}")
 
-    # Per feature, new value id by old one, ending in MISSING for slot -1.
+    # Per listed feature, new value id by old one, ending in MISSING for slot -1.
     new_features = []
     tables = []
     for x, f in enumerate(d.features):
         if f.name not in spec.cuts:
             new_features.append(f)
-            tables.append(list(range(len(f.values))) + [MISSING])
+            tables.append(None)
             continue
         cuts = spec.cuts[f.name]
         new_features.append(Feature(f.name, interval_labels(cuts), DISCRETIZED))
@@ -435,8 +457,11 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
         tables.append([MISSING if v is None else bisect_left(cuts, v)
                        for v in _value_floats(d, x)] + [MISSING])
 
-    new_instances = [
-        Instance(tuple(map(list.__getitem__, tables, inst.slots)), inst.label, inst.weight)
-        for inst in d.instances
-    ]
-    return Dataset._trusted(new_features, new_instances, d.labels, d.name)
+    # Rows are rebuilt a column at a time: a listed feature's ids go through its table.
+    rows = d.instances
+    columns = [col if table is None else map(table.__getitem__, col)
+               for table, col in zip(tables, zip(*map(attrgetter("slots"), rows)))]
+    labels = map(attrgetter("label"), rows)
+    weights = map(attrgetter("weight"), rows)
+    return Dataset._trusted(new_features, map(Instance, zip(*columns), labels, weights),
+                            d.labels, d.name)

@@ -48,7 +48,7 @@ from .baselines import (
 from .classifiers import LearnerSpec
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .metrics import aligned_table, compute_stats
+from .metrics import aligned_table, compute_stats, left_sum
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
 log = logging.getLogger(__name__)
@@ -161,7 +161,7 @@ def _cv_records(d: Dataset, learner: LearnerSpec, folds: int, seed: int, tag_see
 def _means(records) -> tuple[float, float]:
     """Mean accuracy and mean model size of run records."""
     n = len(records)
-    return sum(r.accuracy for r in records) / n, sum(r.model_size for r in records) / n
+    return left_sum(r.accuracy for r in records) / n, sum(r.model_size for r in records) / n
 
 
 def cross_validate(d: Dataset, learner: LearnerSpec, folds: int = 10, seed: int = 0):

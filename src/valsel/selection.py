@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .data import MISSING, Dataset, Feature, Instance
 from .errors import ConfigError, DataError
@@ -87,10 +88,12 @@ class FilterOutcome:
                         )
         else:
             lines.append("removed slots:")
-            for i, row in enumerate(self.removed_value_mask):
-                hits = [original.features[x].name for x, hit in enumerate(row) if hit]
-                if hits:
-                    lines.append(f"  instance {i}: " + " ".join(hits))
+            names = [f.name for f in original.features]
+            lines += [
+                f"  instance {i}: " + " ".join(compress(names, row))
+                for i, row in enumerate(self.removed_value_mask)
+                if True in row
+            ]
         lines.append(
             "removed instances: " + " ".join(str(i) for i in self.removed_instances)
         )

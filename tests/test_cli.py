@@ -78,6 +78,29 @@ def test_exit_codes(arff_input, tmp_path):
     assert bad_flag == 2  # argparse rejections count as config errors
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".arff"])
+def test_input_that_is_not_utf8_exits_1_without_a_traceback(tmp_path, suffix):
+    bad = tmp_path / f"bad{suffix}"
+    head = b"a,class\n" if suffix == ".csv" else b"@relation r\n@attribute class {x}\n@data\n"
+    bad.write_bytes(head + b"caf\xe9\n")
+    out = ["--output", str(tmp_path / "o.arff")]
+    for command in (["discretize", *out], ["filter", *out], ["experiment", "--folds", "2"]):
+        rc, _, err = run_cli(*command, "--input", str(bad))
+        assert rc == 1, err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+
+def test_config_file_that_is_not_utf8_exits_2_without_a_traceback(arff_input, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"method=none\n# caf\xe9\n")
+    rc, _, err = run_cli(
+        "filter", "--config", str(cfg), "--input", str(arff_input),
+        "--output", str(tmp_path / "o.arff"),
+    )
+    assert rc == 2 and "config error" in err and "not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 def test_filter_requires_output(arff_input):
     code = main(["filter", "--input", str(arff_input), "--method", "none",
                  "--disc-method", "none"])

@@ -434,6 +434,42 @@ def test_arff_rejects_malformed_files(tmp_path):
             load_arff(p)
 
 
+@pytest.mark.parametrize(
+    "line, word",
+    [("@database", "@database"), ("@relationship r", "@relationship"),
+     ("@attributes a {x}", "@attributes"), ("@data,x", "@data,x"), ("@relation'r'", "@relation'r'")],
+)
+def test_arff_keywords_are_whole_words(tmp_path, line, word):
+    p = tmp_path / "k.arff"
+    p.write_text(f"@relation r\n@attribute class {{x}}\n{line}\nx\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"unrecognized declaration {word!r}")):
+        load_arff(p)
+
+
+@pytest.mark.parametrize("line", ["@DATA", "@data\t", "@Data % rows follow"])
+def test_arff_keyword_ends_at_whitespace_or_the_line_end(tmp_path, line):
+    p = tmp_path / "k.arff"
+    p.write_text(f"@RELATION\tr\n@Attribute class {{x}}\n{line}\nx\n", encoding="utf-8")
+    d = load_arff(p)
+    assert d.name == "r" and len(d.instances) == 1
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".arff"])
+def test_a_file_that_is_not_utf8_is_a_data_error(tmp_path, suffix):
+    p = tmp_path / f"bad{suffix}"
+    head = b"a,class\n" if suffix == ".csv" else b"@relation r\n@attribute class {x}\n@data\n"
+    p.write_bytes(head + b"caf\xe9\n")
+    with pytest.raises(DataError, match=f"{re.escape(str(p))}: not UTF-8 text"):
+        load_dataset(p)
+
+
+def test_a_csv_field_over_the_reader_limit_is_a_data_error(tmp_path):
+    p = tmp_path / "big.csv"
+    p.write_text("a,class\n" + "x" * 140_000 + ",y\n", encoding="utf-8")
+    with pytest.raises(DataError, match="field larger than field limit"):
+        load_csv(p)
+
+
 def test_arff_weight_suffix_parsed(tmp_path):
     p = tmp_path / "w.arff"
     p.write_text(

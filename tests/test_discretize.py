@@ -240,6 +240,24 @@ def test_equal_frequency_matches_oracle(column, bins):
     assert fit_equal_frequency(column, bins) == equal_frequency_oracle(column, bins)
 
 
+EQUAL_FLOAT_TOKENS = ["-0.0", "0.0", "0", "1.0", "1.00", "1", "-1", "2.5", "2.50", "1e0"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.sampled_from(EQUAL_FLOAT_TOKENS)), min_size=1, max_size=40),
+    st.integers(1, 8),
+)
+def test_equal_frequency_merges_equal_floats_of_distinct_tokens(tokens, bins):
+    # -0.0/0.0 and 1.0/1.00 are one float each, so they count as one value
+    assume(any(t is not None for t in tokens))
+    column = [None if t is None else float(t) for t in tokens]
+    expected = list(map(repr, equal_frequency_oracle(column, bins)))
+    assert list(map(repr, fit_equal_frequency(column, bins))) == expected
+    d = dataset_from_rows("z", ["x"], [[t] for t in tokens], ["a"] * len(tokens))
+    assert list(map(repr, fit(d, "frequency", bins).cuts["x"])) == expected
+
+
 def test_equal_frequency_tie_goes_to_the_lower_boundary():
     # n=4, bins=2: target 2 sits midway between the legal boundaries 1 and 3
     assert fit_equal_frequency([1, 2, 2, 3], 2) == [1.5]

@@ -24,7 +24,8 @@ from valsel import (
     run_experiment,
     stratified_fold_assignment,
 )
-from valsel.evaluate import UNDEFINED, fold_splits
+from valsel.evaluate import UNDEFINED, _means, fold_splits
+from valsel.metrics import left_sum
 
 from conftest import random_dataset
 
@@ -313,3 +314,14 @@ def test_json_report_shape(make_dataset):
     assert set(payload["metrics"]) == {"mr", "ar", "harmonic"}
     for run in payload["filtered"]["runs"]:
         assert set(run) == {"seed", "fold", "accuracy", "model_size"}
+
+
+def test_means_add_floats_left_to_right_on_every_python():
+    # Python 3.12's sum() compensates: it gives 1.0 for ten 0.1s and 1.0 for
+    # [1e16, 1.0, -1e16]; a left-to-right addition gives what 3.10/3.11 give.
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([])) == 0.0
+    records = [RunRecord(seed=0, fold=k, accuracy=0.1, model_size=3) for k in range(10)]
+    assert _means(records) == (0.09999999999999999, 3.0)
+
