@@ -14,7 +14,7 @@ import logging
 import math
 import random
 
-from .data import MISSING, Dataset, Instance
+from .data import MISSING, Dataset, Rows
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -34,13 +34,13 @@ def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int
         raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
     n = len(d.instances)
     k = math.ceil(fraction * n)
-    reservoir = list(d.instances[:k])
+    reservoir = list(range(k))
     rng = random.Random(seed)
     for i in range(k, n):
         j = rng.randint(0, i)
         if j < k:
-            reservoir[j] = d.instances[i]
-    return d.with_instances(reservoir)
+            reservoir[j] = i
+    return d.take(reservoir)
 
 
 def misclassified_filter(d: Dataset, learner=None, folds: int = 10, seed: int = 0) -> Dataset:
@@ -53,17 +53,17 @@ def misclassified_filter(d: Dataset, learner=None, folds: int = 10, seed: int = 
     # split rejects folds < 2 and folds > |I|
     from .evaluate import fold_splits
 
-    rows = d.instances
+    label_ids = d.instances.label_ids
     keep = []
     for _, train, test in fold_splits(d, folds, seed):
-        model = learner.train(d.with_instances([rows[i] for i in train]))
-        for i, y in zip(test, model.predict_ids([rows[i] for i in test], d)):
-            if model.labels[y] == d.labels[rows[i].label]:
+        model = learner.train(d.take(train))
+        for i, y in zip(test, model.predict_ids(d.take(test).instances, d)):
+            if model.labels[y] == d.labels[label_ids[i]]:
                 keep.append(i)
     keep.sort()
     if not keep:
         log.warning("misclassified filter removed every instance")
-    return d.with_instances([rows[i] for i in keep])
+    return d.take(keep)
 
 
 def drop_columns(d: Dataset, names) -> Dataset:
@@ -75,12 +75,10 @@ def drop_columns(d: Dataset, names) -> Dataset:
             raise ConfigError(f"no feature named {name!r}")
     dead = set(names)
     keep = [x for x, f in enumerate(d.features) if f.name not in dead]
-    features = tuple(d.features[x] for x in keep)
-    instances = tuple(
-        Instance(tuple(inst.slots[x] for x in keep), inst.label, inst.weight)
-        for inst in d.instances
-    )
-    return Dataset(features, instances, d.labels, d.name)
+    rows = d.instances
+    return Dataset._trusted([d.features[x] for x in keep],
+                            Rows([rows.columns[x] for x in keep], rows.label_ids, rows.weights),
+                            d.labels, d.name)
 
 
 def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
@@ -93,14 +91,17 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
     if not 0.0 <= rate <= 1.0:
         raise ConfigError(f"rate must lie in [0, 1], got {rate}")
     rng = random.Random(seed)
-    survivors = []
-    for inst in d.instances:
-        slots = []
-        for z in inst.slots:
-            if z != MISSING and rng.random() < rate:
-                z = MISSING
-            slots.append(z)
-        if d.features and all(z == MISSING for z in slots):
-            continue
-        survivors.append(Instance(tuple(slots), inst.label, inst.weight))
-    return d.with_instances(survivors)
+    columns = [list(col) for col in d.instances.columns]
+    keep = []
+    for i, slots in enumerate(d.instances.slot_tuples()):
+        observed = False
+        for x, z in enumerate(slots):
+            if z != MISSING:
+                if rng.random() < rate:
+                    columns[x][i] = MISSING
+                else:
+                    observed = True
+        if observed or not d.features:
+            keep.append(i)
+    rows = Rows(columns, d.instances.label_ids, d.instances.weights).take(keep)
+    return Dataset._trusted(d.features, rows, d.labels, d.name)

@@ -77,7 +77,7 @@ from itertools import accumulate, count, repeat
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .data import MISSING, Dataset, Feature, collector_paused
+from .data import MISSING, Dataset, Feature, Rows, collector_paused
 from .errors import ConfigError, DataError
 from .metrics import entropy_bits
 
@@ -179,10 +179,10 @@ class TreeModel:
         root, n_labels = _compiled(self, schema), len(self.labels)
         memo: dict[tuple[int, ...], int] = {}
         out = []
-        for inst in instances:
-            y = memo.get(inst.slots)
+        for slots in Rows.of(instances).slot_tuples():
+            y = memo.get(slots)
             if y is None:
-                y = memo[inst.slots] = _argmax_low(_distribution(root, inst.slots, n_labels))
+                y = memo[slots] = _argmax_low(_distribution(root, slots, n_labels))
             out.append(y)
         return out
 
@@ -274,16 +274,15 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
 def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
     """The unpruned tree on d; see the module docstring for the counting."""
     n_labels = len(d.labels)
-    ys = [inst.label for inst in d.instances]
-    slots = [inst.slots for inst in d.instances]
+    rows = d.instances
+    ys = rows.label_ids
     # Per feature with two or more values, and row: value id * n_labels + label, or MISSING.
     # One table per label maps value ids to keys; its last entry serves slot MISSING (-1).
     keys: list[list[int] | None] = [None] * len(d.features)
-    for x, f in enumerate(d.features):
+    for x, (f, column) in enumerate(zip(d.features, rows.columns)):
         if len(f.values) >= 2:
             ids = range(len(f.values))
             tables = [[z * n_labels + y for z in ids] + [MISSING] for y in range(n_labels)]
-            column = map(operator.itemgetter(x), slots)
             keys[x] = list(map(operator.getitem, map(tables.__getitem__, ys), column))
 
     entropy = lru_cache(maxsize=None)(entropy_bits)  # once per class-weight tuple in this fit
@@ -389,8 +388,8 @@ def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
             branch_weights[tok] = share
         return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label)
 
-    unit = all(inst.weight == 1.0 for inst in d.instances)
-    items = range(len(ys)) if unit else [(i, inst.weight) for i, inst in enumerate(d.instances)]
+    unit = rows.weights.count(1.0) == len(rows)
+    items = range(len(ys)) if unit else list(enumerate(rows.weights))
     try:
         return grow(items, unit, None, {x for x, key in enumerate(keys) if key is not None})
     finally:
@@ -485,11 +484,14 @@ class RuleModel:
     def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
         """predict's label ids (into self.labels): with one bitset per
         (feature, value id), each rule takes the rows no earlier rule took."""
+        rows = Rows.of(instances)
+        if not rows:
+            return []
         compiled = _compiled(self, schema)
         used = {x for conds, _ in compiled for x, _ in conds}
-        masks = {x: _row_masks([inst.slots[x] for inst in instances]) for x in used}
-        out = [self.rules[-1].label] * len(instances)
-        remaining = (1 << len(instances)) - 1
+        masks = {x: _row_masks(rows.columns[x]) for x in used}
+        out = [self.rules[-1].label] * len(rows)
+        remaining = (1 << len(rows)) - 1
         for conds, rule in compiled:
             covered = remaining
             for x, z in conds:
@@ -517,16 +519,11 @@ class RuleModel:
         return "\n".join(r.text(self.labels) for r in self.rules) + "\n"
 
 
-def _gaps(mask: int) -> list[str]:
-    """The run of zero digits below each set bit of mask, lowest bit first."""
-    gaps = bin(mask)[:1:-1].split("1")
-    gaps.pop()  # nothing lies above the highest set bit
-    return gaps
-
-
 def _bits(mask: int):
     """Set-bit indices of mask, ascending: the k-th lies above k + 1 zero runs and k ones."""
-    return map(operator.add, accumulate(map(len, _gaps(mask))), count())
+    gaps = bin(mask)[:1:-1].split("1")  # the run of zeros below each set bit, lowest first
+    gaps.pop()  # nothing lies above the highest set bit
+    return map(operator.add, accumulate(map(len, gaps)), count())
 
 
 def _row_masks(keys) -> dict[int, int]:
@@ -573,9 +570,15 @@ def _positional_split(rows: int, class_bits, ranks: str) -> tuple[int, int]:
         mask = rows & bits
         if not mask:
             continue
-        # Rebuild the mask's binary digits with its k-th set bit replaced
-        # by ranks[k].
-        prune |= int("".join(map(operator.add, _gaps(mask), ranks))[::-1], 2)
+        # Rebuild the mask's binary digits, highest first, with its k-th
+        # set bit (counted from the lowest) replaced by ranks[k]: the zero
+        # runs between its ones interleave with ranks[k - 1], ..., ranks[0].
+        runs = bin(mask)[2:].split("1")
+        k = len(runs) - 1
+        digits = [""] * (2 * k + 1)
+        digits[0::2] = runs
+        digits[1::2] = ranks[k - 1::-1]
+        prune |= int("".join(digits), 2)
     return rows ^ prune, prune
 
 
@@ -587,8 +590,8 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
         raise DataError("cannot learn rules from an empty dataset")
 
     n_labels = len(d.labels)
-    ws = [inst.weight for inst in d.instances]
-    by_label = _row_masks([inst.label for inst in d.instances])
+    ws = d.instances.weights
+    by_label = _row_masks(d.instances.label_ids)
     class_bits = [by_label.get(l, 0) for l in range(n_labels)]
     value_bits = []
     for x in range(len(d.features)):
@@ -597,7 +600,7 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
         value_bits.append(by_value)
     ranks = _prune_ranks(len(ws), prune_fraction)
 
-    if all(w == 1.0 for w in ws):
+    if ws.count(1.0) == len(ws):
         mass = int.bit_count
     else:
         def mass(mask):

@@ -7,21 +7,30 @@ cheap array work; MISSING is a reserved sentinel distinct from any
 identifier. Datasets are immutable after construction: filters and
 discretizers return new Dataset objects.
 
-Rows are validated where they come in (the Dataset constructor, and
-dataset_from_rows for what interning does not guarantee); datasets derived
-from valid ones are not re-validated. discretize.apply, pvs and pvs_plus
-map slots through tables over the schema and build via Dataset._trusted;
-with_instances checks unless its rows are, by identity, its own in their
-order (Instance is frozen, so those stay valid), as folds and row filters.
+Storage is columnar: Dataset.instances is a Rows, which keeps one tuple
+of value ids per feature, one of label ids and one of weights. Rows
+builds an Instance for each row only when indexed or iterated and never
+keeps it, so len() costs nothing and a dataset holds no per-row object.
+Layers read the columns (Dataset.column, Rows.columns, Rows.slot_tuples);
+folds and row filters gather them by row position (Dataset.take), and a
+column no step changes is shared, not copied, by the dataset derived from
+it.
+
+Rows are validated where they come in (the Dataset constructor and
+with_instances, and dataset_from_rows for what interning does not
+guarantee), with one C-level pass per column; only a failing check walks
+the rows to raise the first fault. Datasets derived from valid ones
+(discretize.apply, the filters, take) are built via Dataset._trusted and
+not re-validated.
 
 Datasets are built a column at a time. dataset_from_rows, load_csv and
 load_arff all transpose their token rows into columns and intern each
-column with one C-level pass of table lookups (_intern); rows are then
-zipped from the id columns. Only a lookup that misses, a bad row length,
-label or weight makes the builder search for the fault, and it raises
-the error of the first faulty row, as a row-at-a-time reader would.
-Building makes no reference cycles, so it runs with the cyclic collector
-paused (collector_paused).
+column with one C-level pass of table lookups (_intern). Only a lookup
+that misses, a bad row length, label or weight makes the builder search
+for the fault, and it raises the error of the first faulty row, as a
+row-at-a-time reader would. The file readers make a list per line and no
+reference cycle, so they run with the cyclic collector paused
+(collector_paused).
 
 Readers: RFC-4180 CSV with a configurable missing token, and the ARFF
 subset covering @relation, nominal and numeric @attribute declarations,
@@ -48,11 +57,12 @@ import io
 import logging
 from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice, repeat
-from operator import contains, getitem, le
+from itertools import count, islice, repeat
+from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
 from .errors import ConfigError, DataError, UnsupportedFeatureError
@@ -111,24 +121,108 @@ class Instance:
         object.__setattr__(self, "slots", tuple(self.slots))
 
 
+class Rows(Sequence):
+    """A dataset's rows, stored as columns.
+
+    columns holds one tuple of value ids (or MISSING) per feature, and
+    label_ids and weights one entry per row. len() is the row count;
+    indexing and iteration build Instance objects on access and never keep
+    them. Rows compare equal to a tuple of equal Instances, and slicing
+    gives such a tuple.
+    """
+
+    __slots__ = ("columns", "label_ids", "weights")
+
+    def __init__(self, columns, label_ids, weights):
+        self.columns = tuple(map(tuple, columns))  # tuple() of a tuple is that tuple
+        self.label_ids = tuple(label_ids)
+        self.weights = tuple(weights)
+
+    @classmethod
+    def of(cls, instances) -> "Rows":
+        """instances as Rows: Rows as they are, Instance objects that all
+        hold as many slots gathered into columns."""
+        if isinstance(instances, Rows):
+            return instances
+        instances = tuple(instances)
+        columns = zip(*map(attrgetter("slots"), instances))
+        return cls(columns, tuple(map(attrgetter("label"), instances)),
+                   tuple(map(attrgetter("weight"), instances)))
+
+    def __len__(self) -> int:
+        return len(self.label_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return Instance(tuple(col[i] for col in self.columns), self.label_ids[i], self.weights[i])
+
+    def __iter__(self):
+        return map(Instance, self.slot_tuples(), self.label_ids, self.weights)
+
+    def __eq__(self, other):
+        if isinstance(other, Rows):
+            return len(self) == len(other) and (
+                not self or (self.columns, self.label_ids, self.weights)
+                == (other.columns, other.label_ids, other.weights))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<Rows: {len(self)} rows of {len(self.columns)} slots>"
+
+    def slot_tuples(self):
+        """Each row's slot tuple, in row order."""
+        return zip(*self.columns) if self.columns else repeat((), len(self))
+
+    def take(self, index) -> "Rows":
+        """The rows at the positions in the sequence index, in its order,
+        each column gathered in one C-level pass."""
+        if len(index) > 1:
+            pick = itemgetter(*index)
+        else:  # itemgetter needs a position, and of one it gives the item, not a 1-tuple
+            def pick(column):
+                return tuple(map(column.__getitem__, index))
+        return Rows(map(pick, self.columns), pick(self.label_ids), pick(self.weights))
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Categorical rows over a fixed feature list, stored as columns.
+
+    instances may be given as Rows (another dataset's, say) or as any
+    iterable of Instance objects; it is stored, and read back, as Rows.
+    """
+
     features: tuple[Feature, ...]
-    instances: tuple[Instance, ...]
+    instances: Rows
     labels: tuple[str, ...]
     name: str = "dataset"
 
     def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "instances", tuple(self.instances))
+        features = tuple(self.features)
+        rows = self.instances
+        if not isinstance(rows, Rows):
+            rows = tuple(rows)
+            if any(len(i.slots) != len(features) for i in rows):
+                _check_rows(features, self.labels, rows)  # raises at the first faulty row
+        rows = Rows.of(rows)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "instances", _shaped(rows, len(features)))
         object.__setattr__(self, "labels", tuple(self.labels))
         self._validate()
 
     @classmethod
     def _trusted(cls, features, instances, labels, name: str) -> "Dataset":
-        """A Dataset built without _validate, for rows already known valid."""
+        """A Dataset built without _validate, for rows already known valid;
+        instances is Rows or an iterable of Instance objects."""
+        features = tuple(features)
+        rows = Rows.of(instances)
         d = object.__new__(cls)
-        d.__dict__.update(features=tuple(features), instances=tuple(instances),
+        d.__dict__.update(features=features, instances=_shaped(rows, len(features)),
                           labels=tuple(labels), name=name)
         return d
 
@@ -138,43 +232,35 @@ class Dataset:
             raise DataError("duplicate feature names")
         if len(set(self.labels)) != len(self.labels):
             raise DataError("duplicate labels")
-        if self.instances and not self.labels:
+        rows = self.instances
+        if not rows:
+            return
+        if not self.labels:
             raise DataError("dataset with instances must declare at least one label")
-        arity = len(self.features)
-        for i, inst in enumerate(self.instances):
-            if len(inst.slots) != arity:
-                raise DataError(
-                    f"instance {i} has {len(inst.slots)} slots, expected {arity}"
-                )
-            for x, z in enumerate(inst.slots):
-                if z == MISSING:
-                    continue
-                if not 0 <= z < len(self.features[x].values):
-                    raise DataError(
-                        f"instance {i} references unknown value id {z} "
-                        f"of feature {self.features[x].name!r}"
-                    )
-            if not 0 <= inst.label < len(self.labels):
-                raise DataError(f"instance {i} references unknown label id {inst.label}")
-            if not (inst.weight >= 0.0):
-                raise DataError(f"instance {i} has negative or NaN weight")
+        # One C-level pass per column; only a failing check walks the rows.
+        if not (
+            len(rows.columns) == len(self.features)
+            and all(MISSING <= min(col) and max(col) < len(f.values)
+                    for f, col in zip(self.features, rows.columns))
+            and 0 <= min(rows.label_ids) and max(rows.label_ids) < len(self.labels)
+            and all(map(le, repeat(0.0), rows.weights))
+        ):
+            _check_rows(self.features, self.labels, rows)
 
     # Equality covers content identity: feature names, value tuples and
     # their order, slot values and missing pattern, weights, and the label
     # list with its order. The dataset name and feature kinds are metadata
     # and excluded, so a lossy-but-faithful CSV round trip still compares
     # equal.
-    def _canonical(self):
-        return (
-            tuple((f.name, f.values) for f in self.features),
-            self.labels,
-            tuple((i.slots, i.label, i.weight) for i in self.instances),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return (
+            [(f.name, f.values) for f in self.features]
+            == [(f.name, f.values) for f in other.features]
+            and self.labels == other.labels
+            and self.instances == other.instances
+        )
 
     def __hash__(self):
         return hash(self.fingerprint)
@@ -184,16 +270,16 @@ class Dataset:
         """Content hash used to detect stale metric tables.
 
         Datasets equal under == hash alike: the header (feature names and
-        value tuples, labels, row count) goes in as its repr, then slots,
-        label ids and weights as flat arrays, each weight as a double with
-        -0.0 read as 0.0.
+        value tuples, labels, row count) goes in as its repr, then each
+        slot column, the label ids and the weights as flat arrays, each
+        weight as a double with -0.0 read as 0.0.
         """
         rows = self.instances
         features = tuple((f.name, f.values) for f in self.features)
         h = hashlib.sha1(repr((features, self.labels, len(rows))).encode())
-        h.update(array("q", list(chain.from_iterable(i.slots for i in rows))))
-        h.update(array("q", [i.label for i in rows]))
-        h.update(array("d", [i.weight + 0.0 for i in rows]))  # -0.0 + 0.0 is 0.0
+        for column in (*rows.columns, rows.label_ids):
+            h.update(array("q", column))
+        h.update(array("d", map(add, rows.weights, repeat(0.0))))  # -0.0 + 0.0 is 0.0
         return h.hexdigest()[:16]
 
     def value_token(self, x: int, z: int) -> str | None:
@@ -202,16 +288,16 @@ class Dataset:
             return None
         return self.features[x].values[z]
 
-    def column(self, x: int) -> list[int]:
-        return [inst.slots[x] for inst in self.instances]
+    def column(self, x: int) -> tuple[int, ...]:
+        """Value ids (or MISSING) of feature x, one per row."""
+        return self.instances.columns[x]
+
+    def take(self, index) -> "Dataset":
+        """The rows at the given positions, in that order, over this schema."""
+        return Dataset._trusted(self.features, self.instances.take(index), self.labels, self.name)
 
     def with_instances(self, instances) -> "Dataset":
-        """New dataset sharing this schema (features and labels); validated
-        unless the instances are, by identity, rows of this dataset in order."""
-        instances = tuple(instances)
-        rows = map(id, self.instances)  # each contains() below consumes it through its match
-        if all(map(contains, repeat(rows), map(id, instances))):
-            return Dataset._trusted(self.features, instances, self.labels, self.name)
+        """New dataset over this schema (features and labels), validated."""
         return Dataset(self.features, instances, self.labels, self.name)
 
     def describe(self) -> str:
@@ -219,6 +305,31 @@ class Dataset:
             f"{self.name}: {len(self.instances)} instances, "
             f"{len(self.features)} features, {len(self.labels)} labels"
         )
+
+
+def _shaped(rows: Rows, arity: int) -> Rows:
+    """rows, or with no row, arity empty columns: a dataset of no rows has
+    a column per feature whatever rows it was given."""
+    return rows if rows or len(rows.columns) == arity else Rows(((),) * arity, (), ())
+
+
+def _check_rows(features, labels, instances) -> None:
+    """Raise DataError for the first faulty row: its slot count, each slot
+    in feature order, its label, its weight."""
+    arity = len(features)
+    for i, inst in enumerate(instances):
+        if len(inst.slots) != arity:
+            raise DataError(f"instance {i} has {len(inst.slots)} slots, expected {arity}")
+        for x, z in enumerate(inst.slots):
+            if z != MISSING and not 0 <= z < len(features[x].values):
+                raise DataError(
+                    f"instance {i} references unknown value id {z} "
+                    f"of feature {features[x].name!r}"
+                )
+        if not 0 <= inst.label < len(labels):
+            raise DataError(f"instance {i} references unknown label id {inst.label}")
+        if not (inst.weight >= 0.0):
+            raise DataError(f"instance {i} has negative or NaN weight")
 
 
 @contextmanager
@@ -259,26 +370,26 @@ def _intern(column, domain, missing, name_of):
     if domain is None:
         raw = defaultdict(count().__next__)
         raw[missing] = MISSING
-        ids = list(map(raw.__getitem__, column))
+        ids = tuple(map(raw.__getitem__, column))
         del raw[missing]
         if name_of is _same:
             return ids, tuple(raw)
         names: dict = {}
         remap = [MISSING if (v := name_of(tok)) is None else names.setdefault(v, len(names))
                  for tok in raw]
-        return list(map((*remap, MISSING).__getitem__, ids)), tuple(names)
+        return tuple(map((*remap, MISSING).__getitem__, ids)), tuple(names)
     names = dict(zip(domain, range(len(domain))))
     table = {v: i for v, i in names.items() if name_of(v) == v}
     table[missing] = MISSING
     try:
-        return list(map(table.__getitem__, column)), tuple(domain)
+        return tuple(map(table.__getitem__, column)), tuple(domain)
     except KeyError:
         pass
     for tok in dict.fromkeys(column):
         if tok not in table:
             v = name_of(tok)
             table[tok] = MISSING if v is None else names.get(v)
-    ids = list(map(table.__getitem__, column))
+    ids = tuple(map(table.__getitem__, column))
     return ids, (None if None in table.values() else tuple(domain))
 
 
@@ -323,9 +434,8 @@ def _build(name, feature_names, columns, labels, domains, label_domain, kinds, w
             f"row {i + 1}: label {name_of(labels[i])!r} not in the declared classes"
         )))
     n = len(label_ids)
-    if weights is None:
-        weights = repeat(1.0, n)
-    elif not all(map(le, repeat(0.0), islice(weights, n))):
+    weights = (1.0,) * n if weights is None else tuple(islice(weights, n))
+    if not all(map(le, repeat(0.0), weights)):
         i = next(i for i, w in enumerate(weights) if not w >= 0.0)
         faults.append((i, arity + 1, DataError(f"instance {i} has negative or NaN weight")))
     if faults:
@@ -333,11 +443,9 @@ def _build(name, feature_names, columns, labels, domains, label_domain, kinds, w
 
     kinds = [CATEGORICAL] * arity if kinds is None else kinds
     features = [Feature(feature_names[x], values[x], kinds[x]) for x in range(arity)]
-    slots = zip(*id_columns) if arity else repeat((), n)
-    return Dataset._trusted(features, map(Instance, slots, label_ids, weights), label_names, name)
+    return Dataset._trusted(features, Rows(id_columns, label_ids, weights), label_names, name)
 
 
-@collector_paused()
 def dataset_from_rows(
     name: str,
     feature_names: list[str],
@@ -456,8 +564,15 @@ def load_csv(
                   None, None, None, None, missing_token, _same)
 
 
+def _token_rows(rows: Rows, tables):
+    """Each row's tokens: tables[x][slot] for each feature x, then
+    tables[-1][label id]."""
+    columns = (*rows.columns, rows.label_ids)
+    return zip(*[map(table.__getitem__, col) for table, col in zip(tables, columns)])
+
+
 def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
-    if any(inst.weight != 1.0 for inst in d.instances):
+    if d.instances.weights.count(1.0) != len(d.instances):
         log.warning("CSV output drops instance weights; use ARFF to keep them")
     # Per-feature token tables end in the missing token, which MISSING (-1) indexes.
     tables = [f.values + (missing_token,) for f in d.features] + [d.labels]
@@ -467,7 +582,7 @@ def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL)
     writer.writerow(header)
-    writer.writerows(map(getitem, tables, inst.slots + (inst.label,)) for inst in d.instances)
+    writer.writerows(_token_rows(d.instances, tables))
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -679,11 +794,8 @@ def _save_arff(d: Dataset, path: Path) -> None:
     if any(f.kind != CATEGORICAL for f in d.features):
         lines.append("% kinds: " + ",".join(f.kind for f in d.features))
     lines.append("@data")
-    for inst in d.instances:
-        row = ",".join(map(getitem, tables, inst.slots + (inst.label,)))
-        if inst.weight != 1.0:
-            row += ",{" + repr(inst.weight) + "}"
-        lines.append(row)
+    for row, w in zip(map(",".join, _token_rows(d.instances, tables)), d.instances.weights):
+        lines.append(row if w == 1.0 else f"{row},{{{w!r}}}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -30,7 +30,8 @@ the reals; MISSING stays MISSING. A spec that lists no feature, such as
 every "none" spec, returns the dataset it is applied to. Both fitting
 and applying work a column at a time: fit reads each feature's column of
 value ids once, and apply maps each listed column through a table from
-old value id to interval id, then zips the columns back into rows.
+old value id to interval id, sharing every other column, the label ids
+and the weights with its input.
 
 A feature is numeric when every observed token parses as a float. Tokens
 such as "nan", "inf" and "-inf" parse but are not real numbers: fitting
@@ -48,10 +49,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from math import log2
-from operator import attrgetter, eq, ne, sub
+from operator import eq, ne, sub
 from pathlib import Path
 
-from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Instance, collector_paused
+from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Rows
 from .errors import ConfigError, DataError
 from .metrics import entropy_bits
 
@@ -228,6 +229,13 @@ def _exact_scan(values, ys, lo, hi, counts, width):
     return best
 
 
+def _mdl_tables(n: int) -> tuple[list[float], list[float]]:
+    """fit_mdl's tables for up to n values: g[c] = c*log2(c) for c = 0..n,
+    and dg[c] = g[c + 1] - g[c]."""
+    g = [0.0] + [c * log2(c) for c in range(1, n + 1)]
+    return g, list(map(sub, g[1:], g))
+
+
 def fit_mdl(column, labels, name: str = "column") -> list[float]:
     """Recursive minimal-entropy cuts accepted by the MDL criterion.
 
@@ -235,9 +243,10 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
     the first whose weighted side entropy w(p), as that scan computes it
     in floats, no later point beats by more than 1e-12. fit_mdl finds the
     same point with constant work and no log call per candidate. With
-    g(c) = c*log2(c) tabulated for c = 0..n once per call, and sl, sr the
-    sums of g over the class counts left and right of p, carried through
-    the differences g(c+1) - g(c) as each point crosses over,
+    g(c) = c*log2(c) tabulated for c = 0..n (fit tabulates it once, up to
+    its row count, for all its columns), and sl, sr the sums of g over
+    the class counts left and right of p, carried through the
+    differences g(c+1) - g(c) as each point crosses over,
 
         v(p) = g(nl) + g(nr) - sl - sr,   exactly n*w(p) in real arithmetic.
 
@@ -268,6 +277,12 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
     entropy_bits, the floats the scan computes.
     """
     column = list(column)
+    return _fit_mdl(column, labels, name, *_mdl_tables(len(column)))
+
+
+def _fit_mdl(column: list, labels, name: str, g: list[float], dg: list[float]) -> list[float]:
+    """fit_mdl with its tables g and dg (_mdl_tables) given, for at least
+    as many values as column holds; a fit shares them across its columns."""
     labels = list(labels)
     if len(column) != len(labels):
         raise DataError(
@@ -282,8 +297,6 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
     class_ids = {label: y for y, label in enumerate(dict.fromkeys(sorted_labels))}
     ys = list(map(class_ids.__getitem__, sorted_labels))
     width = len(class_ids)
-    g = [0.0] + [c * log2(c) for c in range(1, len(values) + 1)]
-    dg = list(map(sub, g[1:], g))  # dg[c] = g[c + 1] - g[c]
     ties = list(map(eq, values, values[1:]))  # ties[p - 1]: no cut between p - 1 and p
 
     cuts: list[float] = []
@@ -405,9 +418,8 @@ def fit(d: Dataset, method: str, bins: int = 10) -> DiscretizationSpec:
     if method == "none":
         return DiscretizationSpec(method, bins, cuts)
     rows = d.instances
-    label_ids = list(map(attrgetter("label"), rows))
-    columns = zip(*map(attrgetter("slots"), rows))  # none when d has no rows
-    for x, (f, ids) in enumerate(zip(d.features, columns)):
+    tables = None  # fit_mdl's, built once for every column
+    for x, (f, ids) in enumerate(zip(d.features, rows.columns)):
         floats = _value_floats(d, x, strict=False) if f.kind == CATEGORICAL else None
         if floats is None or ids.count(MISSING) == len(ids):
             continue
@@ -423,12 +435,12 @@ def fit(d: Dataset, method: str, bins: int = 10) -> DiscretizationSpec:
             if method == "binning":
                 cs = fit_equal_width(col, bins, f.name)
             else:
-                cs = fit_mdl(col, label_ids, f.name)
+                tables = tables or _mdl_tables(len(rows))
+                cs = _fit_mdl(col, rows.label_ids, f.name, *tables)
         cuts[f.name] = tuple(cs)
     return DiscretizationSpec(method, bins, cuts)
 
 
-@collector_paused()
 def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
     """Rewrite the features named in spec into interval values.
 
@@ -457,11 +469,9 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
         tables.append([MISSING if v is None else bisect_left(cuts, v)
                        for v in _value_floats(d, x)] + [MISSING])
 
-    # Rows are rebuilt a column at a time: a listed feature's ids go through its table.
+    # A listed feature's ids go through its table; every other column is shared.
     rows = d.instances
-    columns = [col if table is None else map(table.__getitem__, col)
-               for table, col in zip(tables, zip(*map(attrgetter("slots"), rows)))]
-    labels = map(attrgetter("label"), rows)
-    weights = map(attrgetter("weight"), rows)
-    return Dataset._trusted(new_features, map(Instance, zip(*columns), labels, weights),
+    columns = [col if table is None else tuple(map(table.__getitem__, col))
+               for table, col in zip(tables, rows.columns)]
+    return Dataset._trusted(new_features, Rows(columns, rows.label_ids, rows.weights),
                             d.labels, d.name)

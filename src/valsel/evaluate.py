@@ -46,7 +46,7 @@ from .baselines import (
     reservoir_select,
 )
 from .classifiers import LearnerSpec
-from .data import Dataset
+from .data import Dataset, Rows
 from .errors import ConfigError, DataError
 from .metrics import aligned_table, compute_stats, left_sum
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
@@ -113,7 +113,7 @@ def stratified_fold_assignment(label_ids, folds: int, seed: int) -> list[int]:
 
 def fold_splits(d: Dataset, folds: int, seed: int):
     """Yield (fold, train rows, test rows) of a stratified split as index lists."""
-    fold_of = stratified_fold_assignment([i.label for i in d.instances], folds, seed)
+    fold_of = stratified_fold_assignment(d.instances.label_ids, folds, seed)
     tests: list[list[int]] = [[] for _ in range(folds)]
     for i, g in enumerate(fold_of):
         tests[g].append(i)
@@ -137,25 +137,23 @@ class RunRecord:
 
 
 def _fold_record(learner, train: Dataset, test, schema: Dataset, seed: int, fold: int):
-    """Train on train; score the test instances, whose slots index schema, in one pass."""
+    """Train on train; score the test instances (Rows, or Instance objects),
+    whose slots index schema, in one pass."""
     model = learner.train(train)
+    rows = Rows.of(test)
     good = total = 0.0
-    for inst, y in zip(test, model.predict_ids(test, schema)):
-        total += inst.weight
-        if model.labels[y] == schema.labels[inst.label]:
-            good += inst.weight
+    for y, label, w in zip(model.predict_ids(rows, schema), rows.label_ids, rows.weights):
+        total += w
+        if model.labels[y] == schema.labels[label]:
+            good += w
     if total <= 0:
         raise DataError("empty or zero-weight test fold")
     return RunRecord(seed, fold, good / total, model.size)
 
 
 def _cv_records(d: Dataset, learner: LearnerSpec, folds: int, seed: int, tag_seed: int):
-    rows = d.instances
-    records = []
-    for f, train, test in fold_splits(d, folds, seed):
-        train_d = d.with_instances([rows[i] for i in train])
-        records.append(_fold_record(learner, train_d, [rows[i] for i in test], d, tag_seed, f))
-    return records
+    return [_fold_record(learner, d.take(train), d.take(test).instances, d, tag_seed, f)
+            for f, train, test in fold_splits(d, folds, seed)]
 
 
 def _means(records) -> tuple[float, float]:
@@ -407,12 +405,10 @@ def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
     """Refit discretization, stats and the filter inside every training fold."""
     t0 = time.perf_counter()
     folds = _clamped_folds(cfg.folds, len(d.instances), "dataset")
-    rows = d.instances
     original_runs: list[RunRecord] = []
     filtered_runs: list[RunRecord] = []
     for f, train, test in fold_splits(d, folds, cfg.seed):
-        train_d = d.with_instances([rows[i] for i in train])
-        test_d = d.with_instances([rows[i] for i in test])
+        train_d, test_d = d.take(train), d.take(test)
         spec = discretize.fit(train_d, cfg.disc_method, cfg.bins)
         train_d = discretize.apply(spec, train_d)
         test_d = discretize.apply(spec, test_d)
@@ -429,8 +425,6 @@ def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
             d_f = filter_dataset(train_d, cfg, fseed, stats)
             if not d_f.instances:
                 raise DataError(f"fold {f}: filter removed every training instance")
-            filtered_runs.append(
-                _fold_record(cfg.learner, d_f, test_d.instances, test_d, fseed, f)
-            )
+            filtered_runs.append(_fold_record(cfg.learner, d_f, test_d.instances, test_d, fseed, f))
     timings["fold_safe"] = time.perf_counter() - t0
     return original_runs, filtered_runs

@@ -150,29 +150,27 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
         raise DataError("cannot compute stats of an empty dataset")
     n_labels = len(d.labels)
 
+    rows = d.instances
     counts: list[dict[int, list[float]]] = [{} for _ in d.features]
     feature_total = [0.0] * len(d.features)
-    if all(inst.weight == 1.0 for inst in d.instances):
+    if rows.weights.count(1.0) == len(rows):
         # Every sum is a whole number, so counting value id * n_labels + label
         # keys per column gives the same floats; MISSING slots key below 0.
-        ys = [inst.label for inst in d.instances]
-        slots = [inst.slots for inst in d.instances]
-        for x in range(len(d.features)):
-            column = map(operator.itemgetter(x), slots)
-            by_key = Counter(map(operator.add, map(n_labels.__mul__, column), ys))
+        for x, column in enumerate(rows.columns):
+            by_key = Counter(map(operator.add, map(n_labels.__mul__, column), rows.label_ids))
             for k, c in by_key.items():
                 if k >= 0:
                     z, y = divmod(k, n_labels)
                     counts[x].setdefault(z, [0.0] * n_labels)[y] = float(c)
                     feature_total[x] += c
     else:
-        for inst in d.instances:
-            for x, z in enumerate(inst.slots):
+        for slots, label, w in zip(rows.slot_tuples(), rows.label_ids, rows.weights):
+            for x, z in enumerate(slots):
                 if z == MISSING:
                     continue
                 per_class = counts[x].setdefault(z, [0.0] * n_labels)
-                per_class[inst.label] += inst.weight
-                feature_total[x] += inst.weight
+                per_class[label] += w
+                feature_total[x] += w
     if not any(feature_total):
         raise DataError("dataset has no observed values")
 
@@ -194,8 +192,8 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
         h_dataset = sum(ent for group in raw for (_, _, _, _, ent) in group)
     else:
         label_counts = [0.0] * n_labels
-        for inst in d.instances:
-            label_counts[inst.label] += inst.weight
+        for label, w in zip(rows.label_ids, rows.weights):
+            label_counts[label] += w
         h_dataset = _value_entropy(label_counts, sum(label_counts), n_labels)
 
     per_feature = []

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .data import MISSING, Dataset, Feature, Instance
+from .data import MISSING, Dataset, Feature, Rows
 from .errors import ConfigError, DataError
 from .metrics import IOTAS, MetricTable, removal_probability
 
@@ -112,9 +112,19 @@ def _check_stats(d: Dataset, stats: MetricTable) -> None:
 def _removed_features(filtered: Dataset) -> tuple[int, ...]:
     """Features with no observed slot left (all of them when no instance is)."""
     n = len(filtered.instances)
-    columns = zip(*(inst.slots for inst in filtered.instances))
-    missing = [col.count(MISSING) for col in columns] or [0] * len(filtered.features)
-    return tuple(x for x, m in enumerate(missing) if m == n)
+    return tuple(x for x, col in enumerate(filtered.instances.columns)
+                 if col.count(MISSING) == n)
+
+
+def _kept(d: Dataset, columns, drop) -> Rows:
+    """d's rows with the given slot columns, less the rows at the
+    positions in drop."""
+    rows = d.instances
+    out = Rows(columns, rows.label_ids, rows.weights)
+    if drop:
+        gone = set(drop)
+        out = out.take([i for i in range(len(rows)) if i not in gone])
+    return out
 
 
 def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
@@ -140,17 +150,16 @@ def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         tables.append(table)
         new_features.append(Feature(f.name, tuple(f.values[z] for z in keep), f.kind))
 
+    columns = [tuple(map(table.__getitem__, col))
+               for table, col in zip(tables, d.instances.columns)]
+    # Rows left with no observed slot are deleted.
     n_feat = len(d.features)
-    survivors = []
-    removed_instances = []
-    for i, inst in enumerate(d.instances):
-        slots = tuple(map(list.__getitem__, tables, inst.slots))
-        if n_feat and slots.count(MISSING) == n_feat:
-            removed_instances.append(i)
-        else:
-            survivors.append(Instance(slots, inst.label, inst.weight))
+    removed_instances = [
+        i for i, slots in enumerate(zip(*columns)) if slots.count(MISSING) == n_feat
+    ] if n_feat else []
 
-    filtered = Dataset._trusted(new_features, survivors, d.labels, d.name)
+    filtered = Dataset._trusted(new_features, _kept(d, columns, removed_instances),
+                                d.labels, d.name)
     return FilterOutcome(
         filtered=filtered,
         removed_value_mask=mask,
@@ -174,13 +183,12 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         for s in group:
             metric[x][s.value] = s.norm_info_gain if infogain else s.entropy
 
+    columns = [list(col) for col in d.instances.columns]
     mask_rows = []
-    survivors = []
     removed_instances = []
-    for i, inst in enumerate(d.instances):
+    for i, slots in enumerate(d.instances.slot_tuples()):
         row = [False] * n_feat
-        slots = list(inst.slots)
-        for x, z in enumerate(inst.slots):
+        for x, z in enumerate(slots):
             if z == MISSING:
                 continue
             r = rng.random()
@@ -188,18 +196,17 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
             if m is None:
                 continue
             if (m < r * eps) if infogain else (m > r * eps):
-                slots[x] = MISSING
+                columns[x][i] = MISSING
                 row[x] = True
         mask_rows.append(tuple(row))
         if n_feat:
-            miss_rate = slots.count(MISSING) / n_feat
+            miss_rate = (slots.count(MISSING) + row.count(True)) / n_feat
             r = rng.random()
             if miss_rate > r:
                 removed_instances.append(i)
-                continue
-        survivors.append(Instance(tuple(slots), inst.label, inst.weight))
 
-    filtered = Dataset._trusted(d.features, survivors, d.labels, d.name)
+    filtered = Dataset._trusted(d.features, _kept(d, columns, removed_instances),
+                                d.labels, d.name)
     return FilterOutcome(
         filtered=filtered,
         removed_value_mask=tuple(mask_rows),

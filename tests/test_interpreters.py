@@ -1,0 +1,101 @@
+"""The same report bytes under every supported Python.
+
+A small pinned experiment runs in a child process under each of
+python3.10 ... python3.13 found on PATH, and its output must equal, byte
+for byte, the same child run by the interpreter running the tests. The
+child needs only the standard library and valsel's src/, since the other
+interpreters may lack pytest. An interpreter that is not installed, or
+that cannot start, is skipped.
+
+The experiment covers the float paths a report goes through: a tree on
+data with missing slots (fractional fan-out weights) and weighted rows,
+rules, a fold-safe MDL run, and a stats table.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHILD = r"""
+import random
+from valsel import (ExperimentConfig, LearnerSpec, apply_discretization, compute_stats,
+                    dataset_from_rows, fit, run_experiment, train_rules, train_tree)
+
+rng = random.Random(7)
+rows, labels, weights = [], [], []
+for _ in range(400):
+    xs = [rng.gauss(0.0, 1.0) for _ in range(5)]
+    labels.append("abc"[(xs[0] + 0.6 * xs[1] - 0.4 * xs[2] + rng.gauss(0.0, 0.5) > 0)
+                        + (xs[0] > 0.8)])
+    rows.append([None if rng.random() < 0.15 else f"{v:.3f}" for v in xs])
+    weights.append(rng.choice([1.0, 0.5, 0.7, 1.3]))
+names = [f"x{k}" for k in range(5)]
+plain = dataset_from_rows("plain", names, rows, labels)
+weighted = dataset_from_rows("weighted", names, rows, labels, weights=weights)
+
+for d in (plain, weighted):
+    disc = apply_discretization(fit(d, "frequency", 5), d)
+    print(train_tree(disc).to_text())
+    print(train_rules(disc).to_text())
+    print(compute_stats(disc).format_table("infogain", 0.7))
+runs = [
+    (plain, ExperimentConfig(disc_method="frequency", bins=5, method="pvs_plus", epsilon=0.8,
+                             repeats=2, folds=3, learner=LearnerSpec("tree"))),
+    (weighted, ExperimentConfig(disc_method="binning", bins=4, method="pvs", epsilon=1.0,
+                                repeats=2, folds=3, learner=LearnerSpec("rules"))),
+    (plain, ExperimentConfig(disc_method="mdl", method="pvs_plus", epsilon=1.0, repeats=2,
+                             folds=3, fold_safe=True, learner=LearnerSpec("rules"))),
+    (weighted, ExperimentConfig(disc_method="mdl", method="random_value", rate=0.2,
+                                repeats=1, folds=3, fold_safe=True)),
+]
+for d, cfg in runs:
+    print(run_experiment(d, cfg).to_json(), end="")
+"""
+
+
+def _child_env() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        # pyenv's shims run only the selected versions (a shim that started
+        # this interpreter selected just its own), so select every installed one
+        out = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True)
+        if out.returncode == 0:
+            selected = env.get("PYENV_VERSION", "").split(":") + out.stdout.split()
+            env["PYENV_VERSION"] = ":".join(dict.fromkeys(v for v in selected if v))
+    return env
+
+
+def _run(exe: str, env: dict) -> subprocess.CompletedProcess:
+    return subprocess.run([exe, "-c", CHILD], capture_output=True, env=env, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    env = _child_env()
+    out = _run(sys.executable, env)
+    assert out.returncode == 0, out.stderr.decode()
+    return env, out.stdout
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_reports_are_byte_identical_across_interpreters(minor, reference):
+    env, want = reference
+    exe = shutil.which(f"python3.{minor}", path=env.get("PATH"))
+    if exe is None:
+        pytest.skip(f"python3.{minor} is not installed")
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    if probe.returncode != 0 or probe.stdout.strip() != str((3, minor)):
+        pytest.skip(f"python3.{minor} does not start")
+    got = _run(exe, env)
+    assert got.returncode == 0, got.stderr.decode()
+    assert got.stdout == want
