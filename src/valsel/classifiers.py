@@ -7,10 +7,40 @@ observed there. Instances missing the split feature descend every
 branch with their weight scaled by the branch's share of the known
 mass, the standard fractional treatment. Growth stops on pure nodes,
 when no split has positive gain, or when the weighted instance count
-drops below 2 * min_leaf. With cf < 1, pessimistic error pruning then
+drops below 2 * min_leaf. With cf < 1, pessimistic error pruning
 collapses any subtree whose error estimate as a single leaf does not
 exceed the sum over its leaves, using the upper confidence bound of the
 binomial error at confidence cf; cf = 1 disables pruning.
+
+Pruning runs inside growth as an exact branch-and-bound. A node returns
+its subtree with its estimate: its leaf's, leaf_err, when it collapses,
+else its children's estimates added left to right. It collapses when
+leaf_err <= that sum + 1e-9, the test a bottom-up pass over the whole
+grown tree would make, so the trees are the same. Two cut-offs skip work
+that this test would throw away:
+
+- Before child k grows, lo = (grown children's sum) + lb_k + lb_k+1 + ...,
+  added left to right, is at most the final sum, since float addition is
+  monotone and each lb_j is at most child j's estimate; leaf_err <= lo +
+  1e-9 collapses the node at once. For cf >= 1e-3 no leaf of n items
+  estimates below g(n) = n (1 - cf^(1/n)) (0 for cf >= 0.5), the extra
+  errors of an error-free leaf, and g is concave with g(0) = 0, hence
+  subadditive, so no subtree on n items does either. A child of n
+  unit-weight items then has lb = g(n) less a relative 1e-9 for rounding
+  and for fan-out weights below 1e-12 that are dropped. A fractional
+  child has lb = 0, and so has every child for cf below 1e-3, where a
+  leaf with one error can estimate below g(n). Before a unit node is
+  scored, a split on any feature with no slot missing there has k unit
+  children of at least one item each, whose lbs add up to at least
+  g(n - k + 1) + (k - 1) g(1), g being concave; the least of that over the
+  features, less a relative 1e-6, can settle the node before any feature
+  is counted.
+- Each child gets a budget: the estimate at which its parent would be
+  settled, by collapsing or by showing its own estimate at least its own
+  budget. A child whose lo reaches its budget while its leaf_err lies
+  above lo returns that bound instead of a subtree; the parent puts the
+  bound in the child's place in lo and tests again, and should rounding
+  leave it short, grows the child again without a budget.
 
 Counting reads one key column per feature, built once per fit: value id *
 label count + label, or MISSING (-1 // label count is -1 again). A feature
@@ -26,6 +56,8 @@ At a unit node whose items all hold a value of the scored feature, the
 per-value class counts are whole numbers that add up exactly to the
 node's own counts, so the node entropy is taken once per node and the
 known-weight share is exactly 1: no per-label sum of the known counts.
+Fractional weights add up left to right (metrics.left_sum), so every
+interpreter rounds them alike.
 
 A fit leaves no reference cycles behind, so reference counting frees its
 key columns and entropy cache the moment it returns; growth runs with the
@@ -79,7 +111,7 @@ from typing import NamedTuple
 
 from .data import MISSING, Dataset, Feature, Rows, collector_paused
 from .errors import ConfigError, DataError
-from .metrics import entropy_bits
+from .metrics import entropy_bits, left_sum
 
 TREE_MIN_LEAF = 2
 TREE_CF = 0.25
@@ -89,7 +121,7 @@ LEARNERS = ("tree", "rules")
 
 def _normalized(counts) -> tuple[float, ...]:
     """Class distribution of counts; uniform when they sum to 0."""
-    total = sum(counts)
+    total = left_sum(counts)
     if total <= 0:
         return (1.0 / len(counts),) * len(counts)
     return tuple(c / total for c in counts)
@@ -211,7 +243,7 @@ class TreeModel:
         lines: list[str] = []
 
         def leaf_text(leaf: Leaf) -> str:
-            return f"{self.labels[leaf.label]} ({format(sum(leaf.counts), 'g')})"
+            return f"{self.labels[leaf.label]} ({format(left_sum(leaf.counts), 'g')})"
 
         def walk(node, depth):
             prefix = "|  " * depth
@@ -254,7 +286,7 @@ def _distribution(node, slots, n_labels):
 
 
 def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -> TreeModel:
-    """Grow and (for cf < 1) pessimistically prune a tree on d."""
+    """Grow a tree on d, pruned pessimistically as it grows when cf < 1."""
     if min_leaf < 1:
         raise ConfigError(f"min_leaf must be >= 1, got {min_leaf}")
     if not 0.0 < cf <= 1.0:
@@ -265,14 +297,12 @@ def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -
         raise DataError("cannot train a tree on an empty dataset")
 
     with collector_paused():  # growth leaves no cycles, so collector passes would find nothing
-        root = _grow(d, min_leaf)
-    if cf < 1.0:
-        root, _ = _prune(root, cf, NormalDist().inv_cdf(1.0 - cf))
+        root = _grow(d, min_leaf, cf)
     return TreeModel(root, d.labels, d.features)
 
 
-def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
-    """The unpruned tree on d; see the module docstring for the counting."""
+def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
+    """The tree on d, pruned as it grows when cf < 1; see the module docstring."""
     n_labels = len(d.labels)
     rows = d.instances
     ys = rows.label_ids
@@ -286,6 +316,13 @@ def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
             keys[x] = list(map(operator.getitem, map(tables.__getitem__, ys), column))
 
     entropy = lru_cache(maxsize=None)(entropy_bits)  # once per class-weight tuple in this fit
+    prune = cf < 1.0
+    if prune:
+        quantile = NormalDist().inv_cdf(1.0 - cf)
+        least = lru_cache(maxsize=None)(lambda n: _least_errors(n, cf, quantile))
+        # (k - 1) g(1) for the most values any feature has: no pre-scoring lo exceeds
+        # g(n) plus this, so a node whose settling needs more skips that check
+        widest = (max((len(f.values) for f in d.features), default=1) - 1) * least(1.0)
 
     def value_counts(x, items, unit):
         # Class weights per value id of x over items, by first appearance, and their sum;
@@ -308,21 +345,43 @@ def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
             val_counts.setdefault(k // n_labels, [0.0] * n_labels)[k % n_labels] = float(c)
         return val_counts, known_w
 
-    def grow(items, unit, counts, avail):
+    def grow(items, unit, counts, avail, budget):
         # items are row ids of weight 1.0 when unit and (row id, weight) pairs
         # otherwise; counts are their class weights, or None to count them.
+        # Returns the subtree and its error estimate (0.0 when cf = 1), or None
+        # and budget once that estimate is shown to be at least budget.
         if counts is None:
             counts = [0.0] * n_labels
             for i, w in zip(items, repeat(1.0)) if unit else items:
                 counts[ys[i]] += w
-        total = sum(counts)
+        add_up = sum if unit else left_sum  # unit weights are whole: exact in any order
+        total = add_up(counts)
         label = _argmax_low(counts)
+        leaf_err = 0.0
+        if prune:
+            errors = total - counts[label]
+            leaf_err = errors + _added_errors(total, errors, cf, quantile)
         if (
             total < 2 * min_leaf
             or sum(1 for c in counts if c > 0) <= 1
             or not avail
         ):
-            return Leaf(tuple(counts), label)
+            return Leaf(tuple(counts), label), leaf_err
+        if prune and unit and min(leaf_err - 1e-9, budget) <= least(total) + widest:
+            # Cut-offs before scoring, with the bound on any split's lo that the
+            # module docstring derives; a missing slot here leaves no such bound.
+            lo = math.inf
+            for x in avail:
+                present = set(map(rows.columns[x].__getitem__, items))
+                if MISSING in present:
+                    break
+                k = len(present)
+                if k >= 2:
+                    lo = min(lo, least(total - k + 1) + (k - 1) * least(1.0))
+            else:
+                end = _settled(counts, label, leaf_err, budget, lo * (1.0 - 1e-6))
+                if end:
+                    return end
 
         h_node = entropy(tuple(counts)) if unit else None
         best = None  # (ratio, x, val_counts, known_w)
@@ -335,14 +394,14 @@ def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
             if unit and known_w == total:
                 # No slot is missing: the per-value counts add up to counts exactly.
                 for per in val_counts.values():
-                    q = sum(per) / total  # vw / known_w as well
+                    q = sum(per) / total  # whole counts, exact in any order; vw / known_w too
                     info += q * entropy(tuple(per))
                     split_info -= q * math.log2(q)
                 gain = h_node - info
             else:
                 known_counts = [0.0] * n_labels
                 for per in val_counts.values():
-                    vw = sum(per)
+                    vw = add_up(per)
                     for l in range(n_labels):
                         known_counts[l] += per[l]
                     info += (vw / known_w) * entropy(tuple(per))
@@ -359,11 +418,23 @@ def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
             if best is None or ratio > best[0] + 1e-12:
                 best = (ratio, x, val_counts, known_w)
         if best is None:
-            return Leaf(tuple(counts), label)
+            return Leaf(tuple(counts), label), leaf_err
 
         _, x, val_counts, known_w = best
+        zs = sorted(val_counts)
+        sizes = [add_up(val_counts[z]) for z in zs]
+        whole = unit and known_w == total  # no slot of x is missing: the children are unit too
+        # lo = done + lbs[k] + lbs[k + 1] + ..., added left to right, bounds the sum of
+        # the children's estimates from below while children k, k + 1, ... are not grown.
+        lbs = [least(n) for n in sizes] if prune and whole else [0.0] * len(zs)
+        cap = min(leaf_err - 1e-9, budget) if prune else math.inf  # about the lo that settles
+        if prune:
+            end = _settled(counts, label, leaf_err, budget, reduce(operator.add, lbs, 0.0))
+            if end:
+                return end
+
         ks = map(keys[x].__getitem__, items if unit else map(operator.itemgetter(0), items))
-        buckets: dict[int, list] = {z: [] for z in sorted(val_counts)}
+        buckets: dict[int, list] = {z: [] for z in zs}
         missing_items = []
         for item, k in zip(items, ks):
             if k == MISSING:
@@ -377,21 +448,42 @@ def _grow(d: Dataset, min_leaf: int) -> Leaf | Split:
         children: dict[str, Leaf | Split] = {}
         branch_weights: dict[str, float] = {}
         sub_avail = avail - {x}
-        for z, child_items in buckets.items():
-            share = sum(val_counts[z]) / known_w
+        done = 0.0  # the grown children's estimates, added left to right
+        for k, z in enumerate(zs):
+            share = sizes[k] / known_w
+            child_items = buckets[z]
             if missing_items:
                 child_items = child_items + [
                     (i, w * share) for i, w in missing_items if w * share > 1e-12
                 ]
+            child_counts = val_counts[z] if unit else None
+            rest = lbs[k + 1 :]
+            child_budget = cap - reduce(operator.add, rest, done)
+            child, est = grow(child_items, unit, child_counts, sub_avail, child_budget)
+            if child is None:  # its estimate is at least est
+                lo = reduce(operator.add, rest, done + est)
+                end = _settled(counts, label, leaf_err, budget, lo)
+                if end:
+                    return end
+                # rounding left the bound a hair short: grow the child in full
+                child, est = grow(child_items, unit, child_counts, sub_avail, math.inf)
+            done += est
+            if prune and rest:
+                end = _settled(counts, label, leaf_err, budget, reduce(operator.add, rest, done))
+                if end:
+                    return end
             tok = d.features[x].values[z]
-            children[tok] = grow(child_items, unit, val_counts[z] if unit else None, sub_avail)
+            children[tok] = child
             branch_weights[tok] = share
-        return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label)
+        if prune and leaf_err <= done + 1e-9:
+            return Leaf(tuple(counts), label), leaf_err
+        return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label), done
 
     unit = rows.weights.count(1.0) == len(rows)
     items = range(len(ys)) if unit else list(enumerate(rows.weights))
     try:
-        return grow(items, unit, None, {x for x, key in enumerate(keys) if key is not None})
+        avail = {x for x, key in enumerate(keys) if key is not None}
+        return grow(items, unit, None, avail, math.inf)[0]
     finally:
         del grow  # grow's closure holds grow; emptying the cell frees the fit's columns now
 
@@ -419,28 +511,29 @@ def _added_errors(n: float, e: float, cf: float, z: float) -> float:
     return r * n - e
 
 
-def _leaf_errors(node, cf, z) -> float:
-    """Pessimistic error estimate of node collapsed to a leaf."""
-    total = sum(node.counts)
-    errors = total - node.counts[node.label]
-    return errors + _added_errors(total, errors, cf, z)
+def _least_errors(n: float, cf: float, z: float) -> float:
+    """A lower bound on the estimate of any subtree grown on n unit-weight
+    items: g(n) = _added_errors(n, 0, cf, z), less a relative 1e-9 for the
+    rounding of sums and of fan-out weights, and 0 for cf below 1e-3. No
+    leaf of n items estimates below g(n) for cf >= 1.14e-4, but below that
+    the normal approximation for one error can (n = 2, cf = 1e-5: 1.987
+    against g(2) = 1.994)."""
+    if cf < 1e-3:
+        return 0.0
+    return _added_errors(n, 0.0, cf, z) * (1.0 - 1e-9)
 
 
-def _prune(node, cf, z):
-    """node with its subtrees pruned bottom-up, and its pessimistic error estimate.
-
-    A split collapses to a leaf when the leaf's estimate is no worse than
-    the sum of its (already pruned) children's estimates.
-    """
-    leaf_errors = _leaf_errors(node, cf, z)
-    if isinstance(node, Leaf):
-        return node, leaf_errors
-    pruned = {t: _prune(c, cf, z) for t, c in node.children.items()}
-    node.children = {t: c for t, (c, _) in pruned.items()}
-    errors = sum(e for _, e in pruned.values())
-    if leaf_errors <= errors + 1e-9:
-        return Leaf(node.counts, node.label), leaf_errors
-    return node, errors
+def _settled(counts, label, leaf_err, budget, lo):
+    """A node's result once lo, a lower bound on the left-to-right sum of its
+    children's estimates, decides it: its leaf with leaf_err when pruning must
+    collapse it, (None, budget) when its estimate must be at least budget (lo
+    reaches budget, and leaf_err lies above lo), and None while lo decides
+    neither."""
+    if leaf_err <= lo + 1e-9:
+        return Leaf(tuple(counts), label), leaf_err
+    if budget <= lo:
+        return None, budget
+    return None
 
 
 # ---------------------------------------------------------------------------

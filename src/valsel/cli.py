@@ -156,7 +156,7 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
         raise ConfigError(f"bad epsilon range {text!r}") from None
     if not (math.isfinite(lo) and lo <= hi and step > 0):
         raise ConfigError(f"bad epsilon range {text!r} with step {step}")
-    if hi > 1.0:
+    if lo <= 0.0 or hi > 1.0:
         raise ConfigError(f"bad epsilon range {text!r}: epsilon lies in (0, 1]")
     if step < 1e-10:
         raise ConfigError(f"epsilon step {step} is below the sweep's 1e-10 resolution")

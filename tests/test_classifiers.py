@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import gc
+import math
+import operator
 from contextlib import contextmanager
+from functools import reduce
+from statistics import NormalDist
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valsel import (
     MISSING,
@@ -24,6 +30,7 @@ from valsel.classifiers import Leaf, Rule, Split
 from valsel.metrics import entropy_bits
 
 from conftest import random_dataset, separable_dataset
+from test_tree_oracle import assert_same_tree
 
 
 def interaction_dataset():
@@ -354,6 +361,135 @@ def test_a_failing_fit_restores_the_collector(enabled, monkeypatch):
         with pytest.raises(RuntimeError, match="boom"):
             train_tree(random_dataset(2, n=200))
         assert gc.isenabled() is enabled
+
+
+# ---------------------------------------------------------------------------
+# pruning during growth, and float sums
+# ---------------------------------------------------------------------------
+
+
+def least(n, cf):
+    """g(n): the extra errors of an error-free leaf of n items."""
+    return classifiers._added_errors(n, 0.0, cf, NormalDist().inv_cdf(1.0 - cf))
+
+
+CFS = st.floats(1e-3, 0.5, exclude_max=True)  # below 1e-3 the tree learner takes lb = 0
+SIZES = st.floats(1e-6, 1e7)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CFS, SIZES, st.floats(0.0, 1.0))
+def test_no_leaf_estimates_below_g(cf, n, share):
+    e = share * n  # 0 <= e <= n
+    z = NormalDist().inv_cdf(1.0 - cf)
+    assert e + classifiers._added_errors(n, e, cf, z) >= least(n, cf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CFS, SIZES, SIZES)
+def test_g_is_subadditive(cf, a, b):
+    assert least(a, cf) + least(b, cf) >= least(a + b, cf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(CFS, st.lists(st.integers(1, 20000), min_size=2, max_size=12))
+def test_k_unit_children_bound_lo_before_scoring(cf, sizes):
+    # Karamata: g is concave, so k parts of at least one item add up to at least
+    # g(n - k + 1) + (k - 1) g(1), the pre-scoring bound, less its relative 1e-6.
+    z = NormalDist().inv_cdf(1.0 - cf)
+    lb = [classifiers._least_errors(float(m), cf, z) for m in sizes]
+    n, k = float(sum(sizes)), len(sizes)
+    least_n, least_1 = (classifiers._least_errors(m, cf, z) for m in (n - k + 1, 1.0))
+    assert (least_n + (k - 1) * least_1) * (1.0 - 1e-6) <= reduce(operator.add, lb, 0.0)
+
+
+def dense_cases():
+    d = random_dataset(0, n=2000, n_features=6, n_labels=3, n_values=10, missing_rate=0.0)
+    fanned = random_dataset(1, n=1500, n_features=5, n_labels=3, n_values=6, missing_rate=0.2)
+    weighted = fanned.with_instances(
+        Instance(inst.slots, inst.label, 0.5 + i % 3) for i, inst in enumerate(fanned.instances)
+    )
+    return [d, fanned, weighted]
+
+
+def test_g_is_no_bound_for_tiny_cf_so_lb_is_zero():
+    # n = 2, e = 1: the normal approximation undercuts the zero-error bound
+    cf = 1e-5
+    z = NormalDist().inv_cdf(1.0 - cf)
+    assert 1.0 + classifiers._added_errors(2.0, 1.0, cf, z) < least(2.0, cf)
+    assert classifiers._least_errors(2.0, cf, z) == 0.0
+    for d in dense_cases():
+        assert_same_tree(d, 2, cf)
+
+
+def test_a_child_bound_short_of_its_budget_is_grown_again(monkeypatch):
+    # Every node that stops at cut-off 2 claims only budget - 0.5, a true but weak
+    # bound that cannot settle its parent, as a bound a rounding short cannot:
+    # the parent then grows that child again without a budget.
+    settled = classifiers._settled
+    cuts = []
+
+    def weak(counts, label, leaf_err, budget, lo):
+        out = settled(counts, label, leaf_err, budget - 0.5, lo)
+        if out is not None and out[0] is None:
+            cuts.append(out)
+        return out
+
+    monkeypatch.setattr(classifiers, "_settled", weak)
+    for d in dense_cases():
+        for cf in (0.25, 0.1):
+            assert_same_tree(d, 2, cf)
+    assert cuts
+
+
+def test_zero_lower_bounds_give_the_same_trees(monkeypatch):
+    monkeypatch.setattr(classifiers, "_least_errors", lambda n, cf, z: 0.0)
+    for d in dense_cases():
+        for cf in (0.25, 0.1):
+            assert_same_tree(d, 2, cf)
+
+
+# Below, plain left-to-right addition and the compensated sum of Python 3.12+
+# round differently: each site must add left to right on every interpreter.
+BIG = 2.0**53  # BIG + 1.0 rounds to BIG; BIG + 2.0 is exact
+
+
+def test_normalized_adds_counts_left_to_right():
+    counts = (BIG, 1.0, 1.0)
+    assert math.fsum(counts) == BIG + 2.0
+    assert classifiers._normalized(counts) == (1.0, 1.0 / BIG, 1.0 / BIG)
+
+
+def test_to_text_adds_leaf_counts_left_to_right():
+    top = 1.0000049999999998  # the float below 1.000005, the last to print as 1
+    counts = (top, 2.0**-53, 2.0**-53)
+    assert format(math.fsum(counts), "g") == "1.00001"
+    model = TreeModel(Leaf(counts, 0), ("a", "b", "c"), ())
+    assert model.to_text() == "a (1)\n"
+
+
+def test_fractional_node_total_adds_left_to_right():
+    # Class weights (BIG, 1, 1, BIG + 2) add up to BIG * 2 from the left and to
+    # BIG * 2 + 4 compensated: only the latter reaches 2 * min_leaf and splits.
+    rows = [["a"], ["a"], ["b"], ["b"]]
+    d = dataset_from_rows(
+        "big", ["f"], rows, ["A", "B", "C", "D"], weights=[BIG, 1.0, 1.0, BIG + 2.0]
+    )
+    min_leaf = 2**53 + 2
+    assert math.fsum([BIG, 1.0, 1.0, BIG + 2.0]) >= 2 * min_leaf > 2 * BIG
+    assert isinstance(train_tree(d, min_leaf, 1.0).root, Leaf)
+
+
+def test_fractional_branch_shares_add_left_to_right():
+    # Value a holds class weights (BIG, 1, 1): BIG from the left, BIG + 2 compensated.
+    rows = [["a"], ["a"], ["a"], ["b"]]
+    d = dataset_from_rows(
+        "big", ["f"], rows, ["A", "B", "C", "B"], weights=[BIG, 1.0, 1.0, BIG]
+    )
+    root = train_tree(d, 1, 1.0).root
+    assert isinstance(root, Split)
+    assert root.branch_weights == {"a": 0.5, "b": 0.5}
+    assert (BIG + 2.0) / (2 * BIG) != 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,8 @@ def test_epsilon_range_parsing():
             assert points == sorted(set(points))  # ascending, no repeats
             assert points[0] >= float(text.split("..")[0]) - 1e-10
             assert points[-1] <= float(text.split("..")[1])
-    for bad in ("nan..0.5", "0.1..nan", "-inf..0.5"):
+    # A range from -1e308 overflowed the point count (OverflowError, a traceback).
+    for bad in ("nan..0.5", "0.1..nan", "-inf..0.5", "-1e308..0.5", "0..0.5", "-0.5..0.5"):
         with pytest.raises(ConfigError):
             _parse_epsilon(bad, 0.1)
 

@@ -9,7 +9,9 @@ that cannot start, is skipped.
 
 The experiment covers the float paths a report goes through: a tree on
 data with missing slots (fractional fan-out weights) and weighted rows,
-rules, a fold-safe MDL run, and a stats table.
+rules, a fold-safe MDL run, and a stats table. The weighted trees are also
+printed with every float at cf 0.01, 0.1 and 0.49 and min_leaf 1, where
+pruning during growth adds estimates and compares them with budgets.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ for d in (plain, weighted):
     print(train_tree(disc).to_text())
     print(train_rules(disc).to_text())
     print(compute_stats(disc).format_table("infogain", 0.7))
+# weighted and fanned-out trees pruned as they grow, every float to the bit
+for cf in (0.01, 0.1, 0.49):
+    print(repr(train_tree(disc, 1, cf).root))
 runs = [
     (plain, ExperimentConfig(disc_method="frequency", bins=5, method="pvs_plus", epsilon=0.8,
                              repeats=2, folds=3, learner=LearnerSpec("tree"))),

@@ -320,3 +320,22 @@ def test_matches_oracle_on_filter_outputs():
                     z = d.features[node.feature].values.index(tok)
                     stack.append((child, [inst for inst in rows if inst.slots[node.feature] in (z, MISSING)]))
     assert nested >= 20
+
+
+@pytest.mark.parametrize("cf", [0.25, 0.1])
+def test_matches_oracle_on_dense_data_where_both_cut_offs_fire(cf, monkeypatch):
+    # Ten values a feature and no missing slot: pruning throws away most of what
+    # growth would make, so nodes collapse before all their children are grown
+    # (cut-off 1) and children stop once they show their budget (cut-off 2).
+    seen = []
+    settled = classifiers._settled
+
+    def spy(*args):
+        out = settled(*args)
+        seen.append(None if out is None else "cut" if out[0] is None else "collapse")
+        return out
+
+    monkeypatch.setattr(classifiers, "_settled", spy)
+    d = random_dataset(0, n=2000, n_features=6, n_labels=3, n_values=10, missing_rate=0.0)
+    assert_same_tree(d, TREE_MIN_LEAF, cf)
+    assert "collapse" in seen and "cut" in seen
