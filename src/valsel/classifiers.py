@@ -16,31 +16,22 @@ Pruning runs inside growth as an exact branch-and-bound. A node returns
 its subtree with its estimate: its leaf's, leaf_err, when it collapses,
 else its children's estimates added left to right. It collapses when
 leaf_err <= that sum + 1e-9, the test a bottom-up pass over the whole
-grown tree would make, so the trees are the same. Two cut-offs skip work
-that this test would throw away:
+grown tree would make, so the trees are the same. The same test against a
+lower bound lo on that sum collapses it early. For cf >= 1e-3 no leaf of n
+items estimates below g(n) = n (1 - cf^(1/n)) (0 for cf >= 0.5), the extra
+errors of an error-free leaf, and g is concave with g(0) = 0, hence
+subadditive, so no subtree on n items does either. A child of n unit-weight
+items has lb = g(n) less a relative 1e-9 for rounding and for fan-out
+weights below 1e-12 that are dropped; a fractional child, and every child
+for cf below 1e-3 (where a leaf with one error can estimate below g(n)),
+has lb = 0. Float addition being monotone, each of these bounds the sum:
 
-- Before child k grows, lo = (grown children's sum) + lb_k + lb_k+1 + ...,
-  added left to right, is at most the final sum, since float addition is
-  monotone and each lb_j is at most child j's estimate; leaf_err <= lo +
-  1e-9 collapses the node at once. For cf >= 1e-3 no leaf of n items
-  estimates below g(n) = n (1 - cf^(1/n)) (0 for cf >= 0.5), the extra
-  errors of an error-free leaf, and g is concave with g(0) = 0, hence
-  subadditive, so no subtree on n items does either. A child of n
-  unit-weight items then has lb = g(n) less a relative 1e-9 for rounding
-  and for fan-out weights below 1e-12 that are dropped. A fractional
-  child has lb = 0, and so has every child for cf below 1e-3, where a
-  leaf with one error can estimate below g(n). Before a unit node is
-  scored, a split on any feature with no slot missing there has k unit
-  children of at least one item each, whose lbs add up to at least
-  g(n - k + 1) + (k - 1) g(1), g being concave; the least of that over the
-  features, less a relative 1e-6, can settle the node before any feature
-  is counted.
-- Each child gets a budget: the estimate at which its parent would be
-  settled, by collapsing or by showing its own estimate at least its own
-  budget. A child whose lo reaches its budget while its leaf_err lies
-  above lo returns that bound instead of a subtree; the parent puts the
-  bound in the child's place in lo and tests again, and should rounding
-  leave it short, grows the child again without a budget.
+- before a unit node is scored, the least over the features with no slot
+  missing there of g(n - k + 1) + (k - 1) g(1), k being the feature's
+  value count there, less a relative 1e-6: by concavity (Karamata) the lbs
+  of k unit children of at least one item each add up to no less;
+- once a split is chosen, its children's lbs added left to right;
+- after child k grows, the grown children's sum + lb_k+1 + lb_k+2 + ...
 
 Counting reads one key column per feature, built once per fit: value id *
 label count + label, or MISSING (-1 // label count is -1 again). A feature
@@ -321,7 +312,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
         quantile = NormalDist().inv_cdf(1.0 - cf)
         least = lru_cache(maxsize=None)(lambda n: _least_errors(n, cf, quantile))
         # (k - 1) g(1) for the most values any feature has: no pre-scoring lo exceeds
-        # g(n) plus this, so a node whose settling needs more skips that check
+        # g(n) plus this, so a node whose collapse needs more skips that check
         widest = (max((len(f.values) for f in d.features), default=1) - 1) * least(1.0)
 
     def value_counts(x, items, unit):
@@ -345,11 +336,10 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             val_counts.setdefault(k // n_labels, [0.0] * n_labels)[k % n_labels] = float(c)
         return val_counts, known_w
 
-    def grow(items, unit, counts, avail, budget):
+    def grow(items, unit, counts, avail):
         # items are row ids of weight 1.0 when unit and (row id, weight) pairs
         # otherwise; counts are their class weights, or None to count them.
-        # Returns the subtree and its error estimate (0.0 when cf = 1), or None
-        # and budget once that estimate is shown to be at least budget.
+        # Returns the subtree and its error estimate (0.0 when cf = 1).
         if counts is None:
             counts = [0.0] * n_labels
             for i, w in zip(items, repeat(1.0)) if unit else items:
@@ -367,8 +357,8 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             or not avail
         ):
             return Leaf(tuple(counts), label), leaf_err
-        if prune and unit and min(leaf_err - 1e-9, budget) <= least(total) + widest:
-            # Cut-offs before scoring, with the bound on any split's lo that the
+        if prune and unit and leaf_err - 1e-9 <= least(total) + widest:
+            # Collapse before scoring, with the bound on any split's lo that the
             # module docstring derives; a missing slot here leaves no such bound.
             lo = math.inf
             for x in avail:
@@ -379,9 +369,8 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
                 if k >= 2:
                     lo = min(lo, least(total - k + 1) + (k - 1) * least(1.0))
             else:
-                end = _settled(counts, label, leaf_err, budget, lo * (1.0 - 1e-6))
-                if end:
-                    return end
+                if _collapses(leaf_err, lo * (1.0 - 1e-6)):
+                    return Leaf(tuple(counts), label), leaf_err
 
         h_node = entropy(tuple(counts)) if unit else None
         best = None  # (ratio, x, val_counts, known_w)
@@ -427,11 +416,8 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
         # lo = done + lbs[k] + lbs[k + 1] + ..., added left to right, bounds the sum of
         # the children's estimates from below while children k, k + 1, ... are not grown.
         lbs = [least(n) for n in sizes] if prune and whole else [0.0] * len(zs)
-        cap = min(leaf_err - 1e-9, budget) if prune else math.inf  # about the lo that settles
-        if prune:
-            end = _settled(counts, label, leaf_err, budget, reduce(operator.add, lbs, 0.0))
-            if end:
-                return end
+        if prune and _collapses(leaf_err, reduce(operator.add, lbs, 0.0)):
+            return Leaf(tuple(counts), label), leaf_err
 
         ks = map(keys[x].__getitem__, items if unit else map(operator.itemgetter(0), items))
         buckets: dict[int, list] = {z: [] for z in zs}
@@ -457,21 +443,11 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
                     (i, w * share) for i, w in missing_items if w * share > 1e-12
                 ]
             child_counts = val_counts[z] if unit else None
-            rest = lbs[k + 1 :]
-            child_budget = cap - reduce(operator.add, rest, done)
-            child, est = grow(child_items, unit, child_counts, sub_avail, child_budget)
-            if child is None:  # its estimate is at least est
-                lo = reduce(operator.add, rest, done + est)
-                end = _settled(counts, label, leaf_err, budget, lo)
-                if end:
-                    return end
-                # rounding left the bound a hair short: grow the child in full
-                child, est = grow(child_items, unit, child_counts, sub_avail, math.inf)
+            child, est = grow(child_items, unit, child_counts, sub_avail)
             done += est
-            if prune and rest:
-                end = _settled(counts, label, leaf_err, budget, reduce(operator.add, rest, done))
-                if end:
-                    return end
+            rest = lbs[k + 1 :]
+            if prune and rest and _collapses(leaf_err, reduce(operator.add, rest, done)):
+                return Leaf(tuple(counts), label), leaf_err
             tok = d.features[x].values[z]
             children[tok] = child
             branch_weights[tok] = share
@@ -483,7 +459,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
     items = range(len(ys)) if unit else list(enumerate(rows.weights))
     try:
         avail = {x for x, key in enumerate(keys) if key is not None}
-        return grow(items, unit, None, avail, math.inf)[0]
+        return grow(items, unit, None, avail)[0]
     finally:
         del grow  # grow's closure holds grow; emptying the cell frees the fit's columns now
 
@@ -523,17 +499,11 @@ def _least_errors(n: float, cf: float, z: float) -> float:
     return _added_errors(n, 0.0, cf, z) * (1.0 - 1e-9)
 
 
-def _settled(counts, label, leaf_err, budget, lo):
-    """A node's result once lo, a lower bound on the left-to-right sum of its
-    children's estimates, decides it: its leaf with leaf_err when pruning must
-    collapse it, (None, budget) when its estimate must be at least budget (lo
-    reaches budget, and leaf_err lies above lo), and None while lo decides
-    neither."""
-    if leaf_err <= lo + 1e-9:
-        return Leaf(tuple(counts), label), leaf_err
-    if budget <= lo:
-        return None, budget
-    return None
+def _collapses(leaf_err, lo):
+    """Whether pruning must collapse a node into its leaf, estimated at
+    leaf_err, once lo bounds the left-to-right sum of its children's
+    estimates from below."""
+    return leaf_err <= lo + 1e-9
 
 
 # ---------------------------------------------------------------------------

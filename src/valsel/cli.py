@@ -160,10 +160,13 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
         raise ConfigError(f"bad epsilon range {text!r}: epsilon lies in (0, 1]")
     if step < 1e-10:
         raise ConfigError(f"epsilon step {step} is below the sweep's 1e-10 resolution")
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    if count > 10_000:
+        raise ConfigError(f"epsilon range {text!r} with step {step} has {count} points, over 10000")
     # Points are rounded to 1e-10 so float drift stays out of report names;
     # none repeats and none passes hi.
     values: list[float] = []
-    for k in range(math.floor((hi - lo) / step + 1e-9) + 1):
+    for k in range(count):
         v = min(round(lo + k * step, 10), hi)
         if not values or v > values[-1]:
             values.append(v)

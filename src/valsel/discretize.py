@@ -54,7 +54,7 @@ from pathlib import Path
 
 from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Rows
 from .errors import ConfigError, DataError
-from .metrics import entropy_bits
+from .metrics import entropy_bits, left_sum
 
 log = logging.getLogger(__name__)
 
@@ -310,7 +310,7 @@ def _fit_mdl(column: list, labels, name: str, g: list[float], dg: list[float]) -
         if e_whole == 0.0:
             continue
         left, top = [0] * width, [c - 1 for c in counts]
-        sl, sr = 0.0, sum(g[c] for c in counts)
+        sl, sr = 0.0, left_sum(map(g.__getitem__, counts))
         first = second = math.inf
         at = None
         p = lo

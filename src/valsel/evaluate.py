@@ -46,7 +46,7 @@ from .baselines import (
     reservoir_select,
 )
 from .classifiers import LearnerSpec
-from .data import Dataset, Rows
+from .data import Dataset
 from .errors import ConfigError, DataError
 from .metrics import aligned_table, compute_stats, left_sum
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
@@ -136,15 +136,14 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def _fold_record(learner, train: Dataset, test, schema: Dataset, seed: int, fold: int):
-    """Train on train; score the test instances (Rows, or Instance objects),
-    whose slots index schema, in one pass."""
+def _fold_record(learner, train: Dataset, test: Dataset, seed: int, fold: int):
+    """Train on train; score test's instances in one pass."""
     model = learner.train(train)
-    rows = Rows.of(test)
+    rows = test.instances
     good = total = 0.0
-    for y, label, w in zip(model.predict_ids(rows, schema), rows.label_ids, rows.weights):
+    for y, label, w in zip(model.predict_ids(rows, test), rows.label_ids, rows.weights):
         total += w
-        if model.labels[y] == schema.labels[label]:
+        if model.labels[y] == test.labels[label]:
             good += w
     if total <= 0:
         raise DataError("empty or zero-weight test fold")
@@ -152,7 +151,7 @@ def _fold_record(learner, train: Dataset, test, schema: Dataset, seed: int, fold
 
 
 def _cv_records(d: Dataset, learner: LearnerSpec, folds: int, seed: int, tag_seed: int):
-    return [_fold_record(learner, d.take(train), d.take(test).instances, d, tag_seed, f)
+    return [_fold_record(learner, d.take(train), d.take(test), tag_seed, f)
             for f, train, test in fold_splits(d, folds, seed)]
 
 
@@ -412,9 +411,7 @@ def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
         spec = discretize.fit(train_d, cfg.disc_method, cfg.bins)
         train_d = discretize.apply(spec, train_d)
         test_d = discretize.apply(spec, test_d)
-        original_runs.append(
-            _fold_record(cfg.learner, train_d, test_d.instances, test_d, cfg.seed, f)
-        )
+        original_runs.append(_fold_record(cfg.learner, train_d, test_d, cfg.seed, f))
         stats = _stats_for(train_d, cfg)
         if cfg.method == "none":
             # reuse the fold's baseline record so MR = 0, AR = 1 exactly
@@ -425,6 +422,6 @@ def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
             d_f = filter_dataset(train_d, cfg, fseed, stats)
             if not d_f.instances:
                 raise DataError(f"fold {f}: filter removed every training instance")
-            filtered_runs.append(_fold_record(cfg.learner, d_f, test_d.instances, test_d, fseed, f))
+            filtered_runs.append(_fold_record(cfg.learner, d_f, test_d, fseed, f))
     timings["fold_safe"] = time.perf_counter() - t0
     return original_runs, filtered_runs

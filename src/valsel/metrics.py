@@ -56,7 +56,7 @@ def left_sum(xs) -> float:
 
 def entropy_bits(counts) -> float:
     """Shannon entropy in bits of a class-count vector; 0 when empty."""
-    total = sum(counts)
+    total = left_sum(counts)
     if total <= 0:
         return 0.0
     ent = 0.0
@@ -180,7 +180,7 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
         group = []
         for z in sorted(counts[x]):
             per_class = counts[x][z]
-            support = sum(per_class)
+            support = left_sum(per_class)
             if support <= 0:
                 continue
             probs = tuple(c / support for c in per_class)
@@ -189,12 +189,12 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
         raw.append(group)
 
     if dataset_entropy == "value-sum":
-        h_dataset = sum(ent for group in raw for (_, _, _, _, ent) in group)
+        h_dataset = left_sum(ent for group in raw for (_, _, _, _, ent) in group)
     else:
         label_counts = [0.0] * n_labels
         for label, w in zip(rows.label_ids, rows.weights):
             label_counts[label] += w
-        h_dataset = _value_entropy(label_counts, sum(label_counts), n_labels)
+        h_dataset = _value_entropy(label_counts, left_sum(label_counts), n_labels)
 
     per_feature = []
     for x, group in enumerate(raw):
@@ -257,6 +257,6 @@ def confusion_report(table: MetricTable, expected_after_weights) -> tuple[float,
         raise DataError(
             f"expected {len(stats)} weights, got {len(weights)}"
         )
-    before = sum(s.weight * s.entropy for s in stats)
-    after = sum(w * s.entropy for s, w in zip(stats, weights))
+    before = left_sum(s.weight * s.entropy for s in stats)
+    after = left_sum(w * s.entropy for s, w in zip(stats, weights))
     return before, after

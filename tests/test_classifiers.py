@@ -422,26 +422,6 @@ def test_g_is_no_bound_for_tiny_cf_so_lb_is_zero():
         assert_same_tree(d, 2, cf)
 
 
-def test_a_child_bound_short_of_its_budget_is_grown_again(monkeypatch):
-    # Every node that stops at cut-off 2 claims only budget - 0.5, a true but weak
-    # bound that cannot settle its parent, as a bound a rounding short cannot:
-    # the parent then grows that child again without a budget.
-    settled = classifiers._settled
-    cuts = []
-
-    def weak(counts, label, leaf_err, budget, lo):
-        out = settled(counts, label, leaf_err, budget - 0.5, lo)
-        if out is not None and out[0] is None:
-            cuts.append(out)
-        return out
-
-    monkeypatch.setattr(classifiers, "_settled", weak)
-    for d in dense_cases():
-        for cf in (0.25, 0.1):
-            assert_same_tree(d, 2, cf)
-    assert cuts
-
-
 def test_zero_lower_bounds_give_the_same_trees(monkeypatch):
     monkeypatch.setattr(classifiers, "_least_errors", lambda n, cf, z: 0.0)
     for d in dense_cases():

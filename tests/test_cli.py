@@ -209,9 +209,14 @@ def test_epsilon_range_parsing():
             assert points[0] >= float(text.split("..")[0]) - 1e-10
             assert points[-1] <= float(text.split("..")[1])
     # A range from -1e308 overflowed the point count (OverflowError, a traceback).
-    for bad in ("nan..0.5", "0.1..nan", "-inf..0.5", "-1e308..0.5", "0..0.5", "-0.5..0.5"):
+    # "0.1..1" at step 1e-6 built 900001 points before any was checked.
+    for bad, step in [(text, 0.1) for text in ("nan..0.5", "0.1..nan", "-inf..0.5", "-1e308..0.5",
+                                                "0..0.5", "-0.5..0.5")] + [("0.1..1", 1e-6)]:
         with pytest.raises(ConfigError):
-            _parse_epsilon(bad, 0.1)
+            _parse_epsilon(bad, step)
+    with pytest.raises(ConfigError, match="900001 points"):
+        _parse_epsilon("0.1..1", 1e-6)
+    assert len(_parse_epsilon("0.0001..1", 0.0001)) == 10_000
 
 
 def test_bad_class_index_is_a_config_error(numeric_csv, tmp_path, capsys):

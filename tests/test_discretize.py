@@ -460,6 +460,21 @@ def test_mdl_ties_take_the_exact_scan(monkeypatch, blocks, cuts):
     assert calls
 
 
+def test_mdl_proxy_adds_its_start_value_left_to_right(monkeypatch):
+    # A doctored table: the classes b, c, a (by first appearance) hold 2, 3 and 2
+    # values, so the right side starts at g[2] + g[3] + g[2] = 1 + BIG + 1, which
+    # is BIG left to right and BIG + 2 compensated. With g[7] = 0 the error bound
+    # is tiny, so the proxy picks the cut point itself; here the MDL test rejects
+    # it, where a compensated start would pick a point that it accepts.
+    big = 2.0**53
+    g = [0.0, 3.0, 1.0, big, 2.0, 1.0, 0.5, 0.0]
+    dg = [b - a for a, b in zip(g, g[1:])]
+    assert math.fsum([1.0, big, 1.0]) == big + 2.0
+    calls = count_exact_scans(monkeypatch)
+    assert discretize._fit_mdl(list(range(7)), list("bcbccaa"), "c", g, dg) == []
+    assert calls == []
+
+
 ONE_ULP = math.nextafter(1.0, 2.0)
 NEXT_ULP = math.nextafter(ONE_ULP, 2.0)
 

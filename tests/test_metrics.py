@@ -451,3 +451,51 @@ def test_counting_matches_the_per_slot_loop(d, dataset_entropy):
 def test_unit_counting_matches_the_per_slot_loop_on_larger_data(seed):
     d = random_dataset(seed, n=3000, n_features=6, n_labels=2 + seed, n_values=5, missing_rate=0.3)
     assert repr(compute_stats(d)) == repr(compute_stats_oracle(d))
+
+
+# Below, plain left-to-right addition and the compensated sum of Python 3.12+
+# round differently: each site must add left to right on every interpreter.
+BIG = 2.0**53  # BIG + 1.0 rounds to BIG; BIG + 2.0 is exact
+
+
+def test_entropy_bits_adds_its_total_left_to_right():
+    counts = (BIG, 1.0, 1.0)
+    assert math.fsum(counts) == BIG + 2.0
+    # over the total BIG each count of 1 has p = 2**-53 and adds 53 * 2**-53 bits
+    assert entropy_bits(counts) == 106 * 2.0**-53
+
+
+def test_support_adds_class_weights_left_to_right():
+    d = dataset_from_rows("s", ["f"], [["a"]] * 3, ["0", "1", "2"], weights=[BIG, 1.0, 1.0])
+    (s,) = compute_stats(d).entries()
+    assert s.support == BIG
+    assert s.class_probs == (1.0, 1.0 / BIG, 1.0 / BIG)
+
+
+def test_value_sum_confusion_adds_entropies_left_to_right():
+    # a splits 1:1 (H = 1); b and c each hold a 1e-18 share, H about 6e-17
+    rows = [["a"], ["a"], ["b"], ["b"], ["c"], ["c"]]
+    d = dataset_from_rows("v", ["f"], rows, list("010101"), weights=[1, 1, 1, 1e-18, 1, 1e-18])
+    table = compute_stats(d)
+    ents = [s.entropy for s in table.entries()]
+    assert ents[0] == 1.0 and math.fsum(ents) > 1.0
+    assert table.dataset_confusion == 1.0
+
+
+def test_class_marginal_confusion_adds_label_weights_left_to_right():
+    d = dataset_from_rows("c", ["f"], [["a"]] * 3, ["0", "1", "2"], weights=[BIG, 1.0, 1.0])
+    got = compute_stats(d, "class").dataset_confusion
+    assert got == _value_entropy([BIG, 1.0, 1.0], BIG, 3)
+    assert got != _value_entropy([BIG, 1.0, 1.0], BIG + 2.0, 3)
+
+
+def test_confusion_report_adds_terms_left_to_right():
+    # 1 + e rounds to 1, while 1 + 2e rounds up to the next float above 1
+    e = 0.75 * 2.0**-53
+    stats = tuple(
+        ValueStats(0, z, t, 1.0, (1.0,), 1.0, h, 0.0, 1.0)
+        for z, (t, h) in enumerate([("a", 1.0), ("b", e), ("c", e)])
+    )
+    table = MetricTable("fp", 1.0, (stats,))
+    assert math.fsum([1.0, e, e]) > 1.0
+    assert confusion_report(table, [1.0, 1.0, 1.0]) == (1.0, 1.0)

@@ -241,7 +241,7 @@ def test_fold_record_matches_per_instance_scoring(kind, weighting):
             test = list(schema.instances)
             if not test or sum(inst.weight for inst in test) <= 0:
                 continue
-            got = _fold_record(learner, train, test, schema, seed, 3)
+            got = _fold_record(learner, train, schema, seed, 3)
             assert got == oracle_fold_record(model, test, schema, seed, 3)
 
 

@@ -323,19 +323,18 @@ def test_matches_oracle_on_filter_outputs():
 
 
 @pytest.mark.parametrize("cf", [0.25, 0.1])
-def test_matches_oracle_on_dense_data_where_both_cut_offs_fire(cf, monkeypatch):
+def test_matches_oracle_on_dense_data_where_nodes_collapse_early(cf, monkeypatch):
     # Ten values a feature and no missing slot: pruning throws away most of what
-    # growth would make, so nodes collapse before all their children are grown
-    # (cut-off 1) and children stop once they show their budget (cut-off 2).
+    # growth would make, so nodes collapse before all their children are grown.
     seen = []
-    settled = classifiers._settled
+    collapses = classifiers._collapses
 
     def spy(*args):
-        out = settled(*args)
-        seen.append(None if out is None else "cut" if out[0] is None else "collapse")
+        out = collapses(*args)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(classifiers, "_settled", spy)
+    monkeypatch.setattr(classifiers, "_collapses", spy)
     d = random_dataset(0, n=2000, n_features=6, n_labels=3, n_values=10, missing_rate=0.0)
     assert_same_tree(d, TREE_MIN_LEAF, cf)
-    assert "collapse" in seen and "cut" in seen
+    assert True in seen
