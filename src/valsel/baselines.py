@@ -14,7 +14,7 @@ import logging
 import math
 import random
 
-from .data import MISSING, Dataset, Rows
+from .data import MISSING, Dataset
 from .errors import ConfigError
 
 log = logging.getLogger(__name__)
@@ -75,10 +75,7 @@ def drop_columns(d: Dataset, names) -> Dataset:
             raise ConfigError(f"no feature named {name!r}")
     dead = set(names)
     keep = [x for x, f in enumerate(d.features) if f.name not in dead]
-    rows = d.instances
-    return Dataset._trusted([d.features[x] for x in keep],
-                            Rows([rows.columns[x] for x in keep], rows.label_ids, rows.weights),
-                            d.labels, d.name)
+    return d._derived([d.column(x) for x in keep], [d.features[x] for x in keep])
 
 
 def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
@@ -92,7 +89,7 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
         raise ConfigError(f"rate must lie in [0, 1], got {rate}")
     rng = random.Random(seed)
     columns = [list(col) for col in d.instances.columns]
-    keep = []
+    drop = []
     for i, slots in enumerate(d.instances.slot_tuples()):
         observed = False
         for x, z in enumerate(slots):
@@ -101,7 +98,6 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
                     columns[x][i] = MISSING
                 else:
                     observed = True
-        if observed or not d.features:
-            keep.append(i)
-    rows = Rows(columns, d.instances.label_ids, d.instances.weights).take(keep)
-    return Dataset._trusted(d.features, rows, d.labels, d.name)
+        if d.features and not observed:
+            drop.append(i)
+    return d._derived(columns, drop=drop)

@@ -33,15 +33,12 @@ has lb = 0. Float addition being monotone, each of these bounds the sum:
 - once a split is chosen, its children's lbs added left to right;
 - after child k grows, the grown children's sum + lb_k+1 + lb_k+2 + ...
 
-Counting reads one key column per feature, built once per fit: value id *
-label count + label, or MISSING (-1 // label count is -1 again). A feature
-with fewer than two values in the schema can never split and gets no
-column. Where all items weigh 1.0 (an unweighted fit above any
-missing-value fan-out) one Counter over the keys counts a feature, in
-first-appearance order as the gain-ratio float sums need, float(count)
-being a sum of count ones; a split's counts serve as its children's. Below
-a fan-out, fractional weights add up per key in item order. Every tree is
-the one an item-by-item count gives.
+Counting goes through metrics.class_keys, one key column per feature
+built once per fit, and metrics.class_counts, whose first-appearance order
+the gain-ratio float sums follow. A feature with fewer than two values in
+the schema can never split and gets no column. Items weigh 1.0 in an
+unweighted fit above any missing-value fan-out, and a split's counts serve
+as its children's there. Every tree is the one an item-by-item count gives.
 
 At a unit node whose items all hold a value of the scored feature, the
 per-value class counts are whole numbers that add up exactly to the
@@ -93,7 +90,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, count, repeat
@@ -102,7 +98,7 @@ from typing import NamedTuple
 
 from .data import MISSING, Dataset, Feature, Rows, collector_paused
 from .errors import ConfigError, DataError
-from .metrics import entropy_bits, left_sum
+from .metrics import class_counts, class_keys, entropy_bits, left_sum
 
 TREE_MIN_LEAF = 2
 TREE_CF = 0.25
@@ -297,14 +293,11 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
     n_labels = len(d.labels)
     rows = d.instances
     ys = rows.label_ids
-    # Per feature with two or more values, and row: value id * n_labels + label, or MISSING.
-    # One table per label maps value ids to keys; its last entry serves slot MISSING (-1).
-    keys: list[list[int] | None] = [None] * len(d.features)
-    for x, (f, column) in enumerate(zip(d.features, rows.columns)):
-        if len(f.values) >= 2:
-            ids = range(len(f.values))
-            tables = [[z * n_labels + y for z in ids] + [MISSING] for y in range(n_labels)]
-            keys[x] = list(map(operator.getitem, map(tables.__getitem__, ys), column))
+    # Per feature with two or more values, its class_keys; None for the others.
+    keys: list[list[int] | None] = [
+        class_keys(len(f.values), column, ys, n_labels) if len(f.values) >= 2 else None
+        for f, column in zip(d.features, rows.columns)
+    ]
 
     entropy = lru_cache(maxsize=None)(entropy_bits)  # once per class-weight tuple in this fit
     prune = cf < 1.0
@@ -314,27 +307,6 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
         # (k - 1) g(1) for the most values any feature has: no pre-scoring lo exceeds
         # g(n) plus this, so a node whose collapse needs more skips that check
         widest = (max((len(f.values) for f in d.features), default=1) - 1) * least(1.0)
-
-    def value_counts(x, items, unit):
-        # Class weights per value id of x over items, by first appearance, and their sum;
-        # weights add up per key in item order, as they would per (value, label).
-        key = keys[x]
-        if unit:
-            # Counter keeps first-appearance order and float(c) is a sum of c ones; a unit
-            # node as large as the dataset is the root, whose items are all rows in order.
-            by_key = Counter(key if len(items) == len(key) else map(key.__getitem__, items))
-            known_w = float(len(items) - by_key.pop(MISSING, 0))
-        else:
-            by_key, known_w = {}, 0.0
-            for i, w in items:
-                k = key[i]
-                if k != MISSING:
-                    by_key[k] = by_key.get(k, 0.0) + w
-                    known_w += w
-        val_counts: dict[int, list[float]] = {}
-        for k, c in by_key.items():
-            val_counts.setdefault(k // n_labels, [0.0] * n_labels)[k % n_labels] = float(c)
-        return val_counts, known_w
 
     def grow(items, unit, counts, avail):
         # items are row ids of weight 1.0 when unit and (row id, weight) pairs
@@ -375,7 +347,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
         h_node = entropy(tuple(counts)) if unit else None
         best = None  # (ratio, x, val_counts, known_w)
         for x in sorted(avail):
-            val_counts, known_w = value_counts(x, items, unit)
+            val_counts, known_w = class_counts(keys[x], items, unit, n_labels)
             if known_w <= 0 or len(val_counts) < 2:
                 continue
             info = 0.0

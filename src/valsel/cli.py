@@ -23,7 +23,7 @@ from . import discretize as _disc
 from .classifiers import LEARNERS, LearnerSpec
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, DataError
-from .evaluate import FILTERS, ExperimentConfig, format_report_table, run_experiment
+from .evaluate import FILTERS, ExperimentConfig, epsilon_text, format_report_table, run_experiment
 from .metrics import DATASET_ENTROPIES, IOTAS, compute_stats
 from .selection import FilterOutcome
 
@@ -230,9 +230,7 @@ def cmd_experiment(io: RunConfig, values: dict, args) -> None:
         if args.report:
             path = _out_path(args.report)
             if len(eps_values) > 1:
-                path = path.with_name(
-                    f"{path.stem}-eps{format(eps, 'g')}{path.suffix}"
-                )
+                path = path.with_name(f"{path.stem}-eps{epsilon_text(eps)}{path.suffix}")
             report.save(path, include_timings=args.timings)
     sys.stdout.write(format_report_table(reports))
 

@@ -19,9 +19,10 @@ it.
 Rows are validated where they come in (the Dataset constructor and
 with_instances, and dataset_from_rows for what interning does not
 guarantee), with one C-level pass per column; only a failing check walks
-the rows to raise the first fault. Datasets derived from valid ones
-(discretize.apply, the filters, take) are built via Dataset._trusted and
-not re-validated.
+the rows to raise the first fault. Datasets derived from valid ones are
+not re-validated: take gathers rows, and Dataset._derived, which
+discretize.apply and the filters call, puts new slot columns over the
+same label ids and weights.
 
 Datasets are built a column at a time. dataset_from_rows, load_csv and
 load_arff all transpose their token rows into columns and intern each
@@ -53,6 +54,7 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import inspect
 import io
 import logging
 from array import array
@@ -216,15 +218,24 @@ class Dataset:
         self._validate()
 
     @classmethod
-    def _trusted(cls, features, instances, labels, name: str) -> "Dataset":
-        """A Dataset built without _validate, for rows already known valid;
-        instances is Rows or an iterable of Instance objects."""
+    def _trusted(cls, features, rows: Rows, labels, name: str) -> "Dataset":
+        """A Dataset built without _validate, for Rows already known valid."""
         features = tuple(features)
-        rows = Rows.of(instances)
         d = object.__new__(cls)
         d.__dict__.update(features=features, instances=_shaped(rows, len(features)),
                           labels=tuple(labels), name=name)
         return d
+
+    def _derived(self, columns, features=None, drop=()) -> "Dataset":
+        """This dataset's label ids, weights, labels and name over new slot
+        columns, valid for features (default this schema's), less the rows
+        at the positions in drop."""
+        rows = Rows(columns, self.instances.label_ids, self.instances.weights)
+        if drop:
+            gone = set(drop)
+            rows = rows.take([i for i in range(len(rows)) if i not in gone])
+        return Dataset._trusted(self.features if features is None else features, rows,
+                                self.labels, self.name)
 
     def _validate(self):
         names = [f.name for f in self.features]
@@ -811,11 +822,20 @@ def save_dataset(d: Dataset, path, format: str = "arff", missing_token: str = "?
 
 
 def load_dataset(path, format: str | None = None, **kwargs) -> Dataset:
-    """Dispatch to load_csv or load_arff, sniffing from the suffix when format is None."""
+    """Dispatch to load_csv or load_arff, sniffing from the suffix when format is None.
+
+    kwargs are load_csv's options; ARFF input takes none of them, so one
+    that differs from load_csv's default raises ConfigError naming it.
+    """
     path = Path(path)
     if format is None:
         format = "arff" if path.suffix.lower() == ".arff" else "csv"
     if format == "arff":
+        csv_options = inspect.signature(load_csv)
+        for key, value in csv_options.bind(path, **kwargs).arguments.items():
+            if key != "path" and value != csv_options.parameters[key].default:
+                raise ConfigError(f"option {key}={value!r} applies to CSV input only, "
+                                  f"not to ARFF input {path}")
         return load_arff(path)
     if format == "csv":
         return load_csv(path, **kwargs)

@@ -52,7 +52,7 @@ from math import log2
 from operator import eq, ne, sub
 from pathlib import Path
 
-from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, Rows
+from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature
 from .errors import ConfigError, DataError
 from .metrics import entropy_bits, left_sum
 
@@ -206,24 +206,15 @@ def _exact_scan(values, ys, lo, hi, counts, width):
     whose weighted side entropy no later point beats by more than 1e-12,
     as (weighted, p, e1, e2), or None when every value in it is equal."""
     n = hi - lo
-    # class counts of [lo, p) and [p, hi), moved one point at a time;
-    # the side entropies are entropy_bits written out, step for step
-    left, right = [0] * width, counts[:]
+    left, right = [0] * width, counts[:]  # class counts of [lo, p) and [p, hi)
     best = None
     for p in range(lo + 1, hi):
         left[ys[p - 1]] += 1
         right[ys[p - 1]] -= 1
         if values[p - 1] == values[p]:
             continue
-        nl, nr = p - lo, hi - p
-        e1 = e2 = 0.0
-        for c in left:
-            if c > 0:
-                e1 -= (q := c / nl) * log2(q)
-        for c in right:
-            if c > 0:
-                e2 -= (q := c / nr) * log2(q)
-        weighted = (nl * e1 + nr * e2) / n
+        e1, e2 = entropy_bits(left), entropy_bits(right)
+        weighted = ((p - lo) * e1 + (hi - p) * e2) / n
         if best is None or weighted < best[0] - 1e-12:
             best = (weighted, p, e1, e2)
     return best
@@ -470,8 +461,6 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
                        for v in _value_floats(d, x)] + [MISSING])
 
     # A listed feature's ids go through its table; every other column is shared.
-    rows = d.instances
     columns = [col if table is None else tuple(map(table.__getitem__, col))
-               for table, col in zip(tables, rows.columns)]
-    return Dataset._trusted(new_features, Rows(columns, rows.label_ids, rows.weights),
-                            d.labels, d.name)
+               for table, col in zip(tables, d.instances.columns)]
+    return d._derived(columns, new_features)

@@ -312,6 +312,13 @@ class EvalReport:
         Path(path).write_text(self.to_json(include_timings), encoding="utf-8")
 
 
+def epsilon_text(eps) -> str:
+    """eps as report tables and sweep file names write it. Sweep points lie
+    on a 1e-10 grid, so ten significant digits tell them apart; an eps of
+    six or fewer significant digits reads as format(eps, "g") writes it."""
+    return format(eps, ".10g")
+
+
 def format_report_table(reports) -> str:
     """Aligned text table, one row per report."""
     rows = [("dataset", "method", "eps", "Acc_o", "Acc_p", "|M_o|", "|M_p|", "MR", "AR", "X")]
@@ -320,7 +327,7 @@ def format_report_table(reports) -> str:
             (
                 r.dataset,
                 r.config.get("method", "?"),
-                format(r.config.get("epsilon", ""), "g"),
+                epsilon_text(r.config.get("epsilon", "")),
                 f"{r.acc_original:.4f}",
                 f"{r.acc_filtered:.4f}",
                 f"{r.size_original:.1f}",

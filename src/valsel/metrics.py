@@ -126,16 +126,52 @@ class MetricTable:
         return aligned_table(rows)
 
 
-def _value_entropy(class_counts, support: float, n_labels: int) -> float:
+def _value_entropy(counts, support: float, n_labels: int) -> float:
     if n_labels < 2 or support <= 0:
         return 0.0
     log_base = math.log(n_labels)
     ent = 0.0
-    for c in class_counts:
+    for c in counts:
         p = c / support
         if p > 0:
             ent -= p * (math.log(p) / log_base)
     return min(1.0, max(0.0, ent))
+
+
+def class_keys(n_values: int, column, label_ids, n_labels: int) -> list[int]:
+    """Per row, value id * n_labels + label, or MISSING where the slot is
+    MISSING; column holds value ids below n_values. One table per label maps
+    value ids to keys, and its last entry serves slot MISSING (-1)."""
+    ids = range(n_values)
+    tables = [[z * n_labels + y for z in ids] + [MISSING] for y in range(n_labels)]
+    return list(map(operator.getitem, map(tables.__getitem__, label_ids), column))
+
+
+def class_counts(keys, items, unit: bool, n_labels: int):
+    """Class weights per value id over items, by first appearance, and their sum.
+
+    keys is a class_keys list; items are row ids of weight 1.0 when unit and
+    (row id, weight) pairs otherwise. Where all items weigh 1.0 one Counter
+    over their keys counts them, in first-appearance order, float(count)
+    being a sum of count ones; fractional weights add up per key, and into
+    the sum, in item order. Either way the floats are those of adding each
+    item's weight to its (value, label) count in turn.
+    """
+    if unit:
+        # items as many as the keys are all rows in order: count the keys as they are
+        by_key = Counter(keys if len(items) == len(keys) else map(keys.__getitem__, items))
+        known_w = float(len(items) - by_key.pop(MISSING, 0))
+    else:
+        by_key, known_w = {}, 0.0
+        for i, w in items:
+            k = keys[i]
+            if k != MISSING:
+                by_key[k] = by_key.get(k, 0.0) + w
+                known_w += w
+    val_counts: dict[int, list[float]] = {}
+    for k, c in by_key.items():
+        val_counts.setdefault(k // n_labels, [0.0] * n_labels)[k % n_labels] = float(c)
+    return val_counts, known_w
 
 
 def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable:
@@ -151,26 +187,14 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
     n_labels = len(d.labels)
 
     rows = d.instances
-    counts: list[dict[int, list[float]]] = [{} for _ in d.features]
-    feature_total = [0.0] * len(d.features)
-    if rows.weights.count(1.0) == len(rows):
-        # Every sum is a whole number, so counting value id * n_labels + label
-        # keys per column gives the same floats; MISSING slots key below 0.
-        for x, column in enumerate(rows.columns):
-            by_key = Counter(map(operator.add, map(n_labels.__mul__, column), rows.label_ids))
-            for k, c in by_key.items():
-                if k >= 0:
-                    z, y = divmod(k, n_labels)
-                    counts[x].setdefault(z, [0.0] * n_labels)[y] = float(c)
-                    feature_total[x] += c
-    else:
-        for slots, label, w in zip(rows.slot_tuples(), rows.label_ids, rows.weights):
-            for x, z in enumerate(slots):
-                if z == MISSING:
-                    continue
-                per_class = counts[x].setdefault(z, [0.0] * n_labels)
-                per_class[label] += w
-                feature_total[x] += w
+    unit = rows.weights.count(1.0) == len(rows)
+    items = range(len(rows)) if unit else list(enumerate(rows.weights))
+    counts, feature_total = [], []
+    for f, column in zip(d.features, rows.columns):
+        keys = class_keys(len(f.values), column, rows.label_ids, n_labels)
+        val_counts, known_w = class_counts(keys, items, unit, n_labels)
+        counts.append(val_counts)
+        feature_total.append(known_w)
     if not any(feature_total):
         raise DataError("dataset has no observed values")
 

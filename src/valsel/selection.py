@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .data import MISSING, Dataset, Feature, Rows
+from .data import MISSING, Dataset, Feature
 from .errors import ConfigError, DataError
 from .metrics import IOTAS, MetricTable, removal_probability
 
@@ -116,17 +116,6 @@ def _removed_features(filtered: Dataset) -> tuple[int, ...]:
                  if col.count(MISSING) == n)
 
 
-def _kept(d: Dataset, columns, drop) -> Rows:
-    """d's rows with the given slot columns, less the rows at the
-    positions in drop."""
-    rows = d.instances
-    out = Rows(columns, rows.label_ids, rows.weights)
-    if drop:
-        gone = set(drop)
-        out = out.take([i for i in range(len(rows)) if i not in gone])
-    return out
-
-
 def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
     """Global per-value removal: one draw per observed (feature, value)."""
     _check_stats(d, stats)
@@ -158,8 +147,7 @@ def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         i for i, slots in enumerate(zip(*columns)) if slots.count(MISSING) == n_feat
     ] if n_feat else []
 
-    filtered = Dataset._trusted(new_features, _kept(d, columns, removed_instances),
-                                d.labels, d.name)
+    filtered = d._derived(columns, new_features, removed_instances)
     return FilterOutcome(
         filtered=filtered,
         removed_value_mask=mask,
@@ -205,8 +193,7 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
             if miss_rate > r:
                 removed_instances.append(i)
 
-    filtered = Dataset._trusted(d.features, _kept(d, columns, removed_instances),
-                                d.labels, d.name)
+    filtered = d._derived(columns, drop=removed_instances)
     return FilterOutcome(
         filtered=filtered,
         removed_value_mask=tuple(mask_rows),

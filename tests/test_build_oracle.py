@@ -22,6 +22,7 @@ from valsel.data import (
     Dataset,
     Feature,
     Instance,
+    Rows,
     _arff_quote,
     _read_name,
     _split_quoted,
@@ -102,7 +103,7 @@ def dataset_from_rows_oracle(
         )
         for x in range(arity)
     )
-    return Dataset._trusted(features, instances, tuple(label_ids), name)
+    return Dataset._trusted(features, Rows.of(instances), tuple(label_ids), name)
 
 
 def load_csv_oracle(

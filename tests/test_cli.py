@@ -417,6 +417,25 @@ def test_csv_dialect_flags(tmp_path):
     assert again.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("flags, option", [
+    (["--class-index", "0"], "class_index"),
+    (["--missing-token", "NA"], "missing_token"),
+    (["--no-header"], "header"),
+])
+def test_csv_only_options_on_arff_input_are_a_config_error(arff_input, tmp_path, capsys,
+                                                           flags, option):
+    out = tmp_path / "out.arff"
+    base = ["filter", "--input", str(arff_input), "--method", "none", "--disc-method", "none",
+            "--output", str(out)]
+    assert main([*base, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and option in err
+    assert not out.exists()
+    # an option at its CSV default changes nothing, so ARFF input takes it
+    assert main([*base, "--class-index", "last", "--missing-token", "?", "--header"]) == 0
+    assert load_dataset(out) == load_dataset(arff_input)
+
+
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
@@ -453,6 +472,32 @@ def test_experiment_epsilon_sweep_writes_one_report_per_value(arff_input, tmp_pa
     assert len(capsys.readouterr().out.splitlines()) == 4  # header + 3 rows
     one = json.loads((tmp_path / "sweep-eps0.4.json").read_text())
     assert one["config"]["epsilon"] == 0.4
+
+
+def test_sweep_points_that_format_g_merges_get_files_and_rows_of_their_own(arff_input, tmp_path,
+                                                                           capsys):
+    base = ["experiment", "--input", str(arff_input), "--method", "pvs", "--disc-method", "none",
+            "--repeats", "1", "--folds", "2"]
+    report = tmp_path / "fine" / "r.json"
+    report.parent.mkdir()
+    assert main([*base, "--epsilon", "0.5..0.5000000003", "--epsilon-step", "1e-10",
+                 "--report", str(report)]) == 0
+    names = ["r-eps0.5.json", "r-eps0.5000000001.json", "r-eps0.5000000002.json",
+             "r-eps0.5000000003.json"]
+    assert sorted(p.name for p in report.parent.iterdir()) == names
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[2] for row in rows] == ["0.5", "0.5000000001", "0.5000000002",
+                                                "0.5000000003"]
+    # points of a coarse grid keep the names format(eps, "g") gave them
+    report = tmp_path / "coarse" / "r.json"
+    report.parent.mkdir()
+    assert main([*base, "--epsilon", "0.1..1.0", "--epsilon-step", "0.1",
+                 "--report", str(report)]) == 0
+    want = [f"r-eps{eps}.json" for eps in
+            ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1")]
+    assert sorted(p.name for p in report.parent.iterdir()) == sorted(want)
+    assert [row.split()[2] for row in capsys.readouterr().out.splitlines()[1:]] == [
+        name[len("r-eps"):-len(".json")] for name in want]
 
 
 @pytest.mark.parametrize("method", ["reservoir", "none", "misclassified"])

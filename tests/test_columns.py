@@ -153,6 +153,39 @@ def test_derived_datasets_share_the_columns_they_do_not_change():
     assert disc.column(0) != d.column(0)
 
 
+def test_derived_keeps_row_order_under_drop():
+    d = build_samples()
+    d = Dataset(d.features, Rows(d.instances.columns, d.instances.label_ids,
+                                 (0.5, 1.0, 2.0, 3.0, 4.0)), d.labels, d.name)
+    columns = [tuple(reversed(col)) for col in d.instances.columns]
+    got = d._derived(columns, drop=[3, 0, 3])
+    keep = [1, 2, 4]
+    assert got.instances.columns == tuple(tuple(col[i] for i in keep) for col in columns)
+    assert got.instances.label_ids == tuple(d.instances.label_ids[i] for i in keep)
+    assert got.instances.weights == tuple(d.instances.weights[i] for i in keep)
+    assert (got.features, got.labels, got.name) == (d.features, d.labels, d.name)
+    got._validate()
+
+
+def test_derived_with_no_drop_shares_the_label_ids_and_weights():
+    d = build_samples()
+    got = d._derived(d.instances.columns)
+    assert got.instances.label_ids is d.instances.label_ids
+    assert got.instances.weights is d.instances.weights
+    assert got.features is d.features and got == d
+
+
+def test_derived_keeps_the_schema_unless_given_one_and_works_with_no_features():
+    d = build_samples()
+    assert d._derived(d.instances.columns, drop=[0]).features is d.features
+    bare = d._derived([], features=[], drop=[1])
+    assert bare.features == () and bare.instances.columns == ()
+    assert len(bare.instances) == len(d.instances) - 1
+    assert bare.instances.label_ids == d.instances.label_ids[:1] + d.instances.label_ids[2:]
+    bare._validate()
+    assert len(bare._derived([], drop=range(len(bare.instances))).instances) == 0
+
+
 def test_a_dataset_pickles_with_its_rows():
     d = build_samples()
     back = pickle.loads(pickle.dumps(d))

@@ -23,6 +23,8 @@ from valsel.metrics import (
     MetricTable,
     ValueStats,
     _value_entropy,
+    class_counts,
+    class_keys,
     entropy_bits,
     log,
 )
@@ -451,6 +453,20 @@ def test_counting_matches_the_per_slot_loop(d, dataset_entropy):
 def test_unit_counting_matches_the_per_slot_loop_on_larger_data(seed):
     d = random_dataset(seed, n=3000, n_features=6, n_labels=2 + seed, n_values=5, missing_rate=0.3)
     assert repr(compute_stats(d)) == repr(compute_stats_oracle(d))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_class_counts_match_the_fractional_path_on_unit_pairs(seed):
+    d = random_dataset(seed, n=300, n_features=3, n_labels=2 + seed, n_values=4, missing_rate=0.3)
+    n, n_labels = len(d.instances), len(d.labels)
+    for f, column in zip(d.features, d.instances.columns):
+        keys = class_keys(len(f.values), column, d.instances.label_ids, n_labels)
+        for items in (range(n), range(n - 1, -1, -3), [7, 3, 3, 250, 0]):
+            unit_counts, unit_w = class_counts(keys, items, True, n_labels)
+            frac_counts, frac_w = class_counts(keys, [(i, 1.0) for i in items], False, n_labels)
+            assert list(unit_counts.items()) == list(frac_counts.items())  # order too
+            assert repr(unit_counts) == repr(frac_counts)  # floats, not ints
+            assert repr(unit_w) == repr(frac_w)
 
 
 # Below, plain left-to-right addition and the compensated sum of Python 3.12+
