@@ -150,9 +150,10 @@ def _fold_record(learner, train: Dataset, test: Dataset, seed: int, fold: int):
     return RunRecord(seed, fold, good / total, model.size)
 
 
-def _cv_records(d: Dataset, learner: LearnerSpec, folds: int, seed: int, tag_seed: int):
-    return [_fold_record(learner, d.take(train), d.take(test), tag_seed, f)
-            for f, train, test in fold_splits(d, folds, seed)]
+def _fold_tasks(d: Dataset, folds: int, seed: int, tag_seed: int):
+    """Yield (train, test, tag_seed, fold) per fold of a stratified split of d."""
+    for f, train, test in fold_splits(d, folds, seed):
+        yield d.take(train), d.take(test), tag_seed, f
 
 
 def _means(records) -> tuple[float, float]:
@@ -163,7 +164,7 @@ def _means(records) -> tuple[float, float]:
 
 def cross_validate(d: Dataset, learner: LearnerSpec, folds: int = 10, seed: int = 0):
     """Mean accuracy and mean model size over stratified folds."""
-    return _means(_cv_records(d, learner, folds, seed, seed))
+    return _means([_fold_record(learner, *task) for task in _fold_tasks(d, folds, seed, seed)])
 
 
 @dataclass(frozen=True)
@@ -349,41 +350,58 @@ def _clamped_folds(requested: int, n: int, what: str) -> int:
     return requested
 
 
-def _stats_for(d: Dataset, cfg: ExperimentConfig):
-    """d's metric table when cfg.method reads one, else None."""
-    return compute_stats(d, cfg.dataset_entropy) if FILTERS[cfg.method].needs_stats else None
+def _filter_repeats(d: Dataset, cfg: ExperimentConfig):
+    """Yield (seed, filtered d) per repeat; nothing for the "none" method."""
+    if cfg.method == "none":
+        return
+    stats = compute_stats(d, cfg.dataset_entropy) if FILTERS[cfg.method].needs_stats else None
+    for rep in range(cfg.repeats):
+        yield cfg.seed + rep, filter_dataset(d, cfg, cfg.seed + rep, stats)
+
+
+def _experiment_tasks(d: Dataset, cfg: ExperimentConfig):
+    """Yield (arm, train, test, tag_seed, fold) for every fit in report order,
+    arm 0 original and 1 filtered: repeat-major, with folds clamped on a
+    shrunken filtered dataset, or fold-major under fold_safe, which
+    discretizes, measures and filters each training fold on its own.
+    """
+    if not cfg.fold_safe:
+        d = discretize.apply(discretize.fit(d, cfg.disc_method, cfg.bins), d)
+        folds = _clamped_folds(cfg.folds, len(d.instances), "dataset")
+        # map() holds no task once it has passed it on, so a fold's datasets
+        # can be freed before the next fold's are built
+        yield from map(lambda task: (0, *task), _fold_tasks(d, folds, cfg.seed, cfg.seed))
+        for fseed, d_f in _filter_repeats(d, cfg):
+            folds = _clamped_folds(cfg.folds, len(d_f.instances), "filtered dataset")
+            yield from map(lambda task: (1, *task), _fold_tasks(d_f, folds, cfg.seed, fseed))
+        return
+    folds = _clamped_folds(cfg.folds, len(d.instances), "dataset")
+    for f, train, test in fold_splits(d, folds, cfg.seed):
+        train, test = d.take(train), d.take(test)
+        spec = discretize.fit(train, cfg.disc_method, cfg.bins)
+        train, test = discretize.apply(spec, train), discretize.apply(spec, test)
+        yield 0, train, test, cfg.seed, f
+        for fseed, d_f in _filter_repeats(train, cfg):
+            if not d_f.instances:
+                raise DataError(f"fold {f}: filter removed every training instance")
+            yield 1, d_f, test, fseed, f
 
 
 def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
     """Discretize, filter, train and score both arms; see module docstring."""
-    timings: dict[str, float] = {}
+    runs: tuple[list[RunRecord], list[RunRecord]] = ([], [])
+    train_score = 0.0
     t0 = time.perf_counter()
-    if cfg.fold_safe:
-        original_runs, filtered_runs = _run_fold_safe(d, cfg, timings)
-        n_report = len(d.instances)
-    else:
-        d_disc = discretize.apply(discretize.fit(d, cfg.disc_method, cfg.bins), d)
-        timings["discretize"] = time.perf_counter() - t0
-        n_report = len(d_disc.instances)
-
+    for arm, train, test, tag_seed, fold in _experiment_tasks(d, cfg):
         t1 = time.perf_counter()
-        folds_o = _clamped_folds(cfg.folds, len(d_disc.instances), "dataset")
-        original_runs = _cv_records(d_disc, cfg.learner, folds_o, cfg.seed, cfg.seed)
-        timings["baseline"] = time.perf_counter() - t1
-
-        t2 = time.perf_counter()
-        stats = _stats_for(d_disc, cfg)
-        if cfg.method == "none":
-            # reuse baseline records; a null filter must give MR = 0, AR = 1 exactly
-            filtered_runs = list(original_runs)
-        else:
-            filtered_runs = []
-            for rep in range(cfg.repeats):
-                fseed = cfg.seed + rep
-                d_f = filter_dataset(d_disc, cfg, fseed, stats)
-                folds_p = _clamped_folds(cfg.folds, len(d_f.instances), "filtered dataset")
-                filtered_runs += _cv_records(d_f, cfg.learner, folds_p, cfg.seed, fseed)
-        timings["filter_evaluate"] = time.perf_counter() - t2
+        runs[arm].append(_fold_record(cfg.learner, train, test, tag_seed, fold))
+        train_score += time.perf_counter() - t1
+        del train, test  # free this fold's datasets before the next task is built
+    timings = {"prepare": time.perf_counter() - t0 - train_score, "train_score": train_score}
+    original_runs, filtered_runs = runs
+    if cfg.method == "none":
+        # reuse baseline records; a null filter must give MR = 0, AR = 1 exactly
+        filtered_runs = original_runs
 
     acc_o, size_o = _means(original_runs)
     acc_p, size_p = _means(filtered_runs)
@@ -391,7 +409,7 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
     ar_value = ar(acc_o, acc_p)
     return EvalReport(
         dataset=d.name,
-        n_instances=n_report,
+        n_instances=len(d.instances),
         n_features=len(d.features),
         config=cfg.as_dict(),
         original_runs=tuple(original_runs),
@@ -405,30 +423,3 @@ def run_experiment(d: Dataset, cfg: ExperimentConfig) -> EvalReport:
         harmonic=harmonic(ar_value, mr_value),
         timings=timings,
     )
-
-
-def _run_fold_safe(d: Dataset, cfg: ExperimentConfig, timings: dict):
-    """Refit discretization, stats and the filter inside every training fold."""
-    t0 = time.perf_counter()
-    folds = _clamped_folds(cfg.folds, len(d.instances), "dataset")
-    original_runs: list[RunRecord] = []
-    filtered_runs: list[RunRecord] = []
-    for f, train, test in fold_splits(d, folds, cfg.seed):
-        train_d, test_d = d.take(train), d.take(test)
-        spec = discretize.fit(train_d, cfg.disc_method, cfg.bins)
-        train_d = discretize.apply(spec, train_d)
-        test_d = discretize.apply(spec, test_d)
-        original_runs.append(_fold_record(cfg.learner, train_d, test_d, cfg.seed, f))
-        stats = _stats_for(train_d, cfg)
-        if cfg.method == "none":
-            # reuse the fold's baseline record so MR = 0, AR = 1 exactly
-            filtered_runs.append(original_runs[-1])
-            continue
-        for rep in range(cfg.repeats):
-            fseed = cfg.seed + rep
-            d_f = filter_dataset(train_d, cfg, fseed, stats)
-            if not d_f.instances:
-                raise DataError(f"fold {f}: filter removed every training instance")
-            filtered_runs.append(_fold_record(cfg.learner, d_f, test_d, fseed, f))
-    timings["fold_safe"] = time.perf_counter() - t0
-    return original_runs, filtered_runs

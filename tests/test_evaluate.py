@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from valsel import (
     ConfigError,
     DataError,
+    Dataset,
     ExperimentConfig,
     LearnerSpec,
     RunRecord,
@@ -24,6 +26,7 @@ from valsel import (
     run_experiment,
     stratified_fold_assignment,
 )
+from valsel import evaluate
 from valsel.evaluate import UNDEFINED, _means, fold_splits
 from valsel.metrics import left_sum
 
@@ -262,6 +265,71 @@ def test_fold_safe_refits_per_fold(make_separable):
     assert len(rep.filtered_runs) == 8
     assert {r.fold for r in rep.filtered_runs} == {0, 1, 2, 3}
     assert 0.0 <= rep.acc_filtered <= 1.0
+
+
+@pytest.mark.parametrize("fold_safe", [False, True])
+def test_filtered_records_are_repeat_major_or_fold_major(make_separable, fold_safe):
+    d = make_separable(seed=13, n=48, noise=0.1)
+    cfg = ExperimentConfig(
+        disc_method="none", method="pvs_plus", epsilon=1.0, seed=5,
+        repeats=3, folds=4, fold_safe=fold_safe,
+    )
+    rep = run_experiment(d, cfg)
+    assert [r.fold for r in rep.original_runs] == [0, 1, 2, 3]
+    order = [(s, f) for s in (5, 6, 7) for f in range(4)]
+    if fold_safe:
+        order.sort(key=lambda sf: sf[1])
+    assert [(r.seed, r.fold) for r in rep.filtered_runs] == order
+
+
+def test_both_modes_report_the_same_timing_keys(make_separable):
+    d = make_separable(seed=3, n=40, noise=0.1)
+    keys = set()
+    for fold_safe in (False, True):
+        cfg = ExperimentConfig(
+            disc_method="none", method="pvs", epsilon=1.0, repeats=2, folds=4,
+            fold_safe=fold_safe,
+        )
+        rep = run_experiment(d, cfg)
+        keys.add(tuple(rep.timings))
+        assert all(t >= 0.0 for t in rep.timings.values())
+        assert "timings" not in json.loads(rep.to_json())
+        assert json.loads(rep.to_json(include_timings=True))["timings"] == rep.timings
+    assert keys == {("prepare", "train_score")}
+
+
+@pytest.mark.parametrize("kind", ["tree", "rules"])
+@pytest.mark.parametrize("folds,seed", [(3, 0), (5, 7)])
+def test_cross_validate_scores_like_the_baseline_arm(kind, folds, seed):
+    d = random_dataset(seed, n=50, n_features=4, n_labels=3)
+    learner = LearnerSpec(kind)
+    cfg = ExperimentConfig(
+        disc_method="none", method="none", folds=folds, seed=seed, learner=learner
+    )
+    rep = run_experiment(d, cfg)
+    assert cross_validate(d, learner, folds, seed) == (rep.acc_original, rep.size_original)
+
+
+def test_each_fold_is_freed_before_the_next_is_built(make_separable, monkeypatch):
+    # a fold's train and test datasets must be gone by the time the next
+    # fold's are gathered, or peak memory holds two folds at once
+    held, alive = [], []
+    take, fold_record = Dataset.take, evaluate._fold_record
+
+    def counted_take(self, positions):
+        alive.append(sum(ref() is not None for ref in held))
+        return take(self, positions)
+
+    def watched(learner, train, test, seed, fold):
+        held[:] = [weakref.ref(train), weakref.ref(test)]
+        return fold_record(learner, train, test, seed, fold)
+
+    monkeypatch.setattr(Dataset, "take", counted_take)
+    monkeypatch.setattr(evaluate, "_fold_record", watched)
+    d = make_separable(seed=3, n=40, noise=0.1)
+    cfg = ExperimentConfig(disc_method="none", method="pvs_plus", epsilon=1.0, repeats=2, folds=4)
+    run_experiment(d, cfg)
+    assert len(alive) == 2 * 4 * 3 and not any(alive)
 
 
 def test_folds_clamp_when_filtering_shrinks(make_dataset, caplog):
