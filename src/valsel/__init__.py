@@ -5,12 +5,7 @@ measures how much smaller a decision tree or rule list gets and how much
 accuracy it costs. See the module docstrings for the contracts.
 """
 
-from .baselines import (
-    drop_columns,
-    misclassified_filter,
-    random_value_removal,
-    reservoir_select,
-)
+from .baselines import drop_columns, random_value_removal, reservoir_select
 from .classifiers import (
     LearnerSpec,
     RuleModel,
@@ -51,6 +46,7 @@ from .evaluate import (
     filter_dataset,
     format_report_table,
     harmonic,
+    misclassified_filter,
     mr,
     run_experiment,
     stratified_fold_assignment,

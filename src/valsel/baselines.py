@@ -1,23 +1,20 @@
 """Reference filters that value selection is compared against.
 
 reservoir_select keeps ceil(fraction * |I|) instances chosen uniformly
-by Vitter's Algorithm R in one pass; misclassified_filter drops every
-instance the learner gets wrong out-of-fold under cross-validation;
-drop_columns removes whole features by name; random_value_removal blanks
-non-missing slots independently at a fixed rate. All return plain
-datasets and draw any randomness from an explicit seed.
+by Vitter's Algorithm R in one pass; drop_columns removes whole features
+by name; random_value_removal blanks non-missing slots independently at
+a fixed rate. All return plain datasets and draw any randomness from an
+explicit seed. The misclassified filter, itself a cross-validation of
+the learner, lives in evaluate.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 
 from .data import MISSING, Dataset
 from .errors import ConfigError
-
-log = logging.getLogger(__name__)
 
 #: Fraction of instances a reservoir keeps by default (1 in 20).
 RESERVOIR_FRACTION = 0.05
@@ -41,29 +38,6 @@ def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int
         if j < k:
             reservoir[j] = i
     return d.take(reservoir)
-
-
-def misclassified_filter(d: Dataset, learner=None, folds: int = 10, seed: int = 0) -> Dataset:
-    """Keep only instances the learner classifies correctly out-of-fold."""
-    if learner is None:
-        from .classifiers import LearnerSpec
-
-        learner = LearnerSpec()
-    # imported here: evaluation builds on the baselines module; the
-    # split rejects folds < 2 and folds > |I|
-    from .evaluate import fold_splits
-
-    label_ids = d.instances.label_ids
-    keep = []
-    for _, train, test in fold_splits(d, folds, seed):
-        model = learner.train(d.take(train))
-        for i, y in zip(test, model.predict_ids(d.take(test).instances, d)):
-            if model.labels[y] == d.labels[label_ids[i]]:
-                keep.append(i)
-    keep.sort()
-    if not keep:
-        log.warning("misclassified filter removed every instance")
-    return d.take(keep)
 
 
 def drop_columns(d: Dataset, names) -> Dataset:

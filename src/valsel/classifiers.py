@@ -3,11 +3,11 @@
 train_tree grows a multiway decision tree: at each node the feature
 with the highest gain ratio among those with positive gain is chosen
 (ties go to the lowest feature index), with one branch per value
-observed there. Instances missing the split feature descend every
-branch with their weight scaled by the branch's share of the known
-mass, the standard fractional treatment. Growth stops on pure nodes,
-when no split has positive gain, or when the weighted instance count
-drops below 2 * min_leaf. With cf < 1, pessimistic error pruning
+observed there; a row of weight 0 is observed nowhere. Instances
+missing the split feature descend every branch with their weight scaled
+by the branch's share of the known mass, the standard fractional
+treatment. Growth stops on pure nodes, when no split has positive gain,
+or when the weighted instance count drops below 2 * min_leaf. With cf < 1, pessimistic error pruning
 collapses any subtree whose error estimate as a single leaf does not
 exceed the sum over its leaves, using the upper confidence bound of the
 binomial error at confidence cf; cf = 1 disables pruning.
@@ -428,7 +428,9 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
         return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label), done
 
     unit = rows.weights.count(1.0) == len(rows)
-    items = range(len(ys)) if unit else list(enumerate(rows.weights))
+    # a row of weight 0 (or -0.0) adds nothing to any count, so it is left
+    # out rather than let it give an empty branch to a value only it holds
+    items = range(len(ys)) if unit else [(i, w) for i, w in enumerate(rows.weights) if w > 0.0]
     try:
         avail = {x for x, key in enumerate(keys) if key is not None}
         return grow(items, unit, None, avail)[0]

@@ -410,10 +410,10 @@ def _build(name, feature_names, columns, labels, domains, label_domain, kinds, w
 
     columns holds one token sequence per feature, each as long as labels,
     and is emptied as it is interned; weights, when given, is at least as
-    long. missing is the token of an absent value, and name_of(token) the
-    value any other token names. A fault raises the error of the first
-    faulty row, in each row its slots in column order, then its label,
-    then its weight.
+    long. missing is the token of an absent value, or of an absent label,
+    which is a fault, and name_of(token) the value any other token names.
+    A fault raises the error of the first faulty row, in each row its
+    slots in column order, then its label, then its weight.
     """
     arity = len(feature_names)
     if len(set(feature_names)) != arity:
@@ -438,12 +438,15 @@ def _build(name, feature_names, columns, labels, domains, label_domain, kinds, w
         columns[x] = None  # the tokens are not needed once interned
         id_columns.append(ids)
         values.append(names)
-    label_ids, label_names = _intern(labels, label_domain, object(), name_of)  # no label is missing
+    label_ids, label_names = _intern(labels, label_domain, missing, name_of)
     if label_names is None:
         i = label_ids.index(None)
         faults.append((i, arity, DataError(
             f"row {i + 1}: label {name_of(labels[i])!r} not in the declared classes"
         )))
+    if MISSING in label_ids:
+        i = label_ids.index(MISSING)
+        faults.append((i, arity, DataError(f"row {i + 1}: missing class label")))
     n = len(label_ids)
     weights = (1.0,) * n if weights is None else tuple(islice(weights, n))
     if not all(map(le, repeat(0.0), weights)):

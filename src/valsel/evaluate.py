@@ -19,6 +19,10 @@ and the filter inside every training fold so no test information leaks
 into preprocessing. Both arms of a report always share fold assignments
 and seeds, so a "none" filter yields MR = 0 and AR = 1 exactly.
 
+The misclassified filter, which keeps the rows the learner predicts
+right out-of-fold, is a cross-validation too: it and each scored fold
+share one train-and-score step, so every learner fit happens here.
+
 Every random draw descends from the experiment seed; reports with the
 same config serialize to identical bytes (wall-clock timings live
 outside the canonical serialization and are opt-in).
@@ -33,18 +37,12 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import NamedTuple
 
 from . import discretize
-from .baselines import (
-    RESERVOIR_FRACTION,
-    drop_columns,
-    misclassified_filter,
-    random_value_removal,
-    reservoir_select,
-)
+from .baselines import RESERVOIR_FRACTION, drop_columns, random_value_removal, reservoir_select
 from .classifiers import LearnerSpec
 from .data import Dataset
 from .errors import ConfigError, DataError
@@ -136,18 +134,36 @@ class RunRecord:
         return dataclasses.asdict(self)
 
 
-def _fold_record(learner, train: Dataset, test: Dataset, seed: int, fold: int):
-    """Train on train; score test's instances in one pass."""
+def _fold_hits(learner, train: Dataset, test: Dataset):
+    """Train on train; return the model and, for each of test's rows, whether
+    the model predicts that row's label."""
     model = learner.train(train)
-    rows = test.instances
-    good = total = 0.0
-    for y, label, w in zip(model.predict_ids(rows, test), rows.label_ids, rows.weights):
-        total += w
-        if model.labels[y] == test.labels[label]:
-            good += w
+    rows, labels = test.instances, test.labels
+    predicted = model.predict_ids(rows, test)
+    return model, [model.labels[y] == labels[l] for y, l in zip(predicted, rows.label_ids)]
+
+
+def _fold_record(learner, train: Dataset, test: Dataset, seed: int, fold: int):
+    """Train on train; score test's instances by weight, added left to right."""
+    model, hits = _fold_hits(learner, train, test)
+    weights = test.instances.weights
+    total = left_sum(weights)
     if total <= 0:
         raise DataError("empty or zero-weight test fold")
-    return RunRecord(seed, fold, good / total, model.size)
+    return RunRecord(seed, fold, left_sum(compress(weights, hits)) / total, model.size)
+
+
+def misclassified_filter(d: Dataset, learner=None, folds: int = 10, seed: int = 0) -> Dataset:
+    """Keep only instances the learner classifies correctly out-of-fold; the
+    split rejects folds < 2 and folds > |I|."""
+    learner = LearnerSpec() if learner is None else learner
+    keep = []
+    for _, train, test in fold_splits(d, folds, seed):
+        keep += compress(test, _fold_hits(learner, d.take(train), d.take(test))[1])
+    keep.sort()
+    if not keep:
+        log.warning("misclassified filter removed every instance")
+    return d.take(keep)
 
 
 def _fold_tasks(d: Dataset, folds: int, seed: int, tag_seed: int):

@@ -63,6 +63,23 @@ def test_value_outside_declared_domain_rejected():
         dataset_from_rows("t", ["a"], [["x"]], ["9"], domains=[("x",)], label_domain=("0",))
 
 
+@pytest.mark.parametrize("label_domain", [("p", "q"), None])
+def test_a_missing_label_is_a_data_error(label_domain):
+    def build(rows, labels, weights=None):
+        return dataset_from_rows(
+            "t", ["a"], rows, labels, domains=[("u", "v")], label_domain=label_domain,
+            weights=weights,
+        )
+
+    with pytest.raises(DataError, match=r"^row 2: missing class label$"):
+        build([["u"], ["v"]], ["p", None])
+    # in one row: its values, then its label, then its weight
+    with pytest.raises(DataError, match="value 'w' not in the declared domain"):
+        build([["w"]], [None])
+    with pytest.raises(DataError, match=r"^row 1: missing class label$"):
+        build([["u"]], [None], weights=[-1.0])
+
+
 def test_row_arity_checked():
     with pytest.raises(DataError):
         dataset_from_rows("t", ["a", "b"], [["x"]], ["0"])
