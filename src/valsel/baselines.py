@@ -20,6 +20,16 @@ from .errors import ConfigError
 RESERVOIR_FRACTION = 0.05
 
 
+def check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
+
+
+def check_rate(rate: float) -> None:
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"rate must lie in [0, 1], got {rate}")
+
+
 def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int = 0) -> Dataset:
     """Uniform sample of ceil(fraction * |I|) instances, Algorithm R.
 
@@ -27,8 +37,7 @@ def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int
     instance i replaces a uniformly drawn slot j of range(i + 1) when
     j < k. With fraction = 1 the input comes back unchanged.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
+    check_fraction(fraction)
     n = len(d.instances)
     k = math.ceil(fraction * n)
     reservoir = list(range(k))
@@ -59,8 +68,7 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
     Draws run over instances in index order and slots in feature order,
     one per originally non-missing slot.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"rate must lie in [0, 1], got {rate}")
+    check_rate(rate)
     rng = random.Random(seed)
     columns = [list(col) for col in d.instances.columns]
     drop = []

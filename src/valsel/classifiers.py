@@ -274,12 +274,7 @@ def _distribution(node, slots, n_labels):
 
 def train_tree(d: Dataset, min_leaf: int = TREE_MIN_LEAF, cf: float = TREE_CF) -> TreeModel:
     """Grow a tree on d, pruned pessimistically as it grows when cf < 1."""
-    if min_leaf < 1:
-        raise ConfigError(f"min_leaf must be >= 1, got {min_leaf}")
-    if not 0.0 < cf <= 1.0:
-        raise ConfigError(f"cf must lie in (0, 1], got {cf}")
-    if 1.0 - cf == 1.0:
-        raise ConfigError(f"cf {cf} is too small: 1 - cf rounds to 1, which has no normal quantile")
+    LearnerSpec("tree", min_leaf, cf).check()
     if not d.instances:
         raise DataError("cannot train a tree on an empty dataset")
 
@@ -621,8 +616,7 @@ def _positional_split(rows: int, class_bits, ranks: str) -> tuple[int, int]:
 
 def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> RuleModel:
     """Learn an ordered rule list by sequential covering."""
-    if not 0.0 <= prune_fraction < 1.0:
-        raise ConfigError(f"prune_fraction must lie in [0, 1), got {prune_fraction}")
+    LearnerSpec("rules", prune_fraction=prune_fraction).check()
     if not d.instances:
         raise DataError("cannot learn rules from an empty dataset")
 
@@ -763,6 +757,19 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in LEARNERS:
             raise ConfigError(f"unknown learner kind {self.kind!r}")
+
+    def check(self) -> None:
+        """Raise ConfigError for a bad knob of this kind of learner, as training does."""
+        if self.kind == "rules":
+            if not 0.0 <= self.prune_fraction < 1.0:
+                raise ConfigError(f"prune_fraction must lie in [0, 1), got {self.prune_fraction}")
+        elif self.min_leaf < 1:
+            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        elif not 0.0 < self.cf <= 1.0:
+            raise ConfigError(f"cf must lie in (0, 1], got {self.cf}")
+        elif 1.0 - self.cf == 1.0:
+            raise ConfigError(
+                f"cf {self.cf} is too small: 1 - cf rounds to 1, which has no normal quantile")
 
     def train(self, d: Dataset):
         if self.kind == "tree":

@@ -1,11 +1,12 @@
 """Command line front end: discretize, filter, experiment.
 
-Settings resolve in order: built-in defaults (entropy metric, frequency
-discretization, epsilon 0.5, 10 folds, 5 repeats), then a flat
-key=value config file given with
---config, then explicit flags. Exit codes: 0 success, 1 data error
-(unreadable or malformed input), 2 config error (bad parameter values,
-including argparse rejections). All randomness flows from --seed.
+Every setting is a key of DEFAULTS. Settings resolve in order: the
+defaults, then a flat key=value config file given with --config, then
+explicit flags. A key's flag is --key with - for _, and its text is read
+as the config file's is. Every knob a command reads is checked before
+its input is read. Exit codes: 0 success, 1 data error (unreadable or
+malformed input), 2 config error (bad parameter values, including
+argparse rejections). All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import discretize as _disc
@@ -28,24 +28,11 @@ from .metrics import DATASET_ENTROPIES, IOTAS, compute_stats
 from .selection import FilterOutcome
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Where one invocation reads and writes; every other knob is an ExperimentConfig field."""
-
-    input: str | None = None
-    format: str | None = None
-    class_index: str = "last"
-    missing_token: str = "?"
-    header: bool = True
-    output: str | None = None
-
-
 def _defaults(cls) -> dict:
     """Field name -> default; ExperimentConfig.learner, built from the
     LearnerSpec keys, has a default factory instead and is left out."""
-    return {
-        f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
-    }
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def _learner_key(name: str) -> str:
@@ -53,10 +40,12 @@ def _learner_key(name: str) -> str:
     return "learner" if name == "kind" else name
 
 
-#: Every config-file key with its default; the type of the default (str
-#: for None) is how a value given as text is read.
+#: Every config key with its default: first where one invocation reads and
+#: writes, then the knobs. The type of the default (str for None) is how a
+#: value given as text, in the config file or a flag, is read.
 DEFAULTS = {
-    **_defaults(RunConfig),
+    "input": None, "format": None, "class_index": "last", "missing_token": "?", "header": True,
+    "output": None,
     **_defaults(ExperimentConfig),
     **{_learner_key(k): v for k, v in _defaults(LearnerSpec).items()},
 }
@@ -105,9 +94,7 @@ def resolve_config(cli: dict, file_values: dict[str, str]) -> dict:
     overridden by flags."""
     values = dict(DEFAULTS)
     for key in DEFAULTS:
-        value = cli.get(key)
-        if value is None:
-            value = file_values.get(key)
+        value = file_values.get(key) if cli.get(key) is None else cli[key]
         if value is not None:
             values[key] = _coerce(key, value)
     return values
@@ -119,41 +106,26 @@ def _knobs(values: dict, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**{**knobs, **overrides}, learner=learner)
 
 
-def _load_input(cfg: RunConfig):
-    if not cfg.input:
+def _load_input(values: dict):
+    if not values["input"]:
         raise ConfigError("no input file given (use --input or input= in the config)")
-    return load_dataset(
-        cfg.input,
-        cfg.format,
-        class_index=cfg.class_index,
-        missing_token=cfg.missing_token,
-        header=cfg.header,
-    )
+    return load_dataset(values["input"], values["format"], class_index=values["class_index"],
+                        missing_token=values["missing_token"], header=values["header"])
 
 
-def _out_path(text: str | None) -> Path | None:
+def _out_path(text: str) -> Path:
     """Resolve an output path; VALSEL_OUTDIR re-roots relative paths."""
-    if text is None:
-        return None
     p = Path(text)
     base = os.environ.get("VALSEL_OUTDIR")
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
+    return Path(base) / p if base and not p.is_absolute() else p
 
 
 def _parse_epsilon(text: str, step: float) -> list[float]:
-    """A float, or an inclusive range "a..b" stepped by --epsilon-step."""
+    """A float, or an inclusive range "a..b" stepped by --epsilon-step; each
+    number is read as the config file reads one."""
     if ".." not in text:
-        try:
-            return [float(text)]
-        except ValueError:
-            raise ConfigError(f"bad epsilon {text!r}") from None
-    lo_s, hi_s = text.split("..", 1)
-    try:
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError:
-        raise ConfigError(f"bad epsilon range {text!r}") from None
+        return [_coerce("epsilon", text)]
+    lo, hi = (_coerce("epsilon", end) for end in text.split("..", 1))
     if not (math.isfinite(lo) and lo <= hi and step > 0):
         raise ConfigError(f"bad epsilon range {text!r} with step {step}")
     if lo <= 0.0 or hi > 1.0:
@@ -173,23 +145,27 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
     return values
 
 
-def cmd_discretize(io: RunConfig, values: dict, args) -> None:
-    if not io.output:
+def cmd_discretize(values: dict, args) -> None:
+    if not values["output"]:
         raise ConfigError("discretize needs --output")
-    d = _load_input(io)
+    _disc.check_knobs(values["disc_method"], values["bins"])
+    d = _load_input(values)
     spec = _disc.fit(d, values["disc_method"], values["bins"])
     out = _disc.apply(spec, d)
     del d  # the raw rows need not stay in memory while the output is written
-    save_dataset(out, _out_path(io.output), args.output_format, io.missing_token)
+    out_path = _out_path(values["output"])
+    save_dataset(out, out_path, args.output_format, values["missing_token"])
     if args.spec_out:
         spec.save(_out_path(args.spec_out))
 
 
-def cmd_filter(io: RunConfig, values: dict, args) -> None:
-    if not io.output:
+def cmd_filter(values: dict, args) -> None:
+    if not values["output"]:
         raise ConfigError("filter needs --output")
     cfg = _knobs(values)
-    d = _load_input(io)
+    if args.stats_out:
+        cfg.check_stats_knobs()
+    d = _load_input(values)
     d = _disc.apply(_disc.fit(d, cfg.disc_method, cfg.bins), d)
 
     stats = None
@@ -201,160 +177,144 @@ def cmd_filter(io: RunConfig, values: dict, args) -> None:
     else:
         filtered, audit = out, f"mode: {cfg.method}\n"
         if cfg.method != "none":
-            audit += (
-                f"instances: {len(d.instances)} -> {len(filtered.instances)}\n"
-                f"features: {len(d.features)} -> {len(filtered.features)}\n"
-            )
+            audit += (f"instances: {len(d.instances)} -> {len(filtered.instances)}\n"
+                      f"features: {len(d.features)} -> {len(filtered.features)}\n")
     if args.stats_out:
-        _out_path(args.stats_out).write_text(
-            stats.format_table(cfg.iota, cfg.epsilon), encoding="utf-8"
-        )
-    save_dataset(filtered, _out_path(io.output), args.output_format, io.missing_token)
+        table = stats.format_table(cfg.iota, cfg.epsilon)
+        _out_path(args.stats_out).write_text(table, encoding="utf-8")
+    out_path = _out_path(values["output"])
+    save_dataset(filtered, out_path, args.output_format, values["missing_token"])
     if args.audit_out:
         _out_path(args.audit_out).write_text(audit, encoding="utf-8")
 
 
-def cmd_experiment(io: RunConfig, values: dict, args) -> None:
-    if args.epsilon is None:
-        eps_values = [values["epsilon"]]
-    else:
-        eps_values = _parse_epsilon(args.epsilon, args.epsilon_step)
-    method = _knobs(values).method
-    if len(eps_values) > 1 and not FILTERS[method].needs_stats:
+def cmd_experiment(values: dict, args) -> None:
+    sweep = [values["epsilon"]]
+    if args.sweep is not None:
+        sweep = _parse_epsilon(args.sweep, args.epsilon_step)
+    cfgs = [_knobs(values, epsilon=eps) for eps in sweep]
+    method = cfgs[0].method
+    if len(cfgs) > 1 and not FILTERS[method].needs_stats:
         raise ConfigError(f"method {method!r} reads no epsilon, so a sweep repeats one report")
-    d = _load_input(io)
+    cfgs[0].learner.check()
+    d = _load_input(values)
     reports = []
-    for eps in eps_values:
-        report = run_experiment(d, _knobs(values, epsilon=eps))
+    for cfg in cfgs:
+        report = run_experiment(d, cfg)
         reports.append(report)
         if args.report:
             path = _out_path(args.report)
-            if len(eps_values) > 1:
-                path = path.with_name(f"{path.stem}-eps{epsilon_text(eps)}{path.suffix}")
+            if len(cfgs) > 1:
+                path = path.with_name(f"{path.stem}-eps{epsilon_text(cfg.epsilon)}{path.suffix}")
             report.save(path, include_timings=args.timings)
     sys.stdout.write(format_report_table(reports))
 
 
+#: The help line of each config key given as a flag; _settings adds its default.
+_HELP = {
+    "input": "dataset path (csv or arff)",
+    "format": "input format, by file suffix when unset",
+    "class_index": '0-based class column or "last"',
+    "missing_token": "CSV missing marker",
+    "header": "first CSV row is a header",
+    "seed": "root random seed",
+    "disc_method": "discretization of numeric features",
+    "bins": "bin count for binning/frequency",
+    "output": "where to write the output dataset",
+    "method": "filter to apply",
+    "iota": "selection metric",
+    "fraction": "reservoir keep fraction",
+    "rate": "removal rate for random_value",
+    "dataset_entropy": "how H(D) is read",
+    "learner": "classifier",
+    "min_leaf": "tree leaf minimum",
+    "cf": "tree pruning confidence, 1 disables",
+    "prune_fraction": "rule prune-split share",
+    "epsilon": "removal amplifier in (0, 1]",
+    "repeats": "filter repetitions averaged",
+    "folds": "cross-validation folds",
+    "fold_safe": "refit preprocessing inside each training fold",
+    "jobs": "kept for old configs; repetitions run one at a time",
+}
+_CHOICES = {"format": ("csv", "arff"), "disc_method": _disc.METHODS, "method": tuple(FILTERS),
+            "iota": IOTAS, "dataset_entropy": DATASET_ENTROPIES, "learner": LEARNERS}
+
+
+def _shown(default) -> str:
+    """A default as a config file writes it."""
+    if isinstance(default, bool):
+        return "yes" if default else "no"
+    return format(default, "g") if isinstance(default, float) else str(default)
+
+
+def _settings(parser, *keys) -> None:
+    """Add each config key's flag: --key with - for _, a --no- twin for a
+    yes/no key, and no default of its own, so an absent flag leaves the
+    config file's value or the default in place."""
+    for key in keys:
+        default, help = DEFAULTS[key], _HELP[key]
+        if default is not None:
+            help += f" (default {_shown(default)})"
+        kind = ({"action": argparse.BooleanOptionalAction} if isinstance(default, bool)
+                else {"choices": _CHOICES.get(key)})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help, **kind)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="valsel",
-        description="Value-selection preprocessing and compact-model evaluation.",
-    )
+        prog="valsel", description="Value-selection preprocessing and compact-model evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("--config", help="flat key=value settings file")
-    io.add_argument("--input", help="dataset path (csv or arff)")
-    io.add_argument("--format", choices=["csv", "arff"], help="input format (default: by suffix)")
-    io.add_argument("--class-index", dest="class_index", help='0-based column or "last"')
-    io.add_argument("--missing-token", dest="missing_token", help="CSV missing marker (default ?)")
-    io.add_argument(
-        "--header",
-        dest="header",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="first CSV row is a header (default: yes)",
-    )
-    io.add_argument("--seed", type=int, help="root random seed (default 0)")
-    io.add_argument("--verbose", action="store_true", help="log at INFO level")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value settings file")
+    _settings(shared, "input", "format", "class_index", "missing_token", "header", "seed")
+    shared.add_argument("--verbose", action="store_true", help="log at INFO level")
+    _settings(shared, "disc_method", "bins")
 
-    disc = argparse.ArgumentParser(add_help=False)
-    disc.add_argument(
-        "--disc-method",
-        dest="disc_method",
-        choices=_disc.METHODS,
-        help="discretization of numeric features (default frequency)",
-    )
-    disc.add_argument("--bins", type=int, help="bin count for binning/frequency (default 10)")
+    writes = argparse.ArgumentParser(add_help=False)
+    _settings(writes, "output")
+    writes.add_argument("--output-format", choices=["csv", "arff"], default="arff",
+                        help="format of the output dataset (default %(default)s)")
 
-    p_disc = sub.add_parser("discretize", parents=[io, disc], help="rewrite numeric features into intervals")
-    p_disc.add_argument("--output", help="where to write the discretized dataset")
-    p_disc.add_argument("--output-format", choices=["csv", "arff"], default="arff")
-    p_disc.add_argument("--spec-out", dest="spec_out", help="write the fitted cut lists here")
+    learning = argparse.ArgumentParser(add_help=False)
+    _settings(learning, "method", "iota", "fraction")
+    learning.add_argument("--drop", dest="columns",
+                          help="comma-separated feature names for drop_columns")
+    _settings(learning, "rate", "dataset_entropy", "learner", "min_leaf", "cf", "prune_fraction")
 
-    filt = argparse.ArgumentParser(add_help=False)
-    filt.add_argument(
-        "--method",
-        choices=list(FILTERS),
-        help="filter to apply (default pvs_plus)",
-    )
-    filt.add_argument("--iota", choices=IOTAS, help="selection metric (default entropy)")
-    filt.add_argument("--fraction", type=float, help="reservoir keep fraction (default 0.05)")
-    filt.add_argument("--drop", dest="columns", help="comma-separated feature names for drop_columns")
-    filt.add_argument("--rate", type=float, help="removal rate for random_value")
-    filt.add_argument(
-        "--dataset-entropy",
-        dest="dataset_entropy",
-        choices=DATASET_ENTROPIES,
-        help="how H(D) is read (default value-sum)",
-    )
+    p = sub.add_parser("discretize", parents=[shared, writes],
+                       help="rewrite numeric features into intervals")
+    p.add_argument("--spec-out", help="write the fitted cut lists here")
+    p.set_defaults(run=cmd_discretize)
 
-    learn = argparse.ArgumentParser(add_help=False)
-    learn.add_argument("--learner", choices=LEARNERS, help="classifier (default tree)")
-    learn.add_argument("--min-leaf", dest="min_leaf", type=int, help="tree leaf minimum (default 2)")
-    learn.add_argument("--cf", type=float, help="tree pruning confidence, 1 disables (default 0.25)")
-    learn.add_argument(
-        "--prune-fraction",
-        dest="prune_fraction",
-        type=float,
-        help="rule prune-split share (default 1/3)",
-    )
+    p = sub.add_parser("filter", parents=[shared, learning, writes],
+                       help="write a filtered dataset")
+    _settings(p, "epsilon")
+    p.add_argument("--audit-out", help="write the removal audit here")
+    p.add_argument("--stats-out", help="write the per-value metric table here")
+    p.set_defaults(run=cmd_filter)
 
-    p_filt = sub.add_parser("filter", parents=[io, disc, filt, learn], help="write a filtered dataset")
-    p_filt.add_argument("--epsilon", type=float, help="removal amplifier in (0, 1] (default 0.5)")
-    p_filt.add_argument("--output", help="where to write the filtered dataset")
-    p_filt.add_argument("--output-format", choices=["csv", "arff"], default="arff")
-    p_filt.add_argument("--audit-out", dest="audit_out", help="write the removal audit here")
-    p_filt.add_argument("--stats-out", dest="stats_out", help="write the per-value metric table here")
-
-    p_exp = sub.add_parser(
-        "experiment", parents=[io, disc, filt, learn], help="run the full evaluation pipeline"
-    )
-    p_exp.add_argument(
-        "--epsilon",
-        help='amplifier, a float or an inclusive sweep "0.1..1.0" (default 0.5)',
-    )
-    p_exp.add_argument(
-        "--epsilon-step",
-        dest="epsilon_step",
-        type=float,
-        default=0.1,
-        help="sweep step (default 0.1)",
-    )
-    p_exp.add_argument("--repeats", type=int, help="filter repetitions averaged (default 5)")
-    p_exp.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-    p_exp.add_argument(
-        "--fold-safe",
-        dest="fold_safe",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="refit preprocessing inside each training fold",
-    )
-    p_exp.add_argument(
-        "--jobs", type=int, help="kept for old configs; repetitions run one at a time (default 1)"
-    )
-    p_exp.add_argument("--report", help="write the JSON report here")
-    p_exp.add_argument("--timings", action="store_true", help="include wall-clock timings in the report")
+    p = sub.add_parser("experiment", parents=[shared, learning],
+                       help="run the full evaluation pipeline")
+    p.add_argument("--epsilon", dest="sweep", metavar="EPSILON",
+                   help=f'{_HELP["epsilon"]}, or an inclusive sweep "0.1..1.0" '
+                   f'(default {_shown(DEFAULTS["epsilon"])})')
+    p.add_argument("--epsilon-step", type=float, default=0.1,
+                   help="sweep step (default %(default)s)")
+    _settings(p, "repeats", "folds", "fold_safe", "jobs")
+    p.add_argument("--report", help="write the JSON report here")
+    p.add_argument("--timings", action="store_true", help="add wall-clock timings to the report")
+    p.set_defaults(run=cmd_experiment)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    args = _build_parser().parse_args(argv)
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        cli_values = {k: v for k, v in vars(args).items() if k in DEFAULTS}
-        if args.command == "experiment":
-            cli_values.pop("epsilon", None)  # may be a sweep; handled per command
-        values = resolve_config(cli_values, file_values)
-        io = RunConfig(**{k: values[k] for k in _defaults(RunConfig)})
-        commands = {"discretize": cmd_discretize, "filter": cmd_filter, "experiment": cmd_experiment}
-        commands[args.command](io, values, args)
+        args.run(resolve_config(vars(args), file_values), args)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -57,12 +57,13 @@ import hashlib
 import inspect
 import io
 import logging
+import math
 from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count, islice, repeat
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
@@ -254,7 +255,7 @@ class Dataset:
             and all(MISSING <= min(col) and max(col) < len(f.values)
                     for f, col in zip(self.features, rows.columns))
             and 0 <= min(rows.label_ids) and max(rows.label_ids) < len(self.labels)
-            and all(map(le, repeat(0.0), rows.weights))
+            and _weight_fault(rows.weights) is None
         ):
             _check_rows(self.features, self.labels, rows)
 
@@ -325,9 +326,10 @@ def _shaped(rows: Rows, arity: int) -> Rows:
 
 
 def _check_rows(features, labels, instances) -> None:
-    """Raise DataError for the first faulty row: its slot count, each slot
-    in feature order, its label, its weight."""
+    """Raise DataError for the first faulty row (its slot count, each slot
+    in feature order, its label, its weight), then for an overflowing sum."""
     arity = len(features)
+    bad_weight, error = _weight_fault([inst.weight for inst in instances]) or (None, None)
     for i, inst in enumerate(instances):
         if len(inst.slots) != arity:
             raise DataError(f"instance {i} has {len(inst.slots)} slots, expected {arity}")
@@ -339,8 +341,23 @@ def _check_rows(features, labels, instances) -> None:
                 )
         if not 0 <= inst.label < len(labels):
             raise DataError(f"instance {i} references unknown label id {inst.label}")
-        if not (inst.weight >= 0.0):
-            raise DataError(f"instance {i} has negative or NaN weight")
+        if i == bad_weight:
+            raise error
+    if error:
+        raise error
+
+
+def _weight_fault(weights) -> tuple[int, DataError] | None:
+    """(row, error) of the first negative, NaN or infinite weight, else
+    (len(weights), error) when their sum, added left to right, is not
+    finite; None, after one C-level pass or two, when they are valid."""
+    if all(map(le, repeat(0.0), weights)) and math.isfinite(reduce(add, weights, 0.0)):
+        return None
+    for i, w in enumerate(weights):
+        if not 0.0 <= w < math.inf:
+            kind = "infinite" if w > 0.0 else "negative or NaN"
+            return i, DataError(f"instance {i} has {kind} weight")
+    return len(weights), DataError("instance weights add up to more than the largest float")
 
 
 @contextmanager
@@ -449,9 +466,9 @@ def _build(name, feature_names, columns, labels, domains, label_domain, kinds, w
         faults.append((i, arity, DataError(f"row {i + 1}: missing class label")))
     n = len(label_ids)
     weights = (1.0,) * n if weights is None else tuple(islice(weights, n))
-    if not all(map(le, repeat(0.0), weights)):
-        i = next(i for i, w in enumerate(weights) if not w >= 0.0)
-        faults.append((i, arity + 1, DataError(f"instance {i} has negative or NaN weight")))
+    fault = _weight_fault(weights)  # a sum that overflows ranks after every row's faults
+    if fault:
+        faults.append((fault[0], arity + 1, fault[1]))
     if faults:
         raise min(faults)[2]
 

@@ -61,6 +61,14 @@ log = logging.getLogger(__name__)
 METHODS = ("binning", "frequency", "mdl", "none")
 
 
+def check_knobs(method: str, bins: int) -> None:
+    """Raise ConfigError for an unknown method or a bins below 1 (any method)."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown discretization method {method!r}")
+    if bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
+
+
 @dataclass(frozen=True)
 class DiscretizationSpec:
     """Fitted cut lists, keyed by feature name in feature order.
@@ -73,13 +81,8 @@ class DiscretizationSpec:
     cuts: dict[str, tuple[float, ...]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cuts", {k: tuple(v) for k, v in self.cuts.items()}
-        )
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown discretization method {self.method!r}")
-        if self.bins < 1:
-            raise ConfigError(f"bins must be >= 1, got {self.bins}")
+        object.__setattr__(self, "cuts", {k: tuple(v) for k, v in self.cuts.items()})
+        check_knobs(self.method, self.bins)
         if self.method == "none" and self.cuts:
             raise ConfigError(f"method 'none' lists no feature, got cuts for {sorted(self.cuts)}")
         for name, cs in self.cuts.items():
@@ -143,8 +146,7 @@ def fit_equal_width(column, bins: int, name: str = "column") -> list[float]:
     combination min*(1-t) + max*t with t = k/bins. Every cut lies in
     [min, max): one that rounds up to max moves to the float below it.
     """
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    check_knobs("binning", bins)
     vals = _observed(column, name)
     lo, hi = min(vals), max(vals)
     if lo == hi:
@@ -171,8 +173,7 @@ def fit_equal_frequency(column, bins: int, name: str = "column") -> list[float]:
     into one, merging the empty bins. Only the distinct values are
     sorted: the legal boundaries are the running sums of their counts.
     """
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    check_knobs("frequency", bins)
     counts = Counter(_observed(column, name))
     vals = sorted(counts)
     return _equal_frequency_cuts(vals, list(map(counts.__getitem__, vals)), bins)
@@ -394,26 +395,31 @@ def _value_floats(d: Dataset, x: int, strict: bool = True) -> tuple[float | None
     return floats
 
 
-def fit(d: Dataset, method: str, bins: int = 10) -> DiscretizationSpec:
-    """Fit cuts for every numeric-looking feature of d.
+def numeric_features(d: Dataset) -> tuple[str, ...]:
+    """Names of d's numeric features, the ones fit discretizes: categorical
+    features whose every observed token parses as a float."""
+    return tuple(f.name for x, f in enumerate(d.features)
+                 if f.kind == CATEGORICAL and _value_floats(d, x, strict=False) is not None)
 
-    Numeric-looking means categorical with every observed token parsing
-    as a float; columns with no observed values are skipped. The mdl
-    method uses d's labels; "none" fits no feature.
+
+def fit(d: Dataset, method: str, bins: int = 10, numeric=None) -> DiscretizationSpec:
+    """Fit cuts for d's features named in numeric, numeric_features(d) by
+    default, skipping one with no observed value in d. A fit on part of a
+    dataset passes the whole's numeric_features, so a feature is not made
+    numeric by a token the part lacks. mdl uses d's labels; "none" fits
+    no feature.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown discretization method {method!r}")
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    check_knobs(method, bins)
     cuts: dict[str, tuple[float, ...]] = {}
     if method == "none":
         return DiscretizationSpec(method, bins, cuts)
+    numeric = numeric_features(d) if numeric is None else numeric
     rows = d.instances
     tables = None  # fit_mdl's, built once for every column
     for x, (f, ids) in enumerate(zip(d.features, rows.columns)):
-        floats = _value_floats(d, x, strict=False) if f.kind == CATEGORICAL else None
-        if floats is None or ids.count(MISSING) == len(ids):
+        if f.name not in numeric or ids.count(MISSING) == len(ids):
             continue
+        floats = _value_floats(d, x)
         if method == "frequency":
             # count value ids; ids of one float ("1.0", "1.00") sort next to each other
             counts = Counter(ids)

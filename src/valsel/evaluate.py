@@ -42,11 +42,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import discretize
-from .baselines import RESERVOIR_FRACTION, drop_columns, random_value_removal, reservoir_select
+from .baselines import (RESERVOIR_FRACTION, check_fraction, check_rate, drop_columns,
+                        random_value_removal, reservoir_select)
 from .classifiers import LearnerSpec
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .metrics import aligned_table, compute_stats, left_sum
+from .metrics import aligned_table, check_dataset_entropy, compute_stats, left_sum
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
 log = logging.getLogger(__name__)
@@ -188,10 +189,10 @@ class ExperimentConfig:
     """Every knob of one experiment, and of one filter command.
 
     Defaults: entropy metric, frequency discretization, epsilon 0.5,
-    10 folds, 5 repeats, seed 0. A filter knob is checked only when
-    cfg.method reads it: the value-selection knobs here, the others by
-    the filter function when it runs. jobs is kept so existing configs
-    load; filter repeats run one at a time whatever its value.
+    10 folds, 5 repeats, seed 0. A filter knob is checked here only when
+    cfg.method reads it (Filter.check; the learner's for "misclassified"),
+    but drop_columns names by the filter, against the data. jobs is kept
+    so existing configs load; filter repeats run one at a time.
     """
 
     disc_method: str = "frequency"  # one of discretize.METHODS
@@ -212,12 +213,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        if self.disc_method not in discretize.METHODS:
-            raise ConfigError(f"unknown discretization method {self.disc_method!r}")
+        discretize.check_knobs(self.disc_method, self.bins)
         if self.method not in FILTERS:
             raise ConfigError(f"unknown filter method {self.method!r}")
-        if FILTERS[self.method].needs_stats:
-            self.selection(self.seed)
+        FILTERS[self.method].check(self)
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.folds < 2:
@@ -228,6 +227,11 @@ class ExperimentConfig:
     def selection(self, seed: int) -> VSConfig:
         """The value-selection settings of one filter run."""
         return VSConfig(self.iota, self.epsilon, seed)
+
+    def check_stats_knobs(self) -> None:
+        """Raise ConfigError for a bad knob a metric table or value selection reads."""
+        check_dataset_entropy(self.dataset_entropy)
+        self.selection(self.seed)
 
     def as_dict(self) -> dict:
         """Every knob but jobs, which never changes a report; JSON-ready."""
@@ -243,11 +247,13 @@ class Filter(NamedTuple):
 
     run(d, cfg, seed, stats) returns the filtered dataset, or for the
     value filters their FilterOutcome; stats is d's metric table when
-    needs_stats is set and None otherwise.
+    needs_stats is set and None otherwise; check(cfg) raises ConfigError
+    for a bad knob run reads.
     """
 
     run: Callable
     needs_stats: bool = False
+    check: Callable = lambda cfg: None
 
 
 def _misclassified(d: Dataset, cfg: ExperimentConfig, seed: int, stats) -> Dataset:
@@ -260,14 +266,16 @@ def _misclassified(d: Dataset, cfg: ExperimentConfig, seed: int, stats) -> Datas
 # does) sees every call.
 FILTERS = {
     "none": Filter(lambda d, cfg, seed, stats: d),
-    "pvs": Filter(lambda d, cfg, seed, stats: pvs(d, cfg.selection(seed), stats), True),
-    "pvs_plus": Filter(
-        lambda d, cfg, seed, stats: pvs_plus(d, cfg.selection(seed), stats), True
-    ),
-    "reservoir": Filter(lambda d, cfg, seed, stats: reservoir_select(d, cfg.fraction, seed)),
-    "misclassified": Filter(_misclassified),
+    "pvs": Filter(lambda d, cfg, seed, stats: pvs(d, cfg.selection(seed), stats), True,
+                  ExperimentConfig.check_stats_knobs),
+    "pvs_plus": Filter(lambda d, cfg, seed, stats: pvs_plus(d, cfg.selection(seed), stats),
+                       True, ExperimentConfig.check_stats_knobs),
+    "reservoir": Filter(lambda d, cfg, seed, stats: reservoir_select(d, cfg.fraction, seed),
+                        check=lambda cfg: check_fraction(cfg.fraction)),
+    "misclassified": Filter(_misclassified, check=lambda cfg: cfg.learner.check()),
     "drop_columns": Filter(lambda d, cfg, seed, stats: drop_columns(d, cfg.columns)),
-    "random_value": Filter(lambda d, cfg, seed, stats: random_value_removal(d, cfg.rate, seed)),
+    "random_value": Filter(lambda d, cfg, seed, stats: random_value_removal(d, cfg.rate, seed),
+                           check=lambda cfg: check_rate(cfg.rate)),
 }
 
 
@@ -340,20 +348,13 @@ def format_report_table(reports) -> str:
     """Aligned text table, one row per report."""
     rows = [("dataset", "method", "eps", "Acc_o", "Acc_p", "|M_o|", "|M_p|", "MR", "AR", "X")]
     for r in reports:
-        rows.append(
-            (
-                r.dataset,
-                r.config.get("method", "?"),
-                epsilon_text(r.config.get("epsilon", "")),
-                f"{r.acc_original:.4f}",
-                f"{r.acc_filtered:.4f}",
-                f"{r.size_original:.1f}",
-                f"{r.size_filtered:.1f}",
-                f"{r.mr:.4f}",
-                f"{r.ar:.4f}",
-                f"{r.harmonic:.4f}" if r.harmonic is not None else UNDEFINED,
-            )
-        )
+        rows.append((
+            r.dataset, r.config["method"], epsilon_text(r.config["epsilon"]),
+            f"{r.acc_original:.4f}", f"{r.acc_filtered:.4f}",
+            f"{r.size_original:.1f}", f"{r.size_filtered:.1f}",
+            f"{r.mr:.4f}", f"{r.ar:.4f}",
+            f"{r.harmonic:.4f}" if r.harmonic is not None else UNDEFINED,
+        ))
     return aligned_table(rows)
 
 
@@ -392,9 +393,11 @@ def _experiment_tasks(d: Dataset, cfg: ExperimentConfig):
             yield from map(lambda task: (1, *task), _fold_tasks(d_f, folds, cfg.seed, fseed))
         return
     folds = _clamped_folds(cfg.folds, len(d.instances), "dataset")
+    # the features whole-dataset mode would cut; "none" reads no token
+    numeric = () if cfg.disc_method == "none" else discretize.numeric_features(d)
     for f, train, test in fold_splits(d, folds, cfg.seed):
         train, test = d.take(train), d.take(test)
-        spec = discretize.fit(train, cfg.disc_method, cfg.bins)
+        spec = discretize.fit(train, cfg.disc_method, cfg.bins, numeric)
         train, test = discretize.apply(spec, train), discretize.apply(spec, test)
         yield 0, train, test, cfg.seed, f
         for fseed, d_f in _filter_repeats(train, cfg):

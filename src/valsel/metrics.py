@@ -37,7 +37,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 from .data import MISSING, Dataset
 from .errors import ConfigError, DataError
@@ -96,13 +96,6 @@ class MetricTable:
     fingerprint: str
     dataset_confusion: float
     per_feature: tuple[tuple[ValueStats, ...], ...]
-
-    @cached_property
-    def _by_value(self) -> dict[tuple[int, int], ValueStats]:
-        return {(x, s.value): s for x, group in enumerate(self.per_feature) for s in group}
-
-    def get(self, feature: int, value: int) -> ValueStats | None:
-        return self._by_value.get((feature, value))
 
     def entries(self):
         """All stats, features in index order, values in identifier order."""
@@ -174,14 +167,18 @@ def class_counts(keys, items, unit: bool, n_labels: int):
     return val_counts, known_w
 
 
+def check_dataset_entropy(dataset_entropy: str) -> None:
+    if dataset_entropy not in DATASET_ENTROPIES:
+        raise ConfigError(f"unknown dataset_entropy mode {dataset_entropy!r}")
+
+
 def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable:
     """Count once over d and derive every per-value metric.
 
     Counts use instance weights. Requires at least one instance and one
     observed value overall.
     """
-    if dataset_entropy not in DATASET_ENTROPIES:
-        raise ConfigError(f"unknown dataset_entropy mode {dataset_entropy!r}")
+    check_dataset_entropy(dataset_entropy)
     if not d.instances:
         raise DataError("cannot compute stats of an empty dataset")
     n_labels = len(d.labels)

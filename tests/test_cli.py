@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import valsel
 from valsel import DISCRETIZED, MISSING, ConfigError, load_dataset, save_dataset
-from valsel.cli import _parse_epsilon, main
+from valsel.cli import _build_parser, _parse_epsilon, main
 from valsel.discretize import DiscretizationSpec
 
 from conftest import random_dataset, separable_dataset
@@ -122,6 +123,66 @@ def test_output_and_knobs_are_checked_before_the_input_is_read(tmp_path, capsys)
     assert err.startswith("config error:") and "epsilon" in err
     assert main(["filter", "--input", absent, "--output", out]) == 1
     assert capsys.readouterr().err.startswith("data error:")
+
+    bogus_entropy, gini = tmp_path / "bogus.cfg", tmp_path / "gini.cfg"
+    bogus_entropy.write_text("dataset_entropy = bogus\n", encoding="utf-8")
+    gini.write_text("iota = gini\n", encoding="utf-8")
+    stats_out = ["--stats-out", str(tmp_path / "stats.txt")]
+    # each knob a command reads is a config error before the absent input is opened
+    for argv, word in [
+        (["discretize", "--bins", "0", "--output", out], "bins"),
+        (["discretize", "--disc-method", "none", "--bins", "abc", "--output", out], "bins"),
+        (["filter", "--bins", "0", "--method", "none", "--output", out], "bins"),
+        (["filter", "--method", "reservoir", "--fraction", "2", "--output", out], "fraction"),
+        (["filter", "--method", "random_value", "--rate", "5", "--output", out], "rate"),
+        (["filter", "--method", "misclassified", "--cf", "0", "--output", out], "cf"),
+        (["filter", "--method", "pvs", "--config", str(bogus_entropy), "--output", out],
+         "dataset_entropy"),
+        (["filter", "--method", "none", "--epsilon", "0", *stats_out, "--output", out],
+         "epsilon"),
+        (["filter", "--method", "none", "--config", str(gini), *stats_out, "--output", out],
+         "gini"),
+        (["experiment", "--cf", "0"], "cf"),
+        (["experiment", "--min-leaf", "0"], "min_leaf"),
+        (["experiment", "--learner", "rules", "--prune-fraction", "1"], "prune_fraction"),
+        (["experiment", "--method", "reservoir", "--fraction", "2"], "fraction"),
+        (["experiment", "--method", "random_value", "--rate", "5"], "rate"),
+        (["experiment", "--method", "pvs", "--config", str(bogus_entropy)], "dataset_entropy"),
+        (["experiment", "--method", "pvs_plus", "--epsilon", "0.5..1", "--config", str(gini)],
+         "gini"),
+    ]:
+        assert main([*argv, "--input", absent]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and word in err, (argv, err)
+    # a knob the command does not read stays unchecked, so the absent input is what fails
+    for argv in [
+        ["filter", "--method", "none", "--cf", "0", "--fraction", "2", "--output", out],
+        ["filter", "--method", "reservoir", "--rate", "5", "--config", str(bogus_entropy),
+         "--output", out],
+        ["experiment", "--method", "none", "--prune-fraction", "1", "--epsilon", "7"],
+        ["experiment", "--learner", "rules", "--cf", "0"],
+    ]:
+        assert main([*argv, "--input", absent]) == 1, argv
+        assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_flag_text_is_read_as_the_config_file_reads_it(arff_input, capsys):
+    assert main(["experiment", "--input", str(arff_input), "--bins", "abc"]) == 2
+    assert capsys.readouterr().err == "config error: bad value 'abc' for config key 'bins'\n"
+    assert main(["experiment", "--input", str(arff_input), "--epsilon", "0.1..x"]) == 2
+    assert capsys.readouterr().err == "config error: bad value 'x' for config key 'epsilon'\n"
+
+
+def test_every_flag_has_a_help_line_and_config_keys_show_their_defaults():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub_parser in sub.choices.items():
+        for action in sub_parser._actions:
+            assert action.help, (command, action.option_strings)
+    experiment_help = " ".join(sub.choices["experiment"].format_help().split())
+    for shown in ["(default frequency)", "(default pvs_plus)", "(default 0.5)", "(default no)",
+                  "(default yes)", "(default 10)", "(default last)"]:
+        assert shown in experiment_help, shown
 
 
 def test_config_file_matches_flags(arff_input, tmp_path):
@@ -262,6 +323,42 @@ def test_python_dash_m_valsel_runs_the_cli():
     assert proc.returncode == 0 and "experiment" in proc.stdout
     proc = run("experiment")
     assert proc.returncode == 2 and proc.stderr.startswith("config error:")
+
+
+SHARED_OPTIONS = {
+    "-h --help": None, "--config": None, "--input": None, "--format": ("csv", "arff"),
+    "--class-index": None, "--missing-token": None, "--header --no-header": None,
+    "--seed": None, "--verbose": None,
+    "--disc-method": ("binning", "frequency", "mdl", "none"), "--bins": None,
+}
+LEARNING_OPTIONS = {
+    "--method": ("none", "pvs", "pvs_plus", "reservoir", "misclassified", "drop_columns",
+                 "random_value"),
+    "--iota": ("entropy", "infogain"), "--fraction": None, "--drop": None, "--rate": None,
+    "--dataset-entropy": ("value-sum", "class"), "--learner": ("tree", "rules"),
+    "--min-leaf": None, "--cf": None, "--prune-fraction": None, "--epsilon": None,
+}
+CLI_SURFACE = {
+    "discretize": {**SHARED_OPTIONS, "--output": None, "--output-format": ("csv", "arff"),
+                   "--spec-out": None},
+    "filter": {**SHARED_OPTIONS, **LEARNING_OPTIONS, "--output": None,
+               "--output-format": ("csv", "arff"), "--audit-out": None, "--stats-out": None},
+    "experiment": {**SHARED_OPTIONS, **LEARNING_OPTIONS, "--epsilon-step": None,
+                   "--repeats": None, "--folds": None, "--fold-safe --no-fold-safe": None,
+                   "--jobs": None, "--report": None, "--timings": None},
+}
+
+
+def test_each_subcommand_keeps_its_option_strings_and_choices():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for command, expected in CLI_SURFACE.items():
+        surface = {
+            " ".join(a.option_strings): None if a.choices is None else tuple(a.choices)
+            for a in sub.choices[command]._actions
+        }
+        assert surface == expected, command
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +646,42 @@ def test_output_dir_env_var_reroots_relative_paths(arff_input, tmp_path, monkeyp
     assert code == 0
     assert absolute.exists()
     assert not (outdir / "abs.arff").exists()
+
+
+def test_an_infinite_weight_exits_1_instead_of_reporting_nan(tmp_path, capsys):
+    raw = tmp_path / "inf.arff"
+    rows = "".join(f"{'xy'[i % 2]},{'pn'[i % 3 == 0]}\n" for i in range(11))
+    raw.write_text("@relation w\n@attribute a {x,y}\n@attribute class {p,n}\n@data\n"
+                   + rows + "y,n,{inf}\n", encoding="utf-8")
+    assert main(["experiment", "--input", str(raw), "--method", "pvs", "--folds", "2",
+                 "--repeats", "1", "--epsilon", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "data error: instance 11 has infinite weight\n"
+    assert main(["filter", "--input", str(raw), "--output", str(tmp_path / "o.arff"),
+                 "--stats-out", str(tmp_path / "stats.txt")]) == 1
+    assert "infinite weight" in capsys.readouterr().err
+    assert not (tmp_path / "stats.txt").exists()
+
+
+@pytest.mark.parametrize("learner", ["tree", "rules"])
+def test_fold_safe_discretizes_only_what_whole_dataset_mode_does(tmp_path, capsys, monkeypatch,
+                                                                 learner):
+    fitted = []
+    fit = valsel.discretize.fit
+    monkeypatch.setattr(valsel.discretize, "fit",
+                        lambda *args: fitted.append(fit(*args)) or fitted[-1])
+    lines = ["a,b,c,class"]
+    for i in range(60):
+        a = "abc" if i == 7 else f"{i * 1.5}"
+        lines.append(f"{a},{'uv'[i % 2]},{i % 7},{'pos' if i >= 30 else 'neg'}")
+    raw = tmp_path / "mixed.csv"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reports = {}
+    for mode in ("--no-fold-safe", "--fold-safe"):
+        reports[mode] = tmp_path / f"r{mode}.json"
+        assert main(["experiment", "--input", str(raw), mode, "--learner", learner,
+                     "--method", "pvs", "--folds", "3", "--repeats", "1",
+                     "--report", str(reports[mode])]) == 0, capsys.readouterr().err
+    # 'a' holds a token that is not a number, so neither mode cuts it; 'c' is cut in both
+    assert len(fitted) == 1 + 3
+    assert all(set(spec.cuts) == {"c"} for spec in fitted)

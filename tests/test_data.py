@@ -511,6 +511,54 @@ def test_arff_rejects_negative_and_nan_weights(tmp_path, weight):
         load_arff(p)
 
 
+def test_arff_rejects_an_infinite_weight_where_a_bad_weight_ranks(tmp_path):
+    p = tmp_path / "w.arff"
+    head = "@relation w\n@attribute a {x}\n@attribute class {0,1}\n@data\n"
+    p.write_text(head + "x,0\nx,1,{inf}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^instance 1 has infinite weight$"):
+        load_arff(p)
+    # a row's value fault ranks before its weight, and an earlier row's weight before both
+    p.write_text(head + "x,0\ny,1,{inf}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="value 'y' not in the declared domain"):
+        load_arff(p)
+    p.write_text(head + "x,0,{inf}\ny,1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^instance 0 has infinite weight$"):
+        load_arff(p)
+
+
+def test_weights_that_sum_past_the_largest_float_are_a_data_error(tmp_path):
+    rows, labels = [["x"], ["y"]] * 3, ["0", "1"] * 3
+    with pytest.raises(DataError, match=r"^instance weights add up to more than the largest float$"):
+        dataset_from_rows("t", ["a"], rows, labels, weights=[1e308, 1e308, 1, 1, 1, 1])
+    # each row's own fault still ranks first, wherever it is
+    with pytest.raises(DataError, match=r"^instance 5 has negative or NaN weight$"):
+        dataset_from_rows("t", ["a"], rows, labels, weights=[1e308, 1e308, 1, 1, 1, -1])
+    with pytest.raises(DataError, match=r"^instance 2 has infinite weight$"):
+        dataset_from_rows("t", ["a"], rows, labels, weights=[1.0, 1.0, float("inf"), 1, 1, 1])
+    assert dataset_from_rows("t", ["a"], rows, labels, weights=[1e308, 1, 1, 1, 1, 1])
+    p = tmp_path / "w.arff"
+    p.write_text("@relation w\n@attribute a {x}\n@attribute class {0,1}\n@data\n"
+                 "x,0,{1e308}\nx,1,{1e308}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="add up to more than the largest float"):
+        load_arff(p)
+
+
+def test_the_dataset_constructor_rejects_infinite_weights_and_overflowing_sums():
+    f = (Feature("a", ("x",)),)
+    rows = [Instance((0,), 0, 1e308), Instance((0,), 0, 1e308)]
+    with pytest.raises(DataError, match=r"^instance weights add up to more than the largest float$"):
+        Dataset(f, rows, ("0",), "t")
+    with pytest.raises(DataError, match=r"^instance 1 has infinite weight$"):
+        Dataset(f, [Instance((0,), 0), Instance((0,), 0, float("inf"))], ("0",), "t")
+    # an earlier row's weight fault ranks before a later row's unknown value
+    with pytest.raises(DataError, match=r"^instance 0 has infinite weight$"):
+        Dataset(f, [Instance((0,), 0, float("inf")), Instance((5,), 0)], ("0",), "t")
+    with pytest.raises(DataError, match=r"^instance 0 has negative or NaN weight$"):
+        Dataset(f, [Instance((0,), 0, float("nan"))], ("0",), "t")
+    with pytest.raises(DataError, match="add up to more than the largest float"):
+        Dataset(f, [Instance((0,), 0)], ("0",), "t").with_instances(rows)
+
+
 @pytest.mark.parametrize(
     "declarations, message",
     [

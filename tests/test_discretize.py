@@ -757,3 +757,14 @@ def test_apply_is_total_on_finite_reals(train_values, values, method):
             assert inst.slots == (MISSING,)
         else:
             assert inst.slots == (bisect.bisect_left(cuts, v),)
+
+
+def test_a_fit_on_part_of_a_dataset_cuts_the_whole_datasets_numeric_features():
+    rows = [["abc" if i == 3 else str(i), str(i % 4), "u"] for i in range(12)]
+    whole = dataset_from_rows("w", ["a", "b", "c"], rows, ["p", "q"] * 6)
+    assert discretize.numeric_features(whole) == ("b",)
+    part = whole.take([i for i in range(12) if i != 3])  # lacks 'abc'
+    assert discretize.numeric_features(part) == ("a", "b")
+    for method in ("binning", "frequency", "mdl"):
+        assert set(fit(part, method, 3, discretize.numeric_features(whole)).cuts) <= {"b"}
+        assert "a" in fit(part, method, 3).cuts

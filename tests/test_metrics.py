@@ -216,16 +216,6 @@ def test_missing_slots_never_form_a_value():
     assert entries[0].weight == 1.0
 
 
-def test_get_finds_each_observed_value_and_only_those():
-    for d in [random_dataset(seed, n_labels=3) for seed in range(4)]:
-        table = compute_stats(d)
-        for x, f in enumerate(d.features):
-            scanned = {s.value: s for s in table.per_feature[x]}
-            for z in [MISSING, *range(len(f.values) + 1)]:
-                assert table.get(x, z) is scanned.get(z)
-        assert table == compute_stats(d)  # the lookup index is not part of equality
-
-
 def test_single_label_dataset_has_zero_entropies():
     d = dataset_from_rows("one", ["f"], [["a"], ["b"]], ["x", "x"])
     table = compute_stats(d)

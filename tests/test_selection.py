@@ -289,6 +289,32 @@ def test_every_pvs_survivor_keeps_an_observed_slot(case):
             assert all(any(z != MISSING for z in inst.slots) for inst in out.filtered.instances)
 
 
+def removed(out):
+    """What a value filter removed: its mask's hits (values for pvs, slots
+    for pvs_plus), its deleted instances and its removed features."""
+    hits = {(i, j) for i, row in enumerate(out.removed_value_mask) for j, hit in enumerate(row)
+            if hit}
+    return hits, set(out.removed_instances), set(out.removed_features)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_inputs())
+def test_a_smaller_epsilon_removes_a_superset_but_pvs_plus_by_infogain_a_subset(case):
+    d, epsilons, seed = case
+    if not observed(d):
+        return
+    stats = compute_stats(d)
+    small, large = sorted(epsilons)
+    for select, iota in itertools.product((pvs, pvs_plus), ("entropy", "infogain")):
+        more, fewer = (removed(select(d, VSConfig(iota, eps, seed), stats))
+                       for eps in (small, large))
+        if select is pvs_plus and iota == "infogain":
+            # a slot goes when IG_N < r' * eps, and the draws r' do not depend on eps
+            more, fewer = fewer, more
+        for a, b in zip(fewer, more):
+            assert a <= b, (select.__name__, iota)
+
+
 class CountingRandom(random.Random):
     draws = 0
 
