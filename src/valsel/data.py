@@ -24,11 +24,16 @@ not re-validated: take gathers rows, and Dataset._derived, which
 discretize.apply and the filters call, puts new slot columns over the
 same label ids and weights.
 
-Datasets are built a column at a time. dataset_from_rows, load_csv and
-load_arff all transpose their token rows into columns and intern each
-column with one C-level pass of table lookups (_intern). Only a lookup
-that misses, a bad row length, label or weight makes the builder search
-for the fault, and it raises the error of the first faulty row, as a
+dataset_from_rows, load_csv and load_arff all hand their token rows to
+one builder (_build). Where every feature domain is declared (an ARFF
+file without a numeric attribute, dataset_from_rows given domains), it
+interns all value tokens in one row-major C-level pass of table lookups
+and slices the id columns out. Otherwise, or where a token misses its
+table (quoted, padded or undeclared), it interns each column, and the
+labels always, in one C-level pass (_intern), the faster pass where
+first-appearance tables grow as they are read. Only a lookup that
+misses, a bad row length, label or weight makes the builder search for
+the fault, and it raises the error of the first faulty row, as a
 row-at-a-time reader would. The file readers make a list per line and no
 reference cycle, so they run with the cyclic collector paused
 (collector_paused).
@@ -47,6 +52,12 @@ instance weights, feature kinds survive a round trip). CSV output cannot
 carry declared-but-unobserved values, value order other than first
 appearance, feature kinds, or instance weights; datasets that came from
 CSV round-trip exactly.
+
+Both writers quote each distinct token once, into a table per column,
+and join the rows the tables give. CSV quoting is csv.writer's with "\n"
+line ends: a token holding ',', '"' or '\n' is wrapped in '"', each '"'
+doubled; every field is, when any token or name holds '\r', so the file
+reads back unchanged; a row of one empty field is '""'; NUL is kept.
 """
 
 from __future__ import annotations
@@ -55,7 +66,6 @@ import csv
 import gc
 import hashlib
 import inspect
-import io
 import logging
 import math
 from array import array
@@ -64,7 +74,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import count, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
@@ -378,9 +388,12 @@ def _same(token):
     return token
 
 
-def _columns(rows, width: int) -> list:
-    """The width token columns of rows that all hold width tokens."""
-    return list(zip(*rows)) or [()] * width
+def _table(domain, missing, name_of) -> dict:
+    """The lookup table of a declared domain: the missing token to MISSING,
+    and each declared value that names itself to its id."""
+    table = {v: i for i, v in enumerate(domain) if name_of(v) == v}
+    table[missing] = MISSING
+    return table
 
 
 def _intern(column, domain, missing, name_of):
@@ -406,13 +419,12 @@ def _intern(column, domain, missing, name_of):
         remap = [MISSING if (v := name_of(tok)) is None else names.setdefault(v, len(names))
                  for tok in raw]
         return tuple(map((*remap, MISSING).__getitem__, ids)), tuple(names)
-    names = dict(zip(domain, range(len(domain))))
-    table = {v: i for v, i in names.items() if name_of(v) == v}
-    table[missing] = MISSING
+    table = _table(domain, missing, name_of)
     try:
         return tuple(map(table.__getitem__, column)), tuple(domain)
     except KeyError:
         pass
+    names = dict(zip(domain, range(len(domain))))
     for tok in dict.fromkeys(column):
         if tok not in table:
             v = name_of(tok)
@@ -421,21 +433,24 @@ def _intern(column, domain, missing, name_of):
     return ids, (None if None in table.values() else tuple(domain))
 
 
-def _build(name, feature_names, columns, labels, domains, label_domain, kinds, weights,
+def _build(name, feature_names, rows, labels, domains, label_domain, kinds, weights,
            missing, name_of) -> Dataset:
-    """Intern token columns into a Dataset, one C-level pass per column.
+    """Intern token rows into a Dataset.
 
-    columns holds one token sequence per feature, each as long as labels,
-    and is emptied as it is interned; weights, when given, is at least as
-    long. missing is the token of an absent value, or of an absent label,
-    which is a fault, and name_of(token) the value any other token names.
-    A fault raises the error of the first faulty row, in each row its
-    slots in column order, then its label, then its weight.
+    rows holds each row's feature tokens, and is emptied as it is
+    interned; labels holds each row's label token, and weights, when
+    given, is at least as long. missing is the token of an absent value, or of an absent
+    label, which is a fault, and name_of(token) the value any other token
+    names. A fault raises the error of the first faulty row, in each row
+    its length, its slots in column order, then its label, then its
+    weight; an overflowing weight total ranks after every row's faults.
     """
     arity = len(feature_names)
     if len(set(feature_names)) != arity:
         raise DataError("duplicate feature names")
     declared = [None] * arity if domains is None else domains
+    if len(declared) != arity:
+        raise DataError(f"{len(declared)} domains for {arity} features")
     for x, dom in enumerate(declared):
         if dom is not None and len(set(dom)) != len(dom):
             raise DataError(f"feature {feature_names[x]!r} declares duplicate values")
@@ -443,18 +458,38 @@ def _build(name, feature_names, columns, labels, domains, label_domain, kinds, w
         raise DataError("duplicate labels")
 
     faults = []  # (row, rank in the row, error); the least one is raised
-    id_columns, values = [], []
-    for x, dom in enumerate(declared):
-        ids, names = _intern(columns[x], dom, missing, name_of)
-        if names is None:
-            i = ids.index(None)
-            faults.append((i, x, DataError(
-                f"row {i + 1}: value {name_of(columns[x][i])!r} not in the declared domain "
-                f"of feature {feature_names[x]!r}"
-            )))
-        columns[x] = None  # the tokens are not needed once interned
-        id_columns.append(ids)
-        values.append(names)
+    lengths = list(map(len, rows))
+    if lengths.count(arity) != len(rows):
+        bad = next(i for i, k in enumerate(lengths) if k != arity)
+        faults.append((bad, -1, DataError(
+            f"row {bad + 1} has {lengths[bad]} values, expected {arity}")))
+        rows, labels = rows[:bad], labels[:bad]  # a fault in an earlier row ranks first
+    id_columns = None
+    if None not in declared:
+        tables = [_table(dom, missing, name_of) for dom in declared]
+        try:
+            ids = list(map(dict.__getitem__, cycle(tables), chain.from_iterable(rows)))
+        except KeyError:  # a token to name, or a fault to find, column by column
+            pass
+        else:
+            rows.clear()
+            id_columns = [ids[x::arity] for x in range(arity)]
+            values = declared
+    if id_columns is None:
+        columns = list(zip(*rows)) or [()] * arity
+        rows.clear()
+        id_columns, values = [], []
+        for x, dom in enumerate(declared):
+            ids, names = _intern(columns[x], dom, missing, name_of)
+            if names is None:
+                i = ids.index(None)
+                faults.append((i, x, DataError(
+                    f"row {i + 1}: value {name_of(columns[x][i])!r} not in the declared domain "
+                    f"of feature {feature_names[x]!r}"
+                )))
+            columns[x] = None  # the tokens are not needed once interned
+            id_columns.append(ids)
+            values.append(names)
     label_ids, label_names = _intern(labels, label_domain, missing, name_of)
     if label_names is None:
         i = label_ids.index(None)
@@ -493,22 +528,13 @@ def dataset_from_rows(
     Value and label identifiers follow the declared domain when one is
     given, first appearance order otherwise. Rows pair with labels as zip
     pairs them; weights, when given, holds one per row. Interning yields
-    valid slots and labels, so only names, declared domains and weights
-    are checked, and the first faulty row raises.
+    valid slots and labels, so only names, row lengths, declared domains
+    and weights are checked, and the first faulty row raises.
     """
     n = min(len(rows), len(labels))
     if weights is not None and len(weights) < n:
         raise DataError(f"{len(weights)} weights for {n} rows")
-    rows, labels = rows[:n], labels[:n]
-    arity = len(feature_names)
-    lengths = list(map(len, rows))
-    if lengths.count(arity) != n:
-        bad = next(i for i, k in enumerate(lengths) if k != arity)
-        # a fault in an earlier row is raised first
-        _build(name, feature_names, _columns(rows[:bad], arity), labels[:bad], domains,
-               label_domain, None, weights, None, _same)
-        raise DataError(f"row {bad + 1} has {lengths[bad]} values, expected {arity}")
-    return _build(name, feature_names, _columns(rows, arity), labels, domains, label_domain,
+    return _build(name, feature_names, list(rows[:n]), labels[:n], domains, label_domain,
                   kinds, weights, None, _same)
 
 
@@ -579,9 +605,7 @@ def load_csv(
     if lengths.count(arity) != bad:
         bad = next(j for j, k in enumerate(lengths) if k != arity)
         del rows[bad:]
-    columns = _columns(rows, arity)
-    del rows
-    labels = columns.pop(cls)
+    labels = [row.pop(cls) for row in rows]
     if missing_token in labels:
         raise DataError(
             f"{path}: line {first_line + labels.index(missing_token)} has a missing class label"
@@ -591,15 +615,24 @@ def load_csv(
             f"{path}: line {first_line + bad} has {lengths[bad]} fields, expected {arity}"
         )
     feature_names = column_names[:cls] + column_names[cls + 1:]
-    return _build(name if name is not None else path.stem, feature_names, columns, labels,
+    return _build(name if name is not None else path.stem, feature_names, rows, labels,
                   None, None, None, None, missing_token, _same)
 
 
 def _token_rows(rows: Rows, tables):
     """Each row's tokens: tables[x][slot] for each feature x, then
-    tables[-1][label id]."""
+    tables[-1][label id]. Each column is mapped through its table into a
+    list before the rows are zipped."""
     columns = (*rows.columns, rows.label_ids)
-    return zip(*[map(table.__getitem__, col) for table, col in zip(tables, columns)])
+    return zip(*[list(map(table.__getitem__, col)) for table, col in zip(tables, columns)])
+
+
+def _csv_quote(token: str, every: bool) -> str:
+    """token as a field of csv.writer with "\n" line ends: quoted, each '"'
+    doubled, when every is set or it holds ',', '"' or '\n'."""
+    if every or "," in token or '"' in token or "\n" in token:
+        return '"' + token.replace('"', '""') + '"'
+    return token
 
 
 def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
@@ -608,13 +641,14 @@ def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
     # Per-feature token tables end in the missing token, which MISSING (-1) indexes.
     tables = [f.values + (missing_token,) for f in d.features] + [d.labels]
     header = [f.name for f in d.features] + ["class"]
-    # csv.writer quotes only its lineterminator's characters; "\r" needs QUOTE_ALL.
-    cr = "\r" in "".join(map("".join, [header, *tables]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL if cr else csv.QUOTE_MINIMAL)
-    writer.writerow(header)
-    writer.writerows(_token_rows(d.instances, tables))
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    # "\r" is no line end here, so a token holding one is kept whole by quoting every field.
+    every = "\r" in "".join(map("".join, [header, *tables]))
+    tables = [[_csv_quote(token, every) for token in table] for table in tables]
+    if not d.features:  # each row is the label alone, and a lone empty field is written ""
+        tables[-1] = ['""' if token == "" else token for token in tables[-1]]
+    lines = [",".join(_csv_quote(h, every) for h in header)]
+    lines += map(",".join, _token_rows(d.instances, tables))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -799,15 +833,13 @@ def load_arff(path) -> Dataset:
     feature_names = attr_names[:-1]
     if kinds_override is not None and len(kinds_override) != len(feature_names):
         raise DataError(f"{path}: kinds comment does not match the attribute count")
-    columns = _columns(rows, width)
-    del rows
-    labels = columns.pop()
+    labels = [row.pop() for row in rows]
     weights = None
     if weighted:
         weights = [1.0] * len(labels)
         for i, w in weighted.items():
             weights[i] = w
-    return _build(relation, feature_names, columns, labels, attr_domains[:-1], attr_domains[-1],
+    return _build(relation, feature_names, rows, labels, attr_domains[:-1], attr_domains[-1],
                   kinds_override, weights, "?", _arff_name)
 
 

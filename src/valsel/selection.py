@@ -89,11 +89,12 @@ class FilterOutcome:
         else:
             lines.append("removed slots:")
             names = [f.name for f in original.features]
-            lines += [
-                f"  instance {i}: " + " ".join(compress(names, row))
-                for i, row in enumerate(self.removed_value_mask)
-                if True in row
-            ]
+            mask = self.removed_value_mask
+            # Instances share few distinct mask rows: join each one's names once.
+            joined = {row: " ".join(compress(names, row)) if True in row else None
+                      for row in dict.fromkeys(mask)}
+            lines += [f"  instance {i}: {text}"
+                      for i, text in enumerate(map(joined.__getitem__, mask)) if text is not None]
         lines.append(
             "removed instances: " + " ".join(str(i) for i in self.removed_instances)
         )

@@ -1,18 +1,22 @@
 """Differential tests of the column-at-a-time dataset builders.
 
 dataset_from_rows_oracle, load_csv_oracle and load_arff_oracle below are
-the row-at-a-time builders that interned one token at a time, kept
-verbatim as the reference. On any input each builder must return the
-same Dataset as its oracle (names, kinds, relation, value and label
-order, slots, labels, weights) or raise the same exception type with
-the same text.
+the row-at-a-time builders that interned one token at a time, kept as
+the reference with one rule added since: a weight must be finite (an
+infinite one is a fault of its row), and so must the weights' sum, added
+left to right (a fault of the whole dataset, raised after every row's).
+On any input each builder must return the same Dataset as its oracle
+(names, kinds, relation, value and label order, slots, labels, weights)
+or raise the same exception type with the same text.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +73,7 @@ def dataset_from_rows_oracle(
         raise DataError("duplicate labels")
 
     instances = []
+    total = 0.0
     for i, (row, lab) in enumerate(zip(rows, labels)):
         if len(row) != arity:
             raise DataError(f"row {i + 1} has {len(row)} values, expected {arity}")
@@ -93,7 +98,12 @@ def dataset_from_rows_oracle(
         w = 1.0 if weights is None else weights[i]
         if not w >= 0.0:
             raise DataError(f"instance {i} has negative or NaN weight")
+        if w == math.inf:
+            raise DataError(f"instance {i} has infinite weight")
+        total += w
         instances.append(Instance(tuple(slots), label_ids[lab], w))
+    if total == math.inf:
+        raise DataError("instance weights add up to more than the largest float")
 
     features = tuple(
         Feature(
@@ -297,7 +307,7 @@ def outcome(build, *args, **kwargs):
 
 
 TOKENS = ["a", "b", "c", "1", "1.0", " a", ""]
-WEIGHTS = [1.0, 0.5, 2.0, 0.0, -0.0, -1.0, float("nan")]
+WEIGHTS = [1.0, 0.5, 2.0, 0.0, -0.0, -1.0, float("nan"), float("inf"), 1e308]  # two 1e308 overflow
 
 
 @st.composite
@@ -428,9 +438,9 @@ def arff_inputs(draw):
             row = row[: draw(st.integers(1, n_attr))] + ["a"] * draw(st.integers(0, 2))
         line = ",".join(row)
         if draw(st.integers(0, 3)) == 0:
-            weights = [",{2.5}", ", {0.5} ", ",{1}", ",{0}"]
+            weights = [",{2.5}", ", {0.5} ", ",{1}", ",{0}", ",{1e308}"]  # two 1e308 overflow
             if draw(fault):
-                weights += [",{-1}", ",{nan}", ",{x}"]
+                weights += [",{-1}", ",{nan}", ",{inf}", ",{x}"]
             line += draw(st.sampled_from(weights))
         lines.append(line)
         if draw(st.integers(0, 6)) == 0:
@@ -484,3 +494,68 @@ def test_first_fault_in_row_major_order():
     ]:
         assert outcome(dataset_from_rows, *one_row, **kwargs) == (DataError, message)
         assert outcome(dataset_from_rows_oracle, *one_row, **kwargs) == (DataError, message)
+
+
+# An all-nominal ARFF file is interned in one row-major pass; a token its
+# table misses (quoted, padded or undeclared) sends it down the per-column
+# pass, which must name the same first fault.
+NOMINAL_HEAD = "@relation r\n@attribute f0 {a,b}\n@attribute f1 {a,b}\n@attribute class {p,q}\n"
+
+
+@pytest.mark.parametrize("head, data, error", [
+    ("", "a,zz,p\nyy,a,p\n", "row 1: value 'zz' not in the declared domain of feature 'f1'"),
+    ("", "a,b,p\nyy,a,q\nb,zz,p\n", "row 2: value 'yy' not in the declared domain of feature 'f0'"),
+    ("", "a,b,p,{-1}\nzz,a,p\n", "instance 0 has negative or NaN weight"),
+    ("", "a,zz,p,{-1}\n", "row 1: value 'zz' not in the declared domain of feature 'f1'"),
+    ("", "a,b,p,{-1}\n", "instance 0 has negative or NaN weight"),
+    ("", "a,b,p,{1e308}\nb,a,q,{1e308}\n", "instance weights add up to more than the largest float"),
+    ("", "a,b,p\nb,'zz',q\n", "row 2: value 'zz' not in the declared domain of feature 'f1'"),
+    ("", "'a',b,p\nb,\"a\",'q'\n", None),
+    ("", "a, b,p\nb ,a, q\n", None),
+    ("", "a,b,p,{2.5}\nb,?,q\n?,a,p,{0}\n", None),
+    ("% kinds: discretized-numeric,categorical\n", "a,b,p\nb,a,q\n", None),
+    ("% kinds: discretized-numeric\n", "a,b,p\n", "kinds comment does not match the attribute count"),
+])
+def test_all_nominal_arff_names_the_first_fault_or_matches_the_oracle(tmp_path, head, data, error):
+    path = tmp_path / "t.arff"
+    path.write_text(NOMINAL_HEAD + head + "@data\n" + data, encoding="utf-8")
+    got = outcome(load_arff, path)
+    assert got == outcome(load_arff_oracle, path)
+    if error is None:
+        assert got[0] == "r"
+    else:
+        assert got[0] is DataError and got[1].endswith(error)
+
+
+def test_all_nominal_arff_rows_land_in_their_columns(tmp_path):
+    path = tmp_path / "t.arff"
+    path.write_text(NOMINAL_HEAD + "@data\nb,a,q\na,?,p,{2.5}\nb,b,q\n", encoding="utf-8")
+    d = load_arff(path)
+    assert d.instances.columns == ((1, 0, 1), (0, MISSING, 1))
+    assert d.instances.label_ids == (1, 0, 1)
+    assert d.instances.weights == (1.0, 2.5, 1.0)
+
+
+def test_dataset_from_rows_with_every_domain_declared():
+    names = ["f0", "f1"]
+    kwargs = {"domains": [("b", "a"), ("a", "b")], "label_domain": ("q", "p")}
+    rows = [["a", "b"], ["b", None], [None, "a"]]
+    d = dataset_from_rows("t", names, rows, ["p", "q", "p"], **kwargs)
+    assert d.instances.columns == ((1, 0, MISSING), (1, MISSING, 0))
+    assert d.instances.label_ids == (1, 0, 1)
+    # an overflowing weight total ranks after a later row's fault
+    ragged = ([["a", "b"], ["b", "a"], ["a"]], ["p"] * 3, {"weights": [1e308, 1e308, 1.0]})
+    assert outcome(dataset_from_rows, "t", names, *ragged[:2], **kwargs, **ragged[2]) == (
+        DataError, "row 3 has 1 values, expected 2")
+    for case_rows, labels, extra in [
+        (rows, ["p", "q", "p"], {}),
+        ([["a", "zz"], ["yy", "a"]], ["p", "p"], {}),
+        ([["a", "b"], ["b", "a"]], ["p", "r"], {}),
+        ([["a", "b"], ["b", "a"]], ["p", "q"], {"weights": [1.0, float("inf")]}),
+        ragged,
+    ]:
+        args = ("t", names, case_rows, labels)
+        assert outcome(dataset_from_rows, *args, **kwargs, **extra) == outcome(
+            dataset_from_rows_oracle, *args, **kwargs, **extra)
+    assert outcome(dataset_from_rows, "t", names, rows, ["p"] * 3, domains=[("a",)]) == (
+        DataError, "1 domains for 2 features")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import re
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -302,6 +305,50 @@ def test_csv_write_warns_about_weights(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         save_dataset(d, tmp_path / "w.csv", format="csv")
     assert any("weight" in r.message for r in caplog.records)
+
+
+# csv.writer raises on a NUL before Python 3.11 ("need to escape"), so the
+# reference below can only be asked about one from 3.11 on.
+CSV_CHARS = [",", '"', "\n", "\r", " ", "\t", "é", "a", "b"] + ["\0"] * (sys.version_info >= (3, 11))
+CSV_TOKENS = st.text(st.sampled_from(CSV_CHARS), max_size=3)
+
+
+def csv_writer_bytes(d: Dataset, missing_token: str) -> bytes:
+    """What csv.writer with "\n" line ends writes for d: every field quoted
+    when a name, value, label or the missing token holds "\r"."""
+    header = [f.name for f in d.features] + ["class"]
+    tables = [f.values + (missing_token,) for f in d.features]
+    rows = [[tables[x][z] for x, z in enumerate(i.slots)] + [d.labels[i.label]]
+            for i in d.instances]
+    every = "\r" in "".join(header + [t for table in tables for t in table] + list(d.labels))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL if every else csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@st.composite
+def csv_datasets(draw):
+    """Datasets whose names, values, labels and missing token mix quotes,
+    commas, line breaks, blanks and empty tokens; some have no feature, so
+    each row is one field."""
+    names = draw(st.lists(CSV_TOKENS.filter(lambda t: t != "class"), max_size=3, unique=True))
+    n = draw(st.integers(0, 5))
+    cell = st.one_of(st.none(), CSV_TOKENS)
+    rows = [draw(st.lists(cell, min_size=len(names), max_size=len(names))) for _ in range(n)]
+    labels = draw(st.lists(CSV_TOKENS, min_size=n, max_size=n))
+    return dataset_from_rows("c", names, rows, labels), draw(CSV_TOKENS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_datasets())
+def test_the_csv_writer_writes_what_csv_writer_writes(tmp_path_factory, case):
+    d, missing_token = case
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    save_dataset(d, p, format="csv", missing_token=missing_token)
+    assert p.read_bytes() == csv_writer_bytes(d, missing_token)
 
 
 # ---------------------------------------------------------------------------

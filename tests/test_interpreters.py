@@ -13,6 +13,9 @@ rules, a fold-safe MDL run, a stats table, and the dataset confusion H(D)
 of a seeded 300x6 categorical dataset. The weighted trees are also
 printed with every float at cf 0.01, 0.1 and 0.49 and min_leaf 1, where
 pruning during growth adds estimates and compares them with lower bounds.
+Last come the bytes the CSV and ARFF writers write for tokens that need
+quoting, a NUL (which csv.writer could not write before Python 3.11),
+rows of one empty field and a carriage return.
 """
 
 from __future__ import annotations
@@ -69,6 +72,22 @@ rng = random.Random(0)
 cells = [[rng.choice("pqrstu") for _ in range(6)] for _ in range(300)]
 cats = dataset_from_rows("cats", [f"c{k}" for k in range(6)], cells, [rng.choice("xyz") for _ in cells])
 print(repr(compute_stats(cats).dataset_confusion))
+# The writers' bytes: quoted tokens, a NUL, blanks, rows of one empty field,
+# and a carriage return, which has every CSV field quoted (ARFF cannot hold it)
+import tempfile
+from pathlib import Path
+from valsel import save_dataset
+tricky = dataset_from_rows("tricky", ["a,b", 'q"t', "sp ace"],
+                           [["x,y", 'say "hi"', ""], ["n\0l", None, " \xe9\t"], ["?", "a", "b"]],
+                           ["p", "", "q r"])
+lone = dataset_from_rows("lone", [], [[], []], ["", "x"])
+cr = dataset_from_rows("cr", ["c\r"], [["a\nb"], [None], ["\0"]], ["p", "q", ""])
+with tempfile.TemporaryDirectory() as tmp:
+    for d, formats in ((tricky, ("csv", "arff")), (lone, ("csv", "arff")), (cr, ("csv",))):
+        for fmt in formats:
+            path = Path(tmp) / f"{d.name}.{fmt}"
+            save_dataset(d, path, fmt)
+            print(path.read_bytes())
 """
 
 
