@@ -36,14 +36,18 @@ has lb = 0. Float addition being monotone, each of these bounds the sum:
 Counting goes through metrics.class_keys, one key column per feature
 built once per fit, and metrics.class_counts, whose first-appearance order
 the gain-ratio float sums follow. A feature with fewer than two values in
-the schema can never split and gets no column. Items weigh 1.0 in an
-unweighted fit above any missing-value fan-out, and a split's counts serve
-as its children's there. Every tree is the one an item-by-item count gives.
+the schema can never split and gets no column. In an unweighted fit the
+items are row ids of weight 1.0 (unit) until a split's feature is missing
+at a node: there its items are wrapped once into (row id, 1.0) pairs, and
+those missing it fan out to every child. A split where no item fans out
+hands its per-value counts down as its children's counts, weighted nodes
+included: each adds its items' weights in item order, as the child's own
+count would. Every tree is the one an item-by-item count gives.
 
-At a unit node whose items all hold a value of the scored feature, the
-per-value class counts are whole numbers that add up exactly to the
-node's own counts, so the node entropy is taken once per node and the
-known-weight share is exactly 1: no per-label sum of the known counts.
+One loop scores every feature by gain ratio. At a unit node whose items
+all hold a value of the feature, the per-value counts are whole numbers
+adding up exactly to the node's counts, so the known counts are those,
+whose entropy is taken once per node, and the known share is exactly 1.
 Fractional weights add up left to right (metrics.left_sum), so every
 interpreter rounds them alike.
 
@@ -340,46 +344,35 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
                     return Leaf(tuple(counts), label), leaf_err
 
         h_node = entropy(tuple(counts)) if unit else None
-        best = None  # (ratio, x, val_counts, known_w)
+        best = None  # (ratio, x, val_counts, known_w, whole)
         for x in sorted(avail):
             val_counts, known_w = class_counts(keys[x], items, unit, n_labels)
             if known_w <= 0 or len(val_counts) < 2:
                 continue
-            info = 0.0
-            split_info = 0.0
-            if unit and known_w == total:
-                # No slot is missing: the per-value counts add up to counts exactly.
-                for per in val_counts.values():
-                    q = sum(per) / total  # whole counts, exact in any order; vw / known_w too
-                    info += q * entropy(tuple(per))
-                    split_info -= q * math.log2(q)
-                gain = h_node - info
-            else:
-                known_counts = [0.0] * n_labels
-                for per in val_counts.values():
-                    vw = add_up(per)
-                    for l in range(n_labels):
-                        known_counts[l] += per[l]
-                    info += (vw / known_w) * entropy(tuple(per))
-                    q = vw / total
-                    if q > 0:
-                        split_info -= q * math.log2(q)
-                q = (total - known_w) / total  # the missing share
+            info = split_info = 0.0
+            for per in val_counts.values():
+                vw = add_up(per)
+                info += (vw / known_w) * entropy(tuple(per))
+                q = vw / total
                 if q > 0:
                     split_info -= q * math.log2(q)
-                gain = (known_w / total) * (entropy(tuple(known_counts)) - info)
+            q = (total - known_w) / total  # the missing share
+            if q > 0:
+                split_info -= q * math.log2(q)
+            whole = unit and known_w == total  # no slot is missing: the known counts are counts
+            h_known = h_node if whole else entropy(tuple(map(left_sum, zip(*val_counts.values()))))
+            gain = (known_w / total) * (h_known - info)
             if gain <= 1e-12 or split_info <= 0:
                 continue
             ratio = gain / split_info
             if best is None or ratio > best[0] + 1e-12:
-                best = (ratio, x, val_counts, known_w)
+                best = (ratio, x, val_counts, known_w, whole)
         if best is None:
             return Leaf(tuple(counts), label), leaf_err
 
-        _, x, val_counts, known_w = best
+        _, x, val_counts, known_w, whole = best  # whole: the children are unit too
         zs = sorted(val_counts)
         sizes = [add_up(val_counts[z]) for z in zs]
-        whole = unit and known_w == total  # no slot of x is missing: the children are unit too
         # lo = done + lbs[k] + lbs[k + 1] + ..., added left to right, bounds the sum of
         # the children's estimates from below while children k, k + 1, ... are not grown.
         lbs = [least(n) for n in sizes] if prune and whole else [0.0] * len(zs)
@@ -387,6 +380,8 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             return Leaf(tuple(counts), label), leaf_err
 
         ks = map(keys[x].__getitem__, items if unit else map(operator.itemgetter(0), items))
+        if unit and not whole:  # items missing x fan out: each is bucketed as (row id, 1.0)
+            unit, items = False, zip(items, repeat(1.0))
         buckets: dict[int, list] = {z: [] for z in zs}
         missing_items = []
         for item, k in zip(items, ks):
@@ -394,22 +389,18 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
                 missing_items.append(item)
             else:
                 buckets[k // n_labels].append(item)
-        if unit and missing_items:  # the children get fanned-out fractional weights
-            unit = False
-            buckets = {z: list(zip(b, repeat(1.0))) for z, b in buckets.items()}
-            missing_items = list(zip(missing_items, repeat(1.0)))
         children: dict[str, Leaf | Split] = {}
         branch_weights: dict[str, float] = {}
         sub_avail = avail - {x}
         done = 0.0  # the grown children's estimates, added left to right
         for k, z in enumerate(zs):
             share = sizes[k] / known_w
-            child_items = buckets[z]
-            if missing_items:
+            child_items, child_counts = buckets[z], val_counts[z]
+            if missing_items:  # fan-out copies join the bucket: the child counts them
+                child_counts = None
                 child_items = child_items + [
                     (i, w * share) for i, w in missing_items if w * share > 1e-12
                 ]
-            child_counts = val_counts[z] if unit else None
             child, est = grow(child_items, unit, child_counts, sub_avail)
             done += est
             rest = lbs[k + 1 :]
@@ -418,7 +409,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             tok = d.features[x].values[z]
             children[tok] = child
             branch_weights[tok] = share
-        if prune and leaf_err <= done + 1e-9:
+        if prune and _collapses(leaf_err, done):
             return Leaf(tuple(counts), label), leaf_err
         return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label), done
 

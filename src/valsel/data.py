@@ -449,8 +449,10 @@ def _build(name, feature_names, rows, labels, domains, label_domain, kinds, weig
     if len(set(feature_names)) != arity:
         raise DataError("duplicate feature names")
     declared = [None] * arity if domains is None else domains
-    if len(declared) != arity:
-        raise DataError(f"{len(declared)} domains for {arity} features")
+    kinds = [CATEGORICAL] * arity if kinds is None else kinds
+    for what, given in (("domains", declared), ("kinds", kinds)):
+        if len(given) != arity:
+            raise DataError(f"{len(given)} {what} for {arity} features")
     for x, dom in enumerate(declared):
         if dom is not None and len(set(dom)) != len(dom):
             raise DataError(f"feature {feature_names[x]!r} declares duplicate values")
@@ -507,7 +509,6 @@ def _build(name, feature_names, rows, labels, domains, label_domain, kinds, weig
     if faults:
         raise min(faults)[2]
 
-    kinds = [CATEGORICAL] * arity if kinds is None else kinds
     features = [Feature(feature_names[x], values[x], kinds[x]) for x in range(arity)]
     return Dataset._trusted(features, Rows(id_columns, label_ids, weights), label_names, name)
 
@@ -528,8 +529,8 @@ def dataset_from_rows(
     Value and label identifiers follow the declared domain when one is
     given, first appearance order otherwise. Rows pair with labels as zip
     pairs them; weights, when given, holds one per row. Interning yields
-    valid slots and labels, so only names, row lengths, declared domains
-    and weights are checked, and the first faulty row raises.
+    valid slots and labels, so only names, row lengths, declared domains,
+    kinds and weights are checked, and the first faulty row raises.
     """
     n = min(len(rows), len(labels))
     if weights is not None and len(weights) < n:

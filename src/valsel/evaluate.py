@@ -37,7 +37,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -113,12 +113,12 @@ def stratified_fold_assignment(label_ids, folds: int, seed: int) -> list[int]:
 def fold_splits(d: Dataset, folds: int, seed: int):
     """Yield (fold, train rows, test rows) of a stratified split as index lists."""
     fold_of = stratified_fold_assignment(d.instances.label_ids, folds, seed)
+    rows = list(range(len(fold_of)))  # one int object per row, which every fold's lists share
     tests: list[list[int]] = [[] for _ in range(folds)]
-    for i, g in enumerate(fold_of):
+    for i, g in zip(rows, fold_of):
         tests[g].append(i)
     for f, test in enumerate(tests):
-        # every other fold's test rows, each list ascending, merged into one ascending list
-        train = sorted(chain.from_iterable(tests[:f] + tests[f + 1 :]))
+        train = [i for i, g in zip(rows, fold_of) if g != f]  # ascending, in one pass
         if not train or not test:
             raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
         yield f, train, test

@@ -559,3 +559,26 @@ def test_dataset_from_rows_with_every_domain_declared():
             dataset_from_rows_oracle, *args, **kwargs, **extra)
     assert outcome(dataset_from_rows, "t", names, rows, ["p"] * 3, domains=[("a",)]) == (
         DataError, "1 domains for 2 features")
+
+
+def test_dataset_from_rows_checks_the_kinds_count():
+    # A kinds list of the wrong length is a DataError naming the counts, as a
+    # domains list is: short (not an IndexError), or long (not cut, even past
+    # a bad kind that would never be read).
+    names, rows = ["a", "b"], [["x", "y"]]
+    for kinds, want in [
+        (["categorical"], (DataError, "1 kinds for 2 features")),
+        (["categorical", "discretized-numeric", "bogus"], (DataError, "3 kinds for 2 features")),
+        ([], (DataError, "0 kinds for 2 features")),
+    ]:
+        assert outcome(dataset_from_rows, "t", names, rows, ["p"], kinds=kinds) == want
+    assert outcome(dataset_from_rows, "t", ["a"], [["x"]], ["p"],
+                   kinds=["categorical", "bogus"]) == (DataError, "2 kinds for 1 features")
+    exact = ["categorical", "discretized-numeric"]
+    d = dataset_from_rows("t", names, rows, ["p"], kinds=exact)
+    assert [f.kind for f in d.features] == exact
+    assert outcome(dataset_from_rows, "t", names, rows, ["p"], kinds=exact) == outcome(
+        dataset_from_rows_oracle, "t", names, rows, ["p"], kinds=exact)
+    # the count is checked before any row, as the domains' is
+    assert outcome(dataset_from_rows, "t", names, [["x"]], ["p"], kinds=["categorical"]) == (
+        DataError, "1 kinds for 2 features")

@@ -12,7 +12,10 @@ data with missing slots (fractional fan-out weights) and weighted rows,
 rules, a fold-safe MDL run, a stats table, and the dataset confusion H(D)
 of a seeded 300x6 categorical dataset. The weighted trees are also
 printed with every float at cf 0.01, 0.1 and 0.49 and min_leaf 1, where
-pruning during growth adds estimates and compares them with lower bounds.
+pruning during growth adds estimates and compares them with lower bounds,
+and so is the unit tree on the plain data with 30% of its slots cleared
+by random_value_removal, whose unit nodes wrap their items into weighted
+pairs where a split's feature is missing and hand counts down elsewhere.
 Last come the bytes the CSV and ARFF writers write for tokens that need
 quoting, a NUL (which csv.writer could not write before Python 3.11),
 rows of one empty field and a carriage return.
@@ -33,7 +36,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD = r"""
 import random
 from valsel import (ExperimentConfig, LearnerSpec, apply_discretization, compute_stats,
-                    dataset_from_rows, fit, run_experiment, train_rules, train_tree)
+                    dataset_from_rows, fit, random_value_removal, run_experiment, train_rules,
+                    train_tree)
 
 rng = random.Random(7)
 rows, labels, weights = [], [], []
@@ -52,6 +56,8 @@ for d in (plain, weighted):
     print(train_tree(disc).to_text())
     print(train_rules(disc).to_text())
     print(compute_stats(disc).format_table("infogain", 0.7))
+    if d is plain:  # unit items wrapped where a split's feature is missing, every float
+        print(repr(train_tree(random_value_removal(disc, 0.3, 0)).root))
 # weighted and fanned-out trees pruned as they grow, every float to the bit
 for cf in (0.01, 0.1, 0.49):
     print(repr(train_tree(disc, 1, cf).root))

@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valsel import VSConfig, classifiers, compute_stats, dataset_from_rows, pvs, pvs_plus
+from valsel import (VSConfig, classifiers, compute_stats, dataset_from_rows, pvs, pvs_plus,
+                    random_value_removal)
 from valsel.classifiers import TREE_CF, TREE_MIN_LEAF, Leaf, Split, TreeModel, _argmax_low
 from valsel.data import MISSING, Dataset, Instance
 from valsel.errors import ConfigError, DataError
@@ -277,13 +278,18 @@ def test_oracle_rejects_what_train_tree_rejects(samples):
 
 
 def filter_outputs():
-    """Training sets the pvs and pvs_plus filters really produce.
+    """Training sets the pvs, pvs_plus and random_value filters really produce.
 
     With the entropy metric pvs drops most values from the schema, leaving
     features with 0 or 1 values, and pvs_plus clears most slots, leaving
     columns all missing or with one observed value below a fan-out. With
     the infogain metric both keep deep trees whose nodes fan out again and
     again. Every other output gets random weights, about 5% of them zero.
+    random_value_removal at rates 0.1 and 0.3 clears slots at random, so
+    unit nodes wrap their items where a split's feature is missing; each
+    output comes unit and with random weights. Last comes a dataset with
+    every weight 2.0 and no missing slot, whose splits never fan out and
+    so hand their counts down at weighted nodes.
     """
     k = 0
     for seed in range(3):
@@ -296,6 +302,12 @@ def filter_outputs():
                     filtered = select(d, cfg, stats).filtered
                     k += 1
                     yield reweighted(filtered, "random", seed) if k % 2 else filtered
+        for rate in (0.1, 0.3):
+            cleared = random_value_removal(d, rate, seed)
+            yield cleared
+            yield reweighted(cleared, "random", seed)
+    dense = random_dataset(0, n=400, n_features=6, n_labels=3, n_values=4, missing_rate=0.0)
+    yield dense.with_instances(Instance(i.slots, i.label, 2.0) for i in dense.instances)
 
 
 def test_matches_oracle_on_filter_outputs():
@@ -314,18 +326,25 @@ def test_matches_oracle_on_filter_outputs():
     ]
     assert (4, 0) in observed and (4, 1) in observed
     assert any(inst.weight == 0.0 for d in cases for inst in d.instances)
-    nested = 0
+    # Splits that fan out below a fan-out, unit nodes that wrap their items
+    # because the split's feature is missing there, and splits at weighted
+    # nodes that hand their counts down because nothing fans out.
+    nested = wrapped = handed_down = 0
     for d in cases:
-        stack = [(classifiers.train_tree(d, 1, 1.0).root, d.instances)]
+        unit = set(d.instances.weights) == {1.0}
+        stack = [(classifiers.train_tree(d, 1, 1.0).root, d.instances, False)]
         while stack:
-            node, rows = stack.pop()
+            node, rows, below_fan_out = stack.pop()
             if isinstance(node, Split):
                 fanned = [inst for inst in rows if inst.slots[node.feature] == MISSING]
                 nested += bool(fanned) and rows is not d.instances
+                wrapped += bool(fanned) and unit and not below_fan_out
+                handed_down += not fanned and not unit
                 for tok, child in node.children.items():
                     z = d.features[node.feature].values.index(tok)
-                    stack.append((child, [inst for inst in rows if inst.slots[node.feature] in (z, MISSING)]))
-    assert nested >= 20
+                    kept = [inst for inst in rows if inst.slots[node.feature] in (z, MISSING)]
+                    stack.append((child, kept, below_fan_out or bool(fanned)))
+    assert nested >= 20 and wrapped >= 10 and handed_down >= 100
 
 
 @pytest.mark.parametrize("cf", [0.25, 0.1])
