@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .data import MISSING, Dataset
+from .data import MISSING, Dataset, empty_rows
 from .errors import ConfigError
 
 #: Fraction of instances a reservoir keeps by default (1 in 20).
@@ -71,15 +71,8 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
     check_rate(rate)
     rng = random.Random(seed)
     columns = [list(col) for col in d.instances.columns]
-    drop = []
     for i, slots in enumerate(d.instances.slot_tuples()):
-        observed = False
         for x, z in enumerate(slots):
-            if z != MISSING:
-                if rng.random() < rate:
-                    columns[x][i] = MISSING
-                else:
-                    observed = True
-        if d.features and not observed:
-            drop.append(i)
-    return d._derived(columns, drop=drop)
+            if z != MISSING and rng.random() < rate:
+                columns[x][i] = MISSING
+    return d._derived(columns, drop=empty_rows(columns))

@@ -335,6 +335,13 @@ def _shaped(rows: Rows, arity: int) -> Rows:
     return rows if rows or len(rows.columns) == arity else Rows(((),) * arity, (), ())
 
 
+def empty_rows(columns) -> list[int]:
+    """Positions of the rows whose every slot in columns is MISSING, the
+    rows a value filter deletes; none when there are no columns."""
+    blank = (MISSING,) * len(columns)
+    return [i for i, slots in enumerate(zip(*columns)) if slots == blank]
+
+
 def _check_rows(features, labels, instances) -> None:
     """Raise DataError for the first faulty row (its slot count, each slot
     in feature order, its label, its weight), then for an overflowing sum."""

@@ -103,11 +103,12 @@ class DiscretizationSpec:
     def from_text(cls, text: str) -> "DiscretizationSpec":
         try:
             payload = json.loads(text)
-            return cls(
-                payload["method"],
-                payload["bins"],
-                {k: tuple(v) for k, v in payload["cuts"].items()},
-            )
+            bins, cuts = payload["bins"], payload["cuts"]
+            if type(bins) is not int:  # a bool is an int too, and not a bin count
+                raise TypeError(f"bins must be an integer, got {bins!r}")
+            if not isinstance(cuts, dict):
+                raise TypeError(f"cuts must map feature names to lists, got {cuts!r}")
+            return cls(payload["method"], bins, {k: tuple(v) for k, v in cuts.items()})
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise DataError(f"bad discretization spec: {exc}") from None
 
@@ -116,7 +117,10 @@ class DiscretizationSpec:
 
     @classmethod
     def load(cls, path) -> "DiscretizationSpec":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"bad discretization spec: {path} is not UTF-8 ({exc.reason})") from None
 
 
 def _observed(column, name):

@@ -7,17 +7,18 @@ documented fixed order so runs are reproducible:
   index order and values in identifier order. The value is removed
   globally when the draw falls below its removal probability; every slot
   holding it becomes MISSING and it leaves the feature's value set.
-  Instances left with no observed slot are deleted.
+  Instances left with no observed slot are deleted (data.empty_rows).
 
 * pvs_plus walks instances in index order and, within an instance,
   non-missing slots in feature index order, drawing one uniform r' per
   slot (always, even when the slot's value has no stats entry). The slot
   is cleared when H > r' * epsilon (entropy metric) or when
   IG_N < r' * epsilon (infogain metric); both comparisons are strict.
-  After the slots, the instance's missing rate (missing slots, the
-  originally missing ones included, over the feature count) is compared
-  against one fresh uniform and the instance is deleted when the rate is
-  strictly greater.
+  Right after its slots one more uniform is drawn for the instance; once
+  all are walked, its missing rate (missing slots, the originally missing
+  ones included, over the feature count) is compared with that draw and
+  the instance is deleted when the rate is strictly greater. So an
+  instance with no observed slot left is always deleted.
 
 For the entropy metric the per-slot rule removes with probability
 P(H > r' * eps) = min(1, H / eps), exactly the pvs removal probability.
@@ -36,9 +37,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
+from operator import ne
 
-from .data import MISSING, Dataset, Feature
+from .data import MISSING, Dataset, Feature, empty_rows
 from .errors import ConfigError, DataError
 from .metrics import IOTAS, MetricTable, removal_probability
 
@@ -79,13 +81,8 @@ class FilterOutcome:
         lines = [f"mode: {self.mode}"]
         if self.mode == "pvs":
             lines.append("removed values:")
-            for x, row in enumerate(self.removed_value_mask):
-                for z, hit in enumerate(row):
-                    if hit:
-                        lines.append(
-                            f"  {original.features[x].name} = "
-                            f"{original.features[x].values[z]!r}"
-                        )
+            for f, row in zip(original.features, self.removed_value_mask):
+                lines += [f"  {f.name} = {v!r}" for v in compress(f.values, row)]
         else:
             lines.append("removed slots:")
             names = [f.name for f in original.features]
@@ -110,11 +107,16 @@ def _check_stats(d: Dataset, stats: MetricTable) -> None:
         raise DataError("metric table was computed on a different dataset")
 
 
-def _removed_features(filtered: Dataset) -> tuple[int, ...]:
-    """Features with no observed slot left (all of them when no instance is)."""
+def _outcome(d: Dataset, stats: MetricTable, mode: str, mask: tuple, columns, drop,
+             features=None) -> FilterOutcome:
+    """The outcome of a filter that left columns over features (default d's)
+    and deleted the rows at the positions in drop. Features with no observed
+    slot left (every feature, when no row is) are listed as removed."""
+    filtered = d._derived(columns, features, drop)
     n = len(filtered.instances)
-    return tuple(x for x, col in enumerate(filtered.instances.columns)
-                 if col.count(MISSING) == n)
+    removed_features = tuple(x for x, col in enumerate(filtered.instances.columns)
+                             if col.count(MISSING) == n)
+    return FilterOutcome(filtered, mask, tuple(drop), removed_features, stats, mode)
 
 
 def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
@@ -129,41 +131,23 @@ def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
                 removed[x][s.value] = True
     mask = tuple(map(tuple, removed))
 
-    # Per feature, new value id by old one (MISSING if removed), ending in
-    # MISSING for slot -1.
-    new_features, tables = [], []
+    # Per feature, the new id of each old one: kept values are numbered in
+    # order, removed ones become MISSING, and the last entry serves slot -1.
+    features, tables = [], []
     for f, gone in zip(d.features, mask):
-        keep = [z for z, hit in enumerate(gone) if not hit]
-        table = [MISSING] * (len(gone) + 1)
-        for new_id, z in enumerate(keep):
-            table[z] = new_id
-        tables.append(table)
-        new_features.append(Feature(f.name, tuple(f.values[z] for z in keep), f.kind))
-
+        new_ids = count()
+        tables.append([MISSING if hit else next(new_ids) for hit in gone] + [MISSING])
+        features.append(Feature(f.name, tuple(v for v, hit in zip(f.values, gone) if not hit),
+                                f.kind))
     columns = [tuple(map(table.__getitem__, col))
                for table, col in zip(tables, d.instances.columns)]
-    # Rows left with no observed slot are deleted.
-    n_feat = len(d.features)
-    removed_instances = [
-        i for i, slots in enumerate(zip(*columns)) if slots.count(MISSING) == n_feat
-    ] if n_feat else []
-
-    filtered = d._derived(columns, new_features, removed_instances)
-    return FilterOutcome(
-        filtered=filtered,
-        removed_value_mask=mask,
-        removed_instances=tuple(removed_instances),
-        removed_features=_removed_features(filtered),
-        stats=stats,
-        mode="pvs",
-    )
+    return _outcome(d, stats, "pvs", mask, columns, empty_rows(columns), features)
 
 
 def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
     """Per-instance slot removal followed by probabilistic instance deletion."""
     _check_stats(d, stats)
     rng = random.Random(cfg.seed)
-    n_feat = len(d.features)
     infogain = cfg.iota == "infogain"
     eps = cfg.epsilon
     # Per feature, the metric the slot rule reads by value id; None: no stats entry.
@@ -172,34 +156,23 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         for s in group:
             metric[x][s.value] = s.norm_info_gain if infogain else s.entropy
 
-    columns = [list(col) for col in d.instances.columns]
-    mask_rows = []
-    removed_instances = []
-    for i, slots in enumerate(d.instances.slot_tuples()):
-        row = [False] * n_feat
+    old = d.instances.columns
+    columns = [list(col) for col in old]
+    deletion_draws = []
+    # With no feature there is no row to walk: nothing is drawn or deleted.
+    for i, slots in enumerate(zip(*old)):
         for x, z in enumerate(slots):
             if z == MISSING:
                 continue
             r = rng.random()
             m = metric[x][z]
-            if m is None:
-                continue
-            if (m < r * eps) if infogain else (m > r * eps):
+            if m is not None and ((m < r * eps) if infogain else (m > r * eps)):
                 columns[x][i] = MISSING
-                row[x] = True
-        mask_rows.append(tuple(row))
-        if n_feat:
-            miss_rate = (slots.count(MISSING) + row.count(True)) / n_feat
-            r = rng.random()
-            if miss_rate > r:
-                removed_instances.append(i)
+        deletion_draws.append(rng.random())
 
-    filtered = d._derived(columns, drop=removed_instances)
-    return FilterOutcome(
-        filtered=filtered,
-        removed_value_mask=tuple(mask_rows),
-        removed_instances=tuple(removed_instances),
-        removed_features=_removed_features(filtered),
-        stats=stats,
-        mode="pvs_plus",
-    )
+    # A slot was cleared where its column changed; the mask holds one row per instance.
+    cleared = [map(ne, before, after) for before, after in zip(old, columns)]
+    mask = tuple(zip(*cleared)) if cleared else ((),) * len(d.instances)
+    removed_instances = [i for i, (row, r) in enumerate(zip(zip(*columns), deletion_draws))
+                         if row.count(MISSING) / len(columns) > r]
+    return _outcome(d, stats, "pvs_plus", mask, columns, removed_instances)

@@ -227,7 +227,7 @@ def test_flags_override_config_file(arff_input, tmp_path):
     assert json.loads(report.read_text())["config"]["epsilon"] == 0.3
 
 
-def test_config_file_rejects_unknown_and_bad_values(arff_input, tmp_path):
+def test_config_file_rejects_unknown_and_bad_values(arff_input, tmp_path, capsys):
     junk = tmp_path / "junk.conf"
     junk.write_text("junk=1\n", encoding="utf-8")
     assert main(["experiment", "--config", str(junk), "--input", str(arff_input)]) == 2
@@ -237,6 +237,14 @@ def test_config_file_rejects_unknown_and_bad_values(arff_input, tmp_path):
     shapeless = tmp_path / "shapeless.conf"
     shapeless.write_text("this line has no equals\n", encoding="utf-8")
     assert main(["experiment", "--config", str(shapeless)]) == 2
+    # a file that is missing, or a directory, cannot be read: a config error too
+    folder = tmp_path / "folder.cfg"
+    folder.mkdir()
+    for unreadable in (tmp_path / "nope.cfg", folder):
+        capsys.readouterr()
+        assert main(["filter", "--config", str(unreadable), "--input", str(arff_input)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot read config file: [Errno" in err and unreadable.name in err
 
 
 def test_epsilon_range_parsing():

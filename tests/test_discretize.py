@@ -703,6 +703,29 @@ def test_spec_rejects_cuts_under_method_none():
         DiscretizationSpec.from_text("{")
 
 
+@pytest.mark.parametrize("text", [
+    '{"method": "binning", "bins": 3, "cuts": []}',
+    '{"method": "binning", "bins": 3, "cuts": [["a", [0.5]]]}',
+    '{"method": "binning", "bins": 2.5, "cuts": {}}',
+    '{"method": "binning", "bins": true, "cuts": {}}',
+    '{"method": "binning", "bins": "3", "cuts": {}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": 0.5}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": ["0.5"]}}',
+    '{"method": "binning", "bins": 3}',
+    '["binning", 3, {}]',
+])
+def test_malformed_spec_text_is_a_data_error(text):
+    with pytest.raises(DataError, match="bad discretization spec"):
+        DiscretizationSpec.from_text(text)
+
+
+def test_spec_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    p = tmp_path / "cuts.json"
+    p.write_bytes(b'{"method": "binning", "bins": 3, "cuts": {"caf\xe9": [0.5]}}')
+    with pytest.raises(DataError, match="bad discretization spec: .*cuts.json is not UTF-8"):
+        DiscretizationSpec.load(p)
+
+
 @pytest.mark.parametrize("cut", ["NaN", "Infinity", "-Infinity"])
 def test_spec_rejects_non_finite_cuts(cut):
     text = f'{{"method": "binning", "bins": 3, "cuts": {{"a": [0.5, {cut}]}}}}'

@@ -16,6 +16,9 @@ pruning during growth adds estimates and compares them with lower bounds,
 and so is the unit tree on the plain data with 30% of its slots cleared
 by random_value_removal, whose unit nodes wrap their items into weighted
 pairs where a split's feature is missing and hand counts down elsewhere.
+On the weighted data, pvs_plus by both metrics prints its mask, which it
+reads by comparing the columns before and after, its deleted instances
+and what is left, and random_value_removal at rate 0.3 what it leaves.
 Last come the bytes the CSV and ARFF writers write for tokens that need
 quoting, a NUL (which csv.writer could not write before Python 3.11),
 rows of one empty field and a carriage return.
@@ -35,9 +38,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = r"""
 import random
-from valsel import (ExperimentConfig, LearnerSpec, apply_discretization, compute_stats,
-                    dataset_from_rows, fit, random_value_removal, run_experiment, train_rules,
-                    train_tree)
+from valsel import (ExperimentConfig, LearnerSpec, VSConfig, apply_discretization, compute_stats,
+                    dataset_from_rows, fit, pvs_plus, random_value_removal, run_experiment,
+                    train_rules, train_tree)
 
 rng = random.Random(7)
 rows, labels, weights = [], [], []
@@ -58,6 +61,13 @@ for d in (plain, weighted):
     print(compute_stats(disc).format_table("infogain", 0.7))
     if d is plain:  # unit items wrapped where a split's feature is missing, every float
         print(repr(train_tree(random_value_removal(disc, 0.3, 0)).root))
+# pvs_plus's mask, read from the columns, and its deletion test; random value removal
+stats = compute_stats(disc)
+for iota in ("entropy", "infogain"):
+    out = pvs_plus(disc, VSConfig(iota, 0.8, 0), stats)
+    print(repr((out.removed_value_mask, out.removed_instances, out.removed_features,
+                out.filtered.instances.columns, out.filtered.instances.weights)))
+print(repr(random_value_removal(disc, 0.3, 0).instances.columns))
 # weighted and fanned-out trees pruned as they grow, every float to the bit
 for cf in (0.01, 0.1, 0.49):
     print(repr(train_tree(disc, 1, cf).root))

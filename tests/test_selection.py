@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import types
 
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valsel.selection as sel
+from valsel.baselines import check_rate
 from valsel.data import Dataset, Feature, Instance
-from valsel.metrics import removal_probability
+from valsel.metrics import IOTAS, MetricTable, removal_probability
 from valsel.selection import _check_stats
 from valsel import (
     MISSING,
@@ -25,6 +27,7 @@ from valsel import (
     dataset_from_rows,
     pvs,
     pvs_plus,
+    random_value_removal,
 )
 
 from conftest import random_dataset
@@ -441,3 +444,145 @@ def test_pvs_matches_oracle_on_seeded_data():
         stats = compute_stats(d)
         for iota, eps, seed in itertools.product(("entropy", "infogain"), (0.2, 0.6, 1.0), range(3)):
             assert_same_outcome(d, VSConfig(iota, eps, seed), stats)
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row oracles: pvs_plus and random_value_removal
+# ---------------------------------------------------------------------------
+#
+# Both are written from the draw order in the module docstrings of
+# valsel.selection and valsel.baselines. They walk Instance objects one at
+# a time, keep each row's slots in a list, and build their output through
+# the validating Dataset constructor.
+
+
+def pvs_plus_oracle(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
+    _check_stats(d, stats)
+    rng = random.Random(cfg.seed)
+    metric = {}
+    for s in stats.entries():
+        metric[s.feature, s.value] = s.norm_info_gain if cfg.iota == "infogain" else s.entropy
+    mask, survivors, removed_instances = [], [], []
+    for i, inst in enumerate(d.instances):
+        slots, hits = [], []
+        for x, z in enumerate(inst.slots):
+            hit = False
+            if z != MISSING:
+                r = rng.random()  # drawn even when the value has no stats entry
+                m = metric.get((x, z))
+                if m is not None and cfg.iota == "infogain":
+                    hit = m < r * cfg.epsilon
+                elif m is not None:
+                    hit = m > r * cfg.epsilon
+            hits.append(hit)
+            slots.append(MISSING if hit else z)
+        mask.append(tuple(hits))
+        deleted = False
+        if d.features:
+            miss_rate = slots.count(MISSING) / len(d.features)
+            deleted = miss_rate > rng.random()
+        if deleted:
+            removed_instances.append(i)
+        else:
+            survivors.append(Instance(tuple(slots), inst.label, inst.weight))
+    filtered = Dataset(d.features, tuple(survivors), d.labels, d.name)
+    return FilterOutcome(
+        filtered=filtered,
+        removed_value_mask=tuple(mask),
+        removed_instances=tuple(removed_instances),
+        removed_features=_removed_features(filtered),
+        stats=stats,
+        mode="pvs_plus",
+    )
+
+
+def random_value_removal_oracle(d: Dataset, rate: float, seed: int = 0) -> Dataset:
+    check_rate(rate)
+    rng = random.Random(seed)
+    survivors = []
+    for inst in d.instances:
+        slots = []
+        for z in inst.slots:
+            if z != MISSING and rng.random() < rate:
+                z = MISSING
+            slots.append(z)
+        if not d.features or slots.count(MISSING) < len(slots):
+            survivors.append(Instance(tuple(slots), inst.label, inst.weight))
+    return Dataset(d.features, tuple(survivors), d.labels, d.name)
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A dataset of 0-4 features and 0-25 rows with missing slots, random
+    weights and weight-0 rows (so an observed value may have no stats
+    entry), its metric table, an epsilon in (0, 1], a seed and a rate.
+    Where compute_stats has nothing to count (no rows, no feature, or no
+    observed slot of positive weight) the table has no entry at all."""
+    n_features = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 25))
+    rows = [
+        [draw(st.sampled_from([None, "a", "b", "c"])) for _ in range(n_features)]
+        for _ in range(n)
+    ]
+    labels = [draw(st.sampled_from(["0", "1", "2"])) for _ in range(n)]
+    weights = [draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0))) for _ in range(n)]
+    d = dataset_from_rows("oracle", [f"f{x}" for x in range(n_features)], rows, labels,
+                          weights=weights)
+    try:
+        stats = compute_stats(d)
+    except DataError:
+        stats = MetricTable(d.fingerprint, 0.0, ((),) * n_features)
+    epsilon = draw(st.floats(0.0, 1.0, exclude_min=True))
+    rate = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return d, stats, epsilon, draw(st.integers(0, 2**32)), rate
+
+
+def assert_same_pvs_plus(d, cfg, stats):
+    got, want = pvs_plus(d, cfg, stats), pvs_plus_oracle(d, cfg, stats)
+    for f in dataclasses.fields(FilterOutcome):
+        assert getattr(got, f.name) == getattr(want, f.name), (cfg.iota, f.name)
+    assert_same_filtered(got.filtered, want.filtered)
+
+
+def assert_same_filtered(got: Dataset, want: Dataset):
+    assert got == want
+    assert got.features == want.features  # kinds included
+    assert got.name == want.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs())
+def test_pvs_plus_and_random_value_removal_match_their_oracles(case):
+    d, stats, epsilon, seed, rate = case
+    for iota in IOTAS:
+        assert_same_pvs_plus(d, VSConfig(iota, epsilon, seed), stats)
+    assert_same_filtered(random_value_removal(d, rate, seed),
+                         random_value_removal_oracle(d, rate, seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_inputs())
+def test_ties_between_a_draw_and_its_threshold_match_the_oracles(case):
+    """Every uniform rounded down to a quarter, and epsilon and the rate
+    rounded to quarters too, so that a draw often equals a missing rate,
+    the rate, or a metric over epsilon: each comparison's strictness shows."""
+    d, stats, epsilon, seed, rate = case
+    epsilon, rate = max(0.25, round(epsilon * 4) / 4), round(rate * 4) / 4
+    draw = random.Random.random
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random.Random, "random", lambda self: math.floor(draw(self) * 4) / 4)
+        for iota in IOTAS:
+            assert_same_pvs_plus(d, VSConfig(iota, epsilon, seed), stats)
+            assert_same_outcome(d, VSConfig(iota, epsilon, seed), stats)  # pvs against pvs_oracle
+        assert_same_filtered(random_value_removal(d, rate, seed),
+                             random_value_removal_oracle(d, rate, seed))
+
+
+def test_pvs_plus_and_random_value_removal_match_their_oracles_on_seeded_data():
+    for d in [mixed(seed, n=120) for seed in range(4)]:
+        stats = compute_stats(d)
+        for iota, eps, seed in itertools.product(IOTAS, (0.2, 0.6, 1.0), range(3)):
+            assert_same_pvs_plus(d, VSConfig(iota, eps, seed), stats)
+        for rate, seed in itertools.product((0.0, 0.3, 0.9, 1.0), range(3)):
+            assert_same_filtered(random_value_removal(d, rate, seed),
+                                 random_value_removal_oracle(d, rate, seed))
