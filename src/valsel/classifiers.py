@@ -44,7 +44,8 @@ hands its per-value counts down as its children's counts, weighted nodes
 included: each adds its items' weights in item order, as the child's own
 count would. Every tree is the one an item-by-item count gives.
 
-One loop scores every feature by gain ratio. At a unit node whose items
+One loop scores every feature by gain ratio, each entropy in it, split
+information included, by metrics.entropy_bits. At a unit node whose items
 all hold a value of the feature, the per-value counts are whole numbers
 adding up exactly to the node's counts, so the known counts are those,
 whose entropy is taken once per node, and the known share is exactly 1.
@@ -63,6 +64,8 @@ distributions are mixed. Ties in the final argmax go to the earliest
 label. Models compile this routing once per schema, and predict_ids
 scores a whole list of instances through the compiled form, routing each
 distinct slot tuple once: a filtered test fold repeats a few dozen tuples.
+A rule list finds the first rule each row matches one way, with a bitset
+per (feature, value id), for predict (one row) and predict_ids alike.
 
 train_rules runs sequential covering: classes from rarest to most
 frequent, each growing conjunctive rules condition by condition to
@@ -87,7 +90,8 @@ the k-th row of a class is computed once per call and written into the
 class's set bits for each split.
 
 A model's size counts every node of a tree (internal plus leaves) and
-every rule of a rule list including the default.
+every rule of a rule list including the default. One walk, _nodes, serves
+a tree's size, leaf count and split features.
 """
 
 from __future__ import annotations
@@ -119,11 +123,8 @@ def _normalized(counts) -> tuple[float, ...]:
 
 
 def _argmax_low(values) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
+    """The index of the first largest value."""
+    return max(range(len(values)), key=values.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +137,6 @@ class Leaf:
     counts: tuple[float, ...]
     label: int
 
-    @property
-    def size(self) -> int:
-        return 1
-
-    @property
-    def n_leaves(self) -> int:
-        return 1
-
 
 @dataclass
 class Split:
@@ -154,13 +147,15 @@ class Split:
     counts: tuple[float, ...]
     label: int
 
-    @property
-    def size(self) -> int:
-        return 1 + sum(c.size for c in self.children.values())
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(c.n_leaves for c in self.children.values())
+def _nodes(root):
+    """Every node of the tree under root, each once, root first."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Split):
+            stack.extend(node.children.values())
 
 
 def _compiled(model, schema: Dataset | None):
@@ -183,12 +178,12 @@ class TreeModel:
     @cached_property
     def size(self) -> int:
         """Node count: internal nodes plus leaves."""
-        return self.root.size
+        return sum(1 for _ in _nodes(self.root))
 
     @cached_property
     def n_leaves(self) -> int:
         """Root-to-leaf path count, the auxiliary size measure."""
-        return self.root.n_leaves
+        return sum(isinstance(node, Leaf) for node in _nodes(self.root))
 
     def predict(self, inst, schema: Dataset | None = None):
         """Label token and class distribution for one instance of schema
@@ -221,14 +216,7 @@ class TreeModel:
         return walk(self.root)
 
     def split_features(self) -> set[str]:
-        out: set[str] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Split):
-                out.add(node.name)
-                stack.extend(node.children.values())
-        return out
+        return {node.name for node in _nodes(self.root) if isinstance(node, Split)}
 
     def to_text(self) -> str:
         lines: list[str] = []
@@ -349,16 +337,13 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             val_counts, known_w = class_counts(keys[x], items, unit, n_labels)
             if known_w <= 0 or len(val_counts) < 2:
                 continue
-            info = split_info = 0.0
+            info, shares = 0.0, []
             for per in val_counts.values():
                 vw = add_up(per)
                 info += (vw / known_w) * entropy(tuple(per))
-                q = vw / total
-                if q > 0:
-                    split_info -= q * math.log2(q)
-            q = (total - known_w) / total  # the missing share
-            if q > 0:
-                split_info -= q * math.log2(q)
+                shares.append(vw)
+            shares.append(total - known_w)  # the missing share
+            split_info = entropy_bits(shares, total)
             whole = unit and known_w == total  # no slot is missing: the known counts are counts
             h_known = h_node if whole else entropy(tuple(map(left_sum, zip(*val_counts.values()))))
             gain = (known_w / total) * (h_known - info)
@@ -427,9 +412,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
 def _added_errors(n: float, e: float, cf: float, z: float) -> float:
     """Upper-confidence-bound extra errors for e observed errors in n cases;
     z is the normal quantile NormalDist().inv_cdf(1 - cf)."""
-    if cf >= 0.5:
-        return 0.0
-    if n <= 0:
+    if cf >= 0.5 or n <= 0:
         return 0.0
     if e < 1:
         base = n * (1.0 - cf ** (1.0 / n))
@@ -498,29 +481,29 @@ class RuleModel:
 
     def predict(self, inst, schema: Dataset | None = None):
         """First matching rule wins; the default rule matches everything."""
-        slots = inst.slots
-        for conds, rule in _compiled(self, schema):
-            if all(slots[x] == z for x, z in conds):
-                return self.labels[rule.label], rule.distribution
-        return self.labels[self.rules[-1].label], self.rules[-1].distribution
+        rule = self._first_rules(Rows.of([inst]), schema)[0]
+        return self.labels[rule.label], rule.distribution
 
     def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
-        """predict's label ids (into self.labels): with one bitset per
-        (feature, value id), each rule takes the rows no earlier rule took."""
-        rows = Rows.of(instances)
+        """predict's label ids (into self.labels), one per instance."""
+        return [rule.label for rule in self._first_rules(Rows.of(instances), schema)]
+
+    def _first_rules(self, rows: Rows, schema: Dataset | None) -> list[Rule]:
+        """The first rule each row matches: with one bitset per (feature,
+        value id), each rule takes the rows no earlier rule took."""
         if not rows:
             return []
         compiled = _compiled(self, schema)
         used = {x for conds, _ in compiled for x, _ in conds}
         masks = {x: _row_masks(rows.columns[x]) for x in used}
-        out = [self.rules[-1].label] * len(rows)
+        out = [self.rules[-1]] * len(rows)
         remaining = (1 << len(rows)) - 1
         for conds, rule in compiled:
             covered = remaining
             for x, z in conds:
                 covered &= masks[x].get(z, 0)
             for i in _bits(covered):
-                out[i] = rule.label
+                out[i] = rule
             remaining ^= covered
         return out
 

@@ -593,10 +593,10 @@ def load_csv(
 
     if header:
         column_names = rows.pop(0)
-        first_line = 2
+        first_record = 1
     else:
         column_names = [f"f{k + 1}" for k in range(len(rows[0]))]
-        first_line = 1
+        first_record = 0
     arity = len(column_names)
     if arity == 0:
         raise DataError(f"{path}: no columns")
@@ -615,16 +615,24 @@ def load_csv(
         del rows[bad:]
     labels = [row.pop(cls) for row in rows]
     if missing_token in labels:
-        raise DataError(
-            f"{path}: line {first_line + labels.index(missing_token)} has a missing class label"
-        )
+        line = _record_line(path, first_record + labels.index(missing_token))
+        raise DataError(f"{path}: line {line} has a missing class label")
     if bad < len(lengths):
-        raise DataError(
-            f"{path}: line {first_line + bad} has {lengths[bad]} fields, expected {arity}"
-        )
+        line = _record_line(path, first_record + bad)
+        raise DataError(f"{path}: line {line} has {lengths[bad]} fields, expected {arity}")
     feature_names = column_names[:cls] + column_names[cls + 1:]
     return _build(name if name is not None else path.stem, feature_names, rows, labels,
                   None, None, None, None, missing_token, _same)
+
+
+def _record_line(path: Path, k: int) -> int:
+    """The line CSV record k (from 0) of path starts on, one after the line
+    record k - 1 ends on: a quoted field may span lines."""
+    with _open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in zip(range(k), reader):
+            pass
+        return reader.line_num + 1
 
 
 def _token_rows(rows: Rows, tables):

@@ -46,7 +46,7 @@ from .baselines import (RESERVOIR_FRACTION, check_fraction, check_rate, drop_col
                         random_value_removal, reservoir_select)
 from .classifiers import LearnerSpec
 from .data import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 from .metrics import aligned_table, check_dataset_entropy, compute_stats, left_sum
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
@@ -87,8 +87,7 @@ def stratified_fold_assignment(label_ids, folds: int, seed: int) -> list[int]:
     most one and folds stay non-empty whenever folds <= |I|.
     """
     n = len(label_ids)
-    if folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {folds}")
+    check_count("folds", folds, 2)
     if folds > n:
         raise DataError(f"cannot make {folds} folds from {n} instances")
     groups: dict[int, list[int]] = {}
@@ -217,12 +216,9 @@ class ExperimentConfig:
         if self.method not in FILTERS:
             raise ConfigError(f"unknown filter method {self.method!r}")
         FILTERS[self.method].check(self)
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        check_count("repeats", self.repeats, 1)
+        check_count("folds", self.folds, 2)
+        check_count("jobs", self.jobs, 1)
 
     def selection(self, seed: int) -> VSConfig:
         """The value-selection settings of one filter run."""

@@ -28,6 +28,9 @@ Value weights w(x,z) = n(x,z) / n(x) sum to 1 per feature and feed the
 selection bound: replacing w by w~ = 0 (if H = 1) else w*(1-H) never
 increases the weighted confusion, and the drop equals sum w*H^2.
 Originally missing slots contribute to no count.
+
+entropy_bits is the package's one entropy loop: in base |L| for H(x,z) and
+the class-marginal H(D), in bits for the tree's gain ratio and MDL cuts.
 """
 
 from __future__ import annotations
@@ -54,16 +57,20 @@ def left_sum(xs) -> float:
     return reduce(operator.add, xs, 0.0)
 
 
-def entropy_bits(counts) -> float:
-    """Shannon entropy in bits of a class-count vector; 0 when empty."""
-    total = left_sum(counts)
+def entropy_bits(counts, total=None, base=None) -> float:
+    """Shannon entropy of counts over total (default: their left_sum) in bits, or
+    in base base, each term by math.log(p) / math.log(base); 0 when total <= 0."""
+    if total is None:
+        total = left_sum(counts)
     if total <= 0:
         return 0.0
+    log_base = None if base is None else math.log(base)
+    log = math.log2 if base is None else lambda p: math.log(p) / log_base
     ent = 0.0
     for c in counts:
         p = c / total
         if p > 0:  # not c > 0: a tiny c over a large total underflows to 0
-            ent -= p * math.log2(p)
+            ent -= p * log(p)
     return ent
 
 
@@ -120,15 +127,10 @@ class MetricTable:
 
 
 def _value_entropy(counts, support: float, n_labels: int) -> float:
-    if n_labels < 2 or support <= 0:
+    """H of counts over support in base n_labels, clamped to [0, 1]; 0 with one label."""
+    if n_labels < 2:
         return 0.0
-    log_base = math.log(n_labels)
-    ent = 0.0
-    for c in counts:
-        p = c / support
-        if p > 0:
-            ent -= p * (math.log(p) / log_base)
-    return min(1.0, max(0.0, ent))
+    return min(1.0, max(0.0, entropy_bits(counts, support, n_labels)))
 
 
 def class_keys(n_values: int, column, label_ids, n_labels: int) -> list[int]:

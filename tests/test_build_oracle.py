@@ -2,9 +2,11 @@
 
 dataset_from_rows_oracle, load_csv_oracle and load_arff_oracle below are
 the row-at-a-time builders that interned one token at a time, kept as
-the reference with one rule added since: a weight must be finite (an
+the reference with two rules added since: a weight must be finite (an
 infinite one is a fault of its row), and so must the weights' sum, added
-left to right (a fault of the whole dataset, raised after every row's).
+left to right (a fault of the whole dataset, raised after every row's);
+and a CSV fault names the line its record starts on, which is not the
+record's index plus the header's once a quoted field spans lines.
 On any input each builder must return the same Dataset as its oracle
 (names, kinds, relation, value and label order, slots, labels, weights)
 or raise the same exception type with the same text.
@@ -139,18 +141,23 @@ def load_csv_oracle(
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
+        rows, starts = [], []  # each record and the line it starts on
+        start = 1
+        for row in reader:
+            rows.append(row)
+            starts.append(start)
+            start = reader.line_num + 1
     if not rows:
         raise DataError(f"{path}: empty file")
 
     if header:
         column_names = rows[0]
         data_rows = rows[1:]
-        first_line = 2
+        data_lines = starts[1:]
     else:
         column_names = [f"f{k + 1}" for k in range(len(rows[0]))]
         data_rows = rows
-        first_line = 1
+        data_lines = starts
     arity = len(column_names)
     if arity == 0:
         raise DataError(f"{path}: no columns")
@@ -168,12 +175,12 @@ def load_csv_oracle(
     for j, row in enumerate(data_rows):
         if len(row) != arity:
             raise DataError(
-                f"{path}: line {first_line + j} has {len(row)} fields, expected {arity}"
+                f"{path}: line {data_lines[j]} has {len(row)} fields, expected {arity}"
             )
         cells = [None if c == missing_token else c for c in row]
         lab = cells[cls]
         if lab is None:
-            raise DataError(f"{path}: line {first_line + j} has a missing class label")
+            raise DataError(f"{path}: line {data_lines[j]} has a missing class label")
         token_rows.append([c for k, c in enumerate(cells) if k != cls])
         labels.append(lab)
 
@@ -358,7 +365,7 @@ def test_dataset_from_rows_matches_the_row_at_a_time_builder(case):
     )
 
 
-CSV_CELLS = ["a", "b", "1.5", "?", "NA", "", " a", "x,y", 'q"t']
+CSV_CELLS = ["a", "b", "1.5", "?", "NA", "", " a", "x,y", 'q"t', "m\nl", "2\n\n3"]
 
 
 @st.composite
@@ -469,6 +476,22 @@ def test_empty_and_header_only_files(tmp_path):
             assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
         else:
             assert outcome(load_arff, path) == outcome(load_arff_oracle, path)
+
+
+@pytest.mark.parametrize("text, header, message", [
+    ('a,b,class\n"x\ny",1,p\nq,2\n', True, "line 4 has 2 fields, expected 3"),
+    ('a,b,class\n"x\ny",1,p\nq,2\n', False, "line 4 has 2 fields, expected 3"),
+    ('"a\nb",c\n1,?\n', True, "line 3 has a missing class label"),
+    ('a,class\n"1\n\n2",p\n"3\n4",?\n', True, "line 5 has a missing class label"),
+    ('a,class\n1,p\n\n2,q\n', True, "line 3 has 0 fields, expected 2"),
+])
+def test_csv_faults_name_the_line_their_record_starts_on(tmp_path, text, header, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as got:
+        load_csv(path, header=header)
+    assert str(got.value) == f"{path}: {message}"
+    assert outcome(load_csv, path, header=header) == outcome(load_csv_oracle, path, header=header)
 
 
 def test_first_fault_in_row_major_order():

@@ -340,9 +340,9 @@ def test_a_fit_leaves_no_cyclic_garbage(weighted):
 def test_a_fit_pauses_the_collector_and_restores_it(enabled, monkeypatch):
     seen = []
 
-    def entropy(counts):
+    def entropy(*args):
         seen.append(gc.isenabled())
-        return entropy_bits(counts)
+        return entropy_bits(*args)
 
     monkeypatch.setattr(classifiers, "entropy_bits", entropy)
     with collector(enabled):
@@ -353,7 +353,7 @@ def test_a_fit_pauses_the_collector_and_restores_it(enabled, monkeypatch):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_a_failing_fit_restores_the_collector(enabled, monkeypatch):
-    def entropy(counts):
+    def entropy(*args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(classifiers, "entropy_bits", entropy)

@@ -664,6 +664,19 @@ def test_none_fits_no_feature_and_applies_as_identity():
         fit(d, "none", 0)
 
 
+@pytest.mark.parametrize("bins", [2.5, 4.0, True, "4"])
+def test_bins_must_be_an_int(bins):
+    d = numeric_dataset()
+    for method in discretize.METHODS:
+        with pytest.raises(ConfigError, match="^bins must be an integer"):
+            fit(d, method, bins)
+        with pytest.raises(ConfigError, match="^bins must be an integer"):
+            DiscretizationSpec(method, bins, {})
+    for fit_column in (fit_equal_width, fit_equal_frequency):
+        with pytest.raises(ConfigError, match="^bins must be an integer"):
+            fit_column([1.0, 2.0, 3.0], bins)
+
+
 def test_categorical_features_pass_through_untouched():
     d = dataset_from_rows("c", ["color"], [["red"], ["blue"]], ["0", "1"])
     spec = fit(d, "frequency")

@@ -171,6 +171,16 @@ def test_experiment_config_validation():
     assert ExperimentConfig(method="none", epsilon=-5.0).epsilon == -5.0
 
 
+@pytest.mark.parametrize("knob", ["bins", "repeats", "folds", "jobs"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_integer_knobs_must_be_ints(knob, value):
+    with pytest.raises(ConfigError, match=f"^{knob} must be an integer, got {value!r}$"):
+        ExperimentConfig(**{knob: value})
+    if knob == "folds":  # the fold split checks its own count, for the library's callers
+        with pytest.raises(ConfigError, match=f"^folds must be an integer, got {value!r}$"):
+            stratified_fold_assignment([0, 1, 0, 1, 0, 1], value, 0)
+
+
 def test_config_as_dict_is_json_ready():
     cfg = ExperimentConfig(method="pvs", epsilon=0.3, columns=["a", "b"])
     d = cfg.as_dict()

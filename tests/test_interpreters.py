@@ -10,7 +10,9 @@ that cannot start, is skipped.
 The experiment covers the float paths a report goes through: a tree on
 data with missing slots (fractional fan-out weights) and weighted rows,
 rules, a fold-safe MDL run, a stats table, and the dataset confusion H(D)
-of a seeded 300x6 categorical dataset. The weighted trees are also
+of a seeded 300x6 categorical dataset; on that dataset and the weighted
+one, every value's entropy in base |L| and information gain are printed
+to the bit under both dataset_entropy modes. The weighted trees are also
 printed with every float at cf 0.01, 0.1 and 0.49 and min_leaf 1, where
 pruning during growth adds estimates and compares them with lower bounds,
 and so is the unit tree on the plain data with 30% of its slots cleared
@@ -88,6 +90,12 @@ rng = random.Random(0)
 cells = [[rng.choice("pqrstu") for _ in range(6)] for _ in range(300)]
 cats = dataset_from_rows("cats", [f"c{k}" for k in range(6)], cells, [rng.choice("xyz") for _ in cells])
 print(repr(compute_stats(cats).dataset_confusion))
+# every value's H in base |L| and its IG, to the bit, under both H(D) modes
+for d in (disc, cats):
+    for mode in ("value-sum", "class"):
+        table = compute_stats(d, mode)
+        print(repr([(s.entropy, s.info_gain) for s in table.entries()]),
+              repr(table.dataset_confusion))
 # The writers' bytes: quoted tokens, a NUL, blanks, rows of one empty field,
 # and a carriage return, which has every CSV field quoted (ARFF cannot hold it)
 import tempfile

@@ -26,6 +26,7 @@ from valsel.metrics import (
     class_counts,
     class_keys,
     entropy_bits,
+    left_sum,
     log,
 )
 
@@ -505,3 +506,63 @@ def test_confusion_report_adds_terms_left_to_right():
     table = MetricTable("fp", 1.0, (stats,))
     assert math.fsum([1.0, e, e]) > 1.0
     assert confusion_report(table, [1.0, 1.0, 1.0]) == (1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# One entropy: entropy_bits against the loops it replaced, verbatim
+# ---------------------------------------------------------------------------
+
+
+def old_value_entropy(counts, support: float, n_labels: int) -> float:
+    if n_labels < 2 or support <= 0:
+        return 0.0
+    log_base = math.log(n_labels)
+    ent = 0.0
+    for c in counts:
+        p = c / support
+        if p > 0:
+            ent -= p * (math.log(p) / log_base)
+    return min(1.0, max(0.0, ent))
+
+
+def old_split_info(value_weights, known_w: float, total: float) -> float:
+    """The split information loop of the tree learner's scoring step."""
+    split_info = 0.0
+    for vw in value_weights:
+        q = vw / total
+        if q > 0:
+            split_info -= q * math.log2(q)
+    q = (total - known_w) / total  # the missing share
+    if q > 0:
+        split_info -= q * math.log2(q)
+    return split_info
+
+
+WEIGHT = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 2.0, 5e-324, 1e-300, 2.0**-60, BIG]),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(WEIGHT, max_size=6), st.floats(0.0, 1e6), st.integers(1, 5),
+       st.sampled_from(["sum", "above", "free"]))
+def test_entropy_bits_matches_the_loops_it_replaced(counts, extra, n_labels, total_kind):
+    """Bit for bit, on vectors with zeros and tiny weights, over their left
+    sum, a total above it, and any total."""
+    total = left_sum(counts)
+    if total_kind == "above":
+        total += extra
+    elif total_kind == "free":
+        total = extra
+    assert _value_entropy(counts, total, n_labels) == old_value_entropy(counts, total, n_labels)
+    if n_labels >= 2 and total > 0:
+        unclamped = entropy_bits(counts, total, n_labels)
+        assert min(1.0, max(0.0, unclamped)) == old_value_entropy(counts, total, n_labels)
+    if total > 0:
+        known_w = left_sum(counts) if total_kind == "sum" else min(total, left_sum(counts))
+        got = entropy_bits([*counts, total - known_w], total)
+        assert got == old_split_info(counts, known_w, total)
+    if total_kind == "sum":
+        assert entropy_bits(counts) == entropy_bits(counts, total)

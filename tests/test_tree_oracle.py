@@ -347,6 +347,27 @@ def test_matches_oracle_on_filter_outputs():
     assert nested >= 20 and wrapped >= 10 and handed_down >= 100
 
 
+def recursive_counts(node) -> tuple[int, int, set[str]]:
+    """Node count, leaf count and split feature names of the tree under node."""
+    if isinstance(node, Leaf):
+        return 1, 1, set()
+    size, leaves, names = 1, 0, {node.name}
+    for child in node.children.values():
+        s, l, n = recursive_counts(child)
+        size, leaves, names = size + s, leaves + l, names | n
+    return size, leaves, names
+
+
+def test_size_leaves_and_split_features_match_a_recursive_count():
+    shapes = set()
+    for d in filter_outputs():
+        for min_leaf, cf in KNOBS:
+            t = classifiers.train_tree(d, min_leaf, cf)
+            assert (t.size, t.n_leaves, t.split_features()) == recursive_counts(t.root)
+            shapes.add((t.size > 1, len(t.split_features()) > 1))
+    assert shapes == {(False, False), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("cf", [0.25, 0.1])
 def test_matches_oracle_on_dense_data_where_nodes_collapse_early(cf, monkeypatch):
     # Ten values a feature and no missing slot: pruning throws away most of what
