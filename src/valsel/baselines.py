@@ -14,20 +14,10 @@ import math
 import random
 
 from .data import MISSING, Dataset, empty_rows
-from .errors import ConfigError
+from .errors import ConfigError, check_names, check_number
 
 #: Fraction of instances a reservoir keeps by default (1 in 20).
 RESERVOIR_FRACTION = 0.05
-
-
-def check_fraction(fraction: float) -> None:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
-
-
-def check_rate(rate: float) -> None:
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"rate must lie in [0, 1], got {rate}")
 
 
 def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int = 0) -> Dataset:
@@ -37,7 +27,7 @@ def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int
     instance i replaces a uniformly drawn slot j of range(i + 1) when
     j < k. With fraction = 1 the input comes back unchanged.
     """
-    check_fraction(fraction)
+    check_number("fraction", fraction, 0, 1, "(]")
     n = len(d.instances)
     k = math.ceil(fraction * n)
     reservoir = list(range(k))
@@ -51,7 +41,7 @@ def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int
 
 def drop_columns(d: Dataset, names) -> Dataset:
     """Remove the named features; a dataset of just labels is still valid."""
-    names = list(names)
+    names = check_names("columns", names)
     have = {f.name for f in d.features}
     for name in names:
         if name not in have:
@@ -68,7 +58,7 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
     Draws run over instances in index order and slots in feature order,
     one per originally non-missing slot.
     """
-    check_rate(rate)
+    check_number("rate", rate, 0, 1, "[]")
     rng = random.Random(seed)
     columns = [list(col) for col in d.instances.columns]
     for i, slots in enumerate(d.instances.slot_tuples()):

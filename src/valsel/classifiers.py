@@ -105,7 +105,7 @@ from statistics import NormalDist
 from typing import NamedTuple
 
 from .data import MISSING, Dataset, Feature, Rows, collector_paused
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_choice, check_count, check_number
 from .metrics import class_counts, class_keys, entropy_bits, left_sum
 
 TREE_MIN_LEAF = 2
@@ -729,19 +729,16 @@ class LearnerSpec:
     prune_fraction: float = RULES_PRUNE_FRACTION
 
     def __post_init__(self):
-        if self.kind not in LEARNERS:
-            raise ConfigError(f"unknown learner kind {self.kind!r}")
+        check_choice("learner kind", self.kind, LEARNERS)
 
     def check(self) -> None:
         """Raise ConfigError for a bad knob of this kind of learner, as training does."""
         if self.kind == "rules":
-            if not 0.0 <= self.prune_fraction < 1.0:
-                raise ConfigError(f"prune_fraction must lie in [0, 1), got {self.prune_fraction}")
-        elif self.min_leaf < 1:
-            raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        elif not 0.0 < self.cf <= 1.0:
-            raise ConfigError(f"cf must lie in (0, 1], got {self.cf}")
-        elif 1.0 - self.cf == 1.0:
+            check_number("prune_fraction", self.prune_fraction, 0, 1, "[)")
+            return
+        check_count("min_leaf", self.min_leaf, 1)
+        check_number("cf", self.cf, 0, 1, "(]")
+        if 1.0 - self.cf == 1.0:
             raise ConfigError(
                 f"cf {self.cf} is too small: 1 - cf rounds to 1, which has no normal quantile")
 

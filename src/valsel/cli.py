@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import discretize as _disc
 from .classifiers import LEARNERS, LearnerSpec
-from .data import load_dataset, save_dataset
+from .data import FORMATS, load_dataset, save_dataset
 from .errors import ConfigError, DataError
 from .evaluate import FILTERS, ExperimentConfig, epsilon_text, format_report_table, run_experiment
 from .metrics import DATASET_ENTROPIES, IOTAS, compute_stats
@@ -238,7 +238,7 @@ _HELP = {
     "fold_safe": "refit preprocessing inside each training fold",
     "jobs": "kept for old configs; repetitions run one at a time",
 }
-_CHOICES = {"format": ("csv", "arff"), "disc_method": _disc.METHODS, "method": tuple(FILTERS),
+_CHOICES = {"format": FORMATS, "disc_method": _disc.METHODS, "method": tuple(FILTERS),
             "iota": IOTAS, "dataset_entropy": DATASET_ENTROPIES, "learner": LEARNERS}
 
 
@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     writes = argparse.ArgumentParser(add_help=False)
     _settings(writes, "output")
-    writes.add_argument("--output-format", choices=["csv", "arff"], default="arff",
+    writes.add_argument("--output-format", choices=FORMATS, default="arff",
                         help="format of the output dataset (default %(default)s)")
 
     learning = argparse.ArgumentParser(add_help=False)

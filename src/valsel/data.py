@@ -78,7 +78,7 @@ from itertools import chain, count, cycle, islice, repeat
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 
-from .errors import ConfigError, DataError, UnsupportedFeatureError
+from .errors import ConfigError, DataError, UnsupportedFeatureError, check_choice, check_flag
 
 log = logging.getLogger(__name__)
 
@@ -575,6 +575,7 @@ def load_csv(
     missing_token become MISSING. With header=False, columns are named
     f1..fn.
     """
+    check_flag("header", header)
     if class_index != "last":
         try:
             class_index = int(class_index)
@@ -878,15 +879,18 @@ def _save_arff(d: Dataset, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+#: The dataset file formats, by the name a format argument gives them.
+FORMATS = ("csv", "arff")
+
+
 def save_dataset(d: Dataset, path, format: str = "arff", missing_token: str = "?") -> None:
     """Write d to path as "arff" (lossless) or "csv"."""
+    check_choice("dataset format", format, FORMATS)
     path = Path(path)
     if format == "arff":
         _save_arff(d, path)
-    elif format == "csv":
-        _save_csv(d, path, missing_token)
     else:
-        raise ConfigError(f"unknown dataset format {format!r}")
+        _save_csv(d, path, missing_token)
 
 
 def load_dataset(path, format: str | None = None, **kwargs) -> Dataset:
@@ -898,6 +902,7 @@ def load_dataset(path, format: str | None = None, **kwargs) -> Dataset:
     path = Path(path)
     if format is None:
         format = "arff" if path.suffix.lower() == ".arff" else "csv"
+    check_choice("dataset format", format, FORMATS)
     if format == "arff":
         csv_options = inspect.signature(load_csv)
         for key, value in csv_options.bind(path, **kwargs).arguments.items():
@@ -905,6 +910,4 @@ def load_dataset(path, format: str | None = None, **kwargs) -> Dataset:
                 raise ConfigError(f"option {key}={value!r} applies to CSV input only, "
                                   f"not to ARFF input {path}")
         return load_arff(path)
-    if format == "csv":
-        return load_csv(path, **kwargs)
-    raise ConfigError(f"unknown dataset format {format!r}")
+    return load_csv(path, **kwargs)

@@ -53,7 +53,7 @@ from operator import eq, ne, sub
 from pathlib import Path
 
 from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_choice, check_count
 from .metrics import entropy_bits, left_sum
 
 log = logging.getLogger(__name__)
@@ -64,8 +64,7 @@ METHODS = ("binning", "frequency", "mdl", "none")
 def check_knobs(method: str, bins: int) -> None:
     """Raise ConfigError for an unknown method or a bins that is not an int
     of at least 1 (any method)."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown discretization method {method!r}")
+    check_choice("discretization method", method, METHODS)
     check_count("bins", bins, 1)
 
 

@@ -42,12 +42,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import discretize
-from .baselines import (RESERVOIR_FRACTION, check_fraction, check_rate, drop_columns,
-                        random_value_removal, reservoir_select)
+from .baselines import RESERVOIR_FRACTION, drop_columns, random_value_removal, reservoir_select
 from .classifiers import LearnerSpec
 from .data import Dataset
-from .errors import ConfigError, DataError, check_count
-from .metrics import aligned_table, check_dataset_entropy, compute_stats, left_sum
+from .errors import (ConfigError, DataError, check_choice, check_count, check_flag, check_names,
+                     check_number)
+from .metrics import DATASET_ENTROPIES, aligned_table, compute_stats, left_sum
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
 log = logging.getLogger(__name__)
@@ -118,8 +118,6 @@ def fold_splits(d: Dataset, folds: int, seed: int):
         tests[g].append(i)
     for f, test in enumerate(tests):
         train = [i for i, g in zip(rows, fold_of) if g != f]  # ascending, in one pass
-        if not train or not test:
-            raise DataError(f"fold {f} degenerate: {len(train)} train, {len(test)} test")
         yield f, train, test
 
 
@@ -190,8 +188,8 @@ class ExperimentConfig:
     Defaults: entropy metric, frequency discretization, epsilon 0.5,
     10 folds, 5 repeats, seed 0. A filter knob is checked here only when
     cfg.method reads it (Filter.check; the learner's for "misclassified"),
-    but drop_columns names by the filter, against the data. jobs is kept
-    so existing configs load; filter repeats run one at a time.
+    but columns is a list of names for every method (drop_columns finds them
+    in the data). jobs is kept so old configs load; filter repeats run serially.
     """
 
     disc_method: str = "frequency"  # one of discretize.METHODS
@@ -211,13 +209,16 @@ class ExperimentConfig:
     dataset_entropy: str = "value-sum"
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "columns", check_names("columns", self.columns))
         discretize.check_knobs(self.disc_method, self.bins)
-        if self.method not in FILTERS:
-            raise ConfigError(f"unknown filter method {self.method!r}")
+        check_choice("filter method", self.method, FILTERS)
+        if not isinstance(self.learner, LearnerSpec):
+            raise ConfigError(f"learner must be a LearnerSpec, got {self.learner!r}")
         FILTERS[self.method].check(self)
+        check_count("seed", self.seed)
         check_count("repeats", self.repeats, 1)
         check_count("folds", self.folds, 2)
+        check_flag("fold_safe", self.fold_safe)
         check_count("jobs", self.jobs, 1)
 
     def selection(self, seed: int) -> VSConfig:
@@ -226,7 +227,7 @@ class ExperimentConfig:
 
     def check_stats_knobs(self) -> None:
         """Raise ConfigError for a bad knob a metric table or value selection reads."""
-        check_dataset_entropy(self.dataset_entropy)
+        check_choice("dataset_entropy mode", self.dataset_entropy, DATASET_ENTROPIES)
         self.selection(self.seed)
 
     def as_dict(self) -> dict:
@@ -267,11 +268,11 @@ FILTERS = {
     "pvs_plus": Filter(lambda d, cfg, seed, stats: pvs_plus(d, cfg.selection(seed), stats),
                        True, ExperimentConfig.check_stats_knobs),
     "reservoir": Filter(lambda d, cfg, seed, stats: reservoir_select(d, cfg.fraction, seed),
-                        check=lambda cfg: check_fraction(cfg.fraction)),
+                        check=lambda cfg: check_number("fraction", cfg.fraction, 0, 1, "(]")),
     "misclassified": Filter(_misclassified, check=lambda cfg: cfg.learner.check()),
     "drop_columns": Filter(lambda d, cfg, seed, stats: drop_columns(d, cfg.columns)),
     "random_value": Filter(lambda d, cfg, seed, stats: random_value_removal(d, cfg.rate, seed),
-                           check=lambda cfg: check_rate(cfg.rate)),
+                           check=lambda cfg: check_number("rate", cfg.rate, 0, 1, "[]")),
 }
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .data import MISSING, Dataset
-from .errors import ConfigError, DataError
+from .errors import DataError, check_choice, check_number
 
 log = logging.getLogger(__name__)
 
@@ -169,18 +169,13 @@ def class_counts(keys, items, unit: bool, n_labels: int):
     return val_counts, known_w
 
 
-def check_dataset_entropy(dataset_entropy: str) -> None:
-    if dataset_entropy not in DATASET_ENTROPIES:
-        raise ConfigError(f"unknown dataset_entropy mode {dataset_entropy!r}")
-
-
 def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable:
     """Count once over d and derive every per-value metric.
 
     Counts use instance weights. Requires at least one instance and one
     observed value overall.
     """
-    check_dataset_entropy(dataset_entropy)
+    check_choice("dataset_entropy mode", dataset_entropy, DATASET_ENTROPIES)
     if not d.instances:
         raise DataError("cannot compute stats of an empty dataset")
     n_labels = len(d.labels)
@@ -248,12 +243,15 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
     return MetricTable(d.fingerprint, h_dataset, tuple(per_feature))
 
 
+def check_selection(iota: str, epsilon: float) -> None:
+    """Raise ConfigError for an unknown metric iota or an epsilon outside (0, 1]."""
+    check_choice("selection metric", iota, IOTAS)
+    check_number("epsilon", epsilon, 0, 1, "(]")
+
+
 def removal_probability(s: ValueStats, iota: str, epsilon: float) -> float:
     """Probability that value selection removes this value, clamped to 1."""
-    if iota not in IOTAS:
-        raise ConfigError(f"unknown selection metric {iota!r}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1], got {epsilon}")
+    check_selection(iota, epsilon)
     if iota == "entropy":
         return min(1.0, s.entropy / epsilon)
     return min(1.0, (1.0 - s.norm_info_gain) / epsilon)

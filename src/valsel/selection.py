@@ -41,8 +41,8 @@ from itertools import compress, count
 from operator import ne
 
 from .data import MISSING, Dataset, Feature, empty_rows
-from .errors import ConfigError, DataError
-from .metrics import IOTAS, MetricTable, removal_probability
+from .errors import DataError, check_count
+from .metrics import MetricTable, check_selection, removal_probability
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ class VSConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iota not in IOTAS:
-            raise ConfigError(f"unknown selection metric {self.iota!r}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        check_selection(self.iota, self.epsilon)
+        check_count("seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ def test_config_validation():
         ExperimentConfig(method="misclassified", folds=1)
     with pytest.raises(ConfigError):
         run("random_value", rate=-0.1)
+    with pytest.raises(ConfigError, match=r"^fraction must be a number, got True$"):
+        reservoir_select(d, True)  # not a fraction of 1
     assert ExperimentConfig(method="reservoir").fraction == 0.05
     # a knob is checked only by the method that reads it
     assert run("reservoir", fraction=0.5, rate=5.0).instances
@@ -118,6 +120,8 @@ def test_drop_columns_removes_named_features(samples):
         assert after.label == before.label
     with pytest.raises(ConfigError):
         drop_columns(samples, ["nope"])
+    with pytest.raises(ConfigError, match=r"^columns must be a list of names, got 'f2'$"):
+        drop_columns(samples, "f2")  # not the features 'f' and '2'
     all_gone = drop_columns(samples, [f.name for f in samples.features])
     assert all_gone.features == ()
     assert len(all_gone.instances) == 5
@@ -137,6 +141,8 @@ def test_random_value_removal_rates():
     assert 0 < blanked < total
     with pytest.raises(ConfigError):
         random_value_removal(d, 1.1)
+    with pytest.raises(ConfigError, match=r"^rate must be a number, got '0\.5'$"):
+        random_value_removal(d, "0.5")
 
 
 def test_random_value_removal_prunes_empty_instances():

@@ -303,6 +303,14 @@ def test_tree_argument_validation():
         with pytest.raises(ConfigError, match="too small"):
             train_tree(d, cf=tiny)
     train_tree(d, cf=1.2e-16)  # the smallest cf whose 1 - cf stays below 1 prunes
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ConfigError, match=f"^min_leaf must be an integer, got {bad!r}$"):
+            train_tree(d, min_leaf=bad)
+        with pytest.raises(ConfigError, match="^min_leaf must be an integer"):
+            LearnerSpec("tree", min_leaf=bad).check()
+    for bad in (True, "0.5"):
+        with pytest.raises(ConfigError, match=f"^cf must be a number, got {bad!r}$"):
+            train_tree(d, cf=bad)
     empty = dataset_from_rows("e", ["f"], [], [])
     with pytest.raises(DataError):
         train_tree(empty)
@@ -595,6 +603,9 @@ def test_rules_argument_validation():
         train_rules(d, prune_fraction=-0.1)
     with pytest.raises(ConfigError):
         train_rules(d, prune_fraction=1.0)
+    for bad in (True, "0.5"):
+        with pytest.raises(ConfigError, match=f"^prune_fraction must be a number, got {bad!r}$"):
+            train_rules(d, prune_fraction=bad)
     empty = dataset_from_rows("e", ["f"], [], [])
     with pytest.raises(DataError):
         train_rules(empty)

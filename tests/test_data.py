@@ -86,6 +86,8 @@ def test_a_missing_label_is_a_data_error(label_domain):
 def test_row_arity_checked():
     with pytest.raises(DataError):
         dataset_from_rows("t", ["a", "b"], [["x"]], ["0"])
+    with pytest.raises(DataError, match=r"^1 weights for 2 rows$"):
+        dataset_from_rows("t", ["a"], [["x"], ["y"]], ["0", "1"], weights=[1.0])
 
 
 def test_duplicate_feature_values_rejected():
@@ -252,6 +254,8 @@ def test_csv_headerless_names_columns(tmp_path):
     d = load_csv(p, header=False)
     assert [f.name for f in d.features] == ["f1"]
     assert len(d.instances) == 2
+    with pytest.raises(ConfigError, match=r"^header must be True or False, got 'no'$"):
+        load_csv(p, header="no")  # a non-empty string would read the first row as names
 
 
 def test_csv_quoted_cells_round_trip(tmp_path):

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valsel import (
     ConfigError,
@@ -97,6 +100,21 @@ def test_fold_sizes_differ_by_at_most_one():
         assert max(counts) - min(counts) <= 1
 
 
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=60), st.data())
+def test_every_fold_gets_rows_and_leaves_rows_to_train_on(labels, data):
+    """Rows are dealt to folds cyclically, label by label, so for any labels
+    and 2 <= folds <= n no fold is empty and none holds every row: fold_splits
+    needs no check of its own for a degenerate fold."""
+    folds = data.draw(st.integers(2, len(labels)), label="folds")
+    fold_of = stratified_fold_assignment(labels, folds, data.draw(st.integers(-3, 3)))
+    sizes = [fold_of.count(f) for f in range(folds)]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    for y in set(labels):
+        per_fold = Counter(f for f, label in zip(fold_of, labels) if label == y)
+        counts = [per_fold[f] for f in range(folds)]
+        assert max(counts) - min(counts) <= 1
+
+
 def test_fold_assignment_seeding():
     labels = [i % 3 for i in range(60)]
     a = stratified_fold_assignment(labels, 5, seed=0)
@@ -169,9 +187,11 @@ def test_experiment_config_validation():
         ExperimentConfig(jobs=0)
     # epsilon only matters to the value filters
     assert ExperimentConfig(method="none", epsilon=-5.0).epsilon == -5.0
+    with pytest.raises(ConfigError, match=r"^unknown filter method \['pvs'\]$"):
+        ExperimentConfig(method=["pvs"])  # not a raw TypeError from the FILTERS lookup
 
 
-@pytest.mark.parametrize("knob", ["bins", "repeats", "folds", "jobs"])
+@pytest.mark.parametrize("knob", ["bins", "seed", "repeats", "folds", "jobs"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
 def test_integer_knobs_must_be_ints(knob, value):
     with pytest.raises(ConfigError, match=f"^{knob} must be an integer, got {value!r}$"):
@@ -179,6 +199,34 @@ def test_integer_knobs_must_be_ints(knob, value):
     if knob == "folds":  # the fold split checks its own count, for the library's callers
         with pytest.raises(ConfigError, match=f"^folds must be an integer, got {value!r}$"):
             stratified_fold_assignment([0, 1, 0, 1, 0, 1], value, 0)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None])
+def test_number_knobs_must_be_numbers(value):
+    def raises(knob):
+        return pytest.raises(ConfigError,
+                             match=f"^{knob} must be a number, got {re.escape(repr(value))}$")
+
+    for knob, method in (("epsilon", "pvs"), ("epsilon", "pvs_plus"), ("fraction", "reservoir"),
+                         ("rate", "random_value")):
+        with raises(knob):
+            ExperimentConfig(method=method, **{knob: value})
+    for kind, knob in (("tree", "cf"), ("rules", "prune_fraction")):
+        with raises(knob):
+            ExperimentConfig(method="misclassified", learner=LearnerSpec(kind, **{knob: value}))
+
+
+def test_flag_names_seed_and_learner_fields_are_checked():
+    for value in ("no", 1, None):
+        with pytest.raises(ConfigError, match=f"^fold_safe must be True or False, got {value!r}$"):
+            ExperimentConfig(fold_safe=value)
+    for value in ("ab", 5):
+        with pytest.raises(ConfigError, match=f"^columns must be a list of names, got {value!r}$"):
+            ExperimentConfig(columns=value, method="drop_columns")
+    with pytest.raises(ConfigError, match=r"^learner must be a LearnerSpec, got 'rules'$"):
+        ExperimentConfig(learner="rules")
+    assert ExperimentConfig(seed=-3).seed == -3  # random.Random takes any int
+    assert ExperimentConfig(columns=iter(["a"]), method="drop_columns").columns == ("a",)
 
 
 def test_config_as_dict_is_json_ready():

@@ -244,6 +244,8 @@ def test_removal_probability_clamps_and_validates(samples):
         removal_probability(s, "entropy", 0.0)
     with pytest.raises(ConfigError):
         removal_probability(s, "entropy", 1.5)
+    with pytest.raises(ConfigError, match=r"^epsilon must be a number, got '0\.5'$"):
+        removal_probability(s, "entropy", "0.5")
 
 
 def test_selection_weights_zero_out_fully_confused_values():

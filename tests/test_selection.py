@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valsel.selection as sel
-from valsel.baselines import check_rate
 from valsel.data import Dataset, Feature, Instance
+from valsel.errors import check_number
 from valsel.metrics import IOTAS, MetricTable, removal_probability
 from valsel.selection import _check_stats
 from valsel import (
@@ -45,6 +45,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         VSConfig(epsilon=1.2)
     assert VSConfig().epsilon == 0.5
+    with pytest.raises(ConfigError, match=r"^epsilon must be a number, got True$"):
+        VSConfig(epsilon=True)
+    with pytest.raises(ConfigError, match=r"^seed must be an integer, got 1\.5$"):
+        VSConfig(seed=1.5)
+    assert VSConfig(epsilon=1, seed=-7).seed == -7
 
 
 def test_stale_stats_rejected(samples):
@@ -497,7 +502,7 @@ def pvs_plus_oracle(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutc
 
 
 def random_value_removal_oracle(d: Dataset, rate: float, seed: int = 0) -> Dataset:
-    check_rate(rate)
+    check_number("rate", rate, 0, 1, "[]")
     rng = random.Random(seed)
     survivors = []
     for inst in d.instances:
