@@ -14,7 +14,7 @@ import math
 import random
 
 from .data import MISSING, Dataset, empty_rows
-from .errors import ConfigError, check_names, check_number
+from .errors import ConfigError, check_count, check_names, check_number
 
 #: Fraction of instances a reservoir keeps by default (1 in 20).
 RESERVOIR_FRACTION = 0.05
@@ -28,6 +28,7 @@ def reservoir_select(d: Dataset, fraction: float = RESERVOIR_FRACTION, seed: int
     j < k. With fraction = 1 the input comes back unchanged.
     """
     check_number("fraction", fraction, 0, 1, "(]")
+    check_count("seed", seed)
     n = len(d.instances)
     k = math.ceil(fraction * n)
     reservoir = list(range(k))
@@ -59,6 +60,7 @@ def random_value_removal(d: Dataset, rate: float, seed: int = 0) -> Dataset:
     one per originally non-missing slot.
     """
     check_number("rate", rate, 0, 1, "[]")
+    check_count("seed", seed)
     rng = random.Random(seed)
     columns = [list(col) for col in d.instances.columns]
     for i, slots in enumerate(d.instances.slot_tuples()):

@@ -88,6 +88,7 @@ def stratified_fold_assignment(label_ids, folds: int, seed: int) -> list[int]:
     """
     n = len(label_ids)
     check_count("folds", folds, 2)
+    check_count("seed", seed)
     if folds > n:
         raise DataError(f"cannot make {folds} folds from {n} instances")
     groups: dict[int, list[int]] = {}

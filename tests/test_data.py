@@ -248,6 +248,18 @@ def test_csv_class_index_column(tmp_path):
     assert load_csv(p, class_index="0") == d
 
 
+@pytest.mark.parametrize("value", [True, 1.7, None])
+def test_csv_class_index_that_is_not_text_must_be_an_integer(tmp_path, value):
+    # text is a column or "last"; any other value is an integer column
+    p = tmp_path / "d.csv"
+    p.write_text("class,a\n0,x\n1,y\n", encoding="utf-8")
+    message = f"^class_index must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        load_csv(p, class_index=value)
+    with pytest.raises(ConfigError, match=message):
+        load_dataset(p, class_index=value)
+
+
 def test_csv_headerless_names_columns(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("x,0\ny,1\n", encoding="utf-8")
@@ -608,6 +620,22 @@ def test_the_dataset_constructor_rejects_infinite_weights_and_overflowing_sums()
         Dataset(f, [Instance((0,), 0, float("nan"))], ("0",), "t")
     with pytest.raises(DataError, match="add up to more than the largest float"):
         Dataset(f, [Instance((0,), 0)], ("0",), "t").with_instances(rows)
+
+
+def test_a_weight_that_is_not_a_number_is_a_fault_of_its_row():
+    with pytest.raises(DataError, match=r"^instance 0 has weight '1', which is not a number$"):
+        dataset_from_rows("r", ["a"], [["x"]], ["p"], weights=["1"])
+    f = (Feature("a", ("x",)),)
+    with pytest.raises(DataError, match=r"^instance 0 has weight None, which is not a number$"):
+        Dataset(f, [Instance((0,), 0, None)], ("p",), "t")
+    # in row order with the other faults: an earlier row's bad value, a later row's weight
+    with pytest.raises(DataError, match=r"^instance 0 references unknown value id 5"):
+        Dataset(f, [Instance((5,), 0), Instance((0,), 0, "1")], ("p",), "t")
+    with pytest.raises(DataError, match=r"^instance 0 has negative or NaN weight$"):
+        dataset_from_rows("r", ["a"], [["x"], ["x"]], ["p", "p"], weights=[-1.0, "1"])
+    with pytest.raises(DataError, match=r"^row 1: value 'y' not in the declared domain"):
+        dataset_from_rows("r", ["a"], [["y"]], ["p"], domains=[("x",)], weights=[[1.0]])
+    assert dataset_from_rows("r", ["a"], [["x"]], ["p"], weights=[2]).instances.weights == (2,)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,8 @@ from valsel import (
     format_report_table,
     harmonic,
     mr,
+    random_value_removal,
+    reservoir_select,
     run_experiment,
     stratified_fold_assignment,
 )
@@ -199,6 +201,13 @@ def test_integer_knobs_must_be_ints(knob, value):
     if knob == "folds":  # the fold split checks its own count, for the library's callers
         with pytest.raises(ConfigError, match=f"^folds must be an integer, got {value!r}$"):
             stratified_fold_assignment([0, 1, 0, 1, 0, 1], value, 0)
+    if knob == "seed":  # and the library's seeded draws their seed
+        d = dataset_from_rows("t", ["a"], [["x"], ["y"]], ["p", "q"])
+        for draw in (lambda: stratified_fold_assignment([0, 1, 0, 1], 2, value),
+                     lambda: reservoir_select(d, 0.5, value),
+                     lambda: random_value_removal(d, 0.5, value)):
+            with pytest.raises(ConfigError, match=f"^seed must be an integer, got {value!r}$"):
+                draw()
 
 
 @pytest.mark.parametrize("value", [True, "0.5", None])

@@ -21,9 +21,12 @@ pairs where a split's feature is missing and hand counts down elsewhere.
 On the weighted data, pvs_plus by both metrics prints its mask, which it
 reads by comparing the columns before and after, its deleted instances
 and what is left, and random_value_removal at rate 0.3 what it leaves.
-Last come the bytes the CSV and ARFF writers write for tokens that need
+Then come the bytes the CSV and ARFF writers write for tokens that need
 quoting, a NUL (which csv.writer could not write before Python 3.11),
-rows of one empty field and a carriage return.
+rows of one empty field and a carriage return. Last, the ids a small ARFF
+load gives: a numeric attribute and a nominal one, padded and quoted
+tokens, a quoted '?' value and a declared value that does not name
+itself, so every interpreter names tokens in the same order.
 """
 
 from __future__ import annotations
@@ -112,6 +115,18 @@ with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{d.name}.{fmt}"
             save_dataset(d, path, fmt)
             print(path.read_bytes())
+# The ids a load gives: a numeric column named by first appearance, padded
+# and quoted tokens merging, a quoted '?' value, a declared ' a' that only
+# its quoted token names, and a weighted row
+from valsel import load_arff
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "pin.arff"
+    path.write_text("@relation pin\n@attribute n numeric\n@attribute m {' a',b,'?',c}\n"
+                    "@attribute class {y,'x z'}\n@data\n2.5, b,y\n'2.5',' a','x z'\n"
+                    "1.0,'?',y,{2}\n?, c ,'x z'\n1.0 ,?,y\n", encoding="utf-8")
+    d = load_arff(path)
+    print(repr(([f.values for f in d.features], d.labels, d.instances.columns,
+                d.instances.label_ids, d.instances.weights)))
 """
 
 
