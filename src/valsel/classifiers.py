@@ -89,9 +89,8 @@ is bit-identical to the row-at-a-time algorithm. The grow/prune flag of
 the k-th row of a class is computed once per call and written into the
 class's set bits for each split.
 
-A model's size counts every node of a tree (internal plus leaves) and
-every rule of a rule list including the default. One walk, _nodes, serves
-a tree's size, leaf count and split features.
+A model's size counts every node of a tree (internal plus leaves), found
+by one walk, _nodes, and every rule of a rule list including the default.
 """
 
 from __future__ import annotations
@@ -180,11 +179,6 @@ class TreeModel:
         """Node count: internal nodes plus leaves."""
         return sum(1 for _ in _nodes(self.root))
 
-    @cached_property
-    def n_leaves(self) -> int:
-        """Root-to-leaf path count, the auxiliary size measure."""
-        return sum(isinstance(node, Leaf) for node in _nodes(self.root))
-
     def predict(self, inst, schema: Dataset | None = None):
         """Label token and class distribution for one instance of schema
         (None: the training schema); see the module docstring for routing."""
@@ -214,9 +208,6 @@ class TreeModel:
             return _Route(x, table, [(node.branch_weights[t], c) for t, c in kids.items()])
 
         return walk(self.root)
-
-    def split_features(self) -> set[str]:
-        return {node.name for node in _nodes(self.root) if isinstance(node, Split)}
 
     def to_text(self) -> str:
         lines: list[str] = []
@@ -517,9 +508,6 @@ class RuleModel:
                 continue
             compiled.append((conds, rule))
         return compiled
-
-    def rule_features(self) -> set[str]:
-        return {f for rule in self.rules for f, _ in rule.conditions}
 
     def to_text(self) -> str:
         return "\n".join(r.text(self.labels) for r in self.rules) + "\n"

@@ -305,12 +305,6 @@ class Dataset:
         h.update(array("d", map(add, rows.weights, repeat(0.0))))  # -0.0 + 0.0 is 0.0
         return h.hexdigest()[:16]
 
-    def value_token(self, x: int, z: int) -> str | None:
-        """Token for value id z of feature x; None when z is MISSING."""
-        if z == MISSING:
-            return None
-        return self.features[x].values[z]
-
     def column(self, x: int) -> tuple[int, ...]:
         """Value ids (or MISSING) of feature x, one per row."""
         return self.instances.columns[x]
@@ -322,12 +316,6 @@ class Dataset:
     def with_instances(self, instances) -> "Dataset":
         """New dataset over this schema (features and labels), validated."""
         return Dataset(self.features, instances, self.labels, self.name)
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: {len(self.instances)} instances, "
-            f"{len(self.features)} features, {len(self.labels)} labels"
-        )
 
 
 def _shaped(rows: Rows, arity: int) -> Rows:
@@ -367,18 +355,21 @@ def _check_rows(features, labels, instances) -> None:
 
 def _weight_fault(weights) -> tuple[int, DataError] | None:
     """(row, error) of the first weight that is not a number (an int or a
-    float) or is negative, NaN or infinite, else (len(weights), error) when
-    their sum, added left to right, is not finite; None, after one C-level
-    pass or two, when they are valid."""
-    with suppress(TypeError):  # a weight that is not a number is found below
-        if all(map(le, repeat(0.0), weights)) and math.isfinite(reduce(add, weights, 0.0)):
-            return None
+    float, not a bool) or is negative, NaN or infinite (an int past the float
+    range included), else (len(weights), error) when their sum, added left to
+    right, is not finite; None, after three C-level passes, when they are valid."""
+    if set(map(type, weights)) <= {int, float}:
+        with suppress(OverflowError):  # an int past the float range is found below
+            if all(map(le, repeat(0.0), weights)) and math.isfinite(reduce(add, weights, 0.0)):
+                return None
     for i, w in enumerate(weights):
-        if not isinstance(w, (int, float)):
+        if type(w) not in (int, float):
             return i, DataError(f"instance {i} has weight {w!r}, which is not a number")
-        if not 0.0 <= w < math.inf:
-            kind = "infinite" if w > 0.0 else "negative or NaN"
-            return i, DataError(f"instance {i} has {kind} weight")
+        with suppress(OverflowError):
+            if 0.0 <= w and math.isfinite(w):
+                continue
+        kind = "infinite" if w > 0.0 else "negative or NaN"
+        return i, DataError(f"instance {i} has {kind} weight")
     return len(weights), DataError("instance weights add up to more than the largest float")
 
 

@@ -59,13 +59,16 @@ from .metrics import entropy_bits, left_sum
 log = logging.getLogger(__name__)
 
 METHODS = ("binning", "frequency", "mdl", "none")
+#: The most bins a fit may ask for: equal-width binning makes bins - 1 cuts
+#: whatever the data holds, and the fitters loop bins - 1 times.
+MAX_BINS = 10_000
 
 
 def check_knobs(method: str, bins: int) -> None:
     """Raise ConfigError for an unknown method or a bins that is not an int
-    of at least 1 (any method)."""
+    from 1 to MAX_BINS (any method)."""
     check_choice("discretization method", method, METHODS)
-    check_count("bins", bins, 1)
+    check_count("bins", bins, 1, MAX_BINS)
 
 
 @dataclass(frozen=True)

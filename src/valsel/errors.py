@@ -21,12 +21,14 @@ class UnsupportedFeatureError(DataError):
     """Input uses a file construct this toolkit deliberately does not read."""
 
 
-def check_count(name: str, value, least: int | None = None) -> None:
-    """Raise ConfigError unless value is an int, and not a bool, of at least least."""
+def check_count(name: str, value, least: int | None = None, most: int | None = None) -> None:
+    """Raise ConfigError unless value is an int, and not a bool, from least to most."""
     if type(value) is not int:  # a bool is an int too, and not a count
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be <= {most}, got {value}")
 
 
 def check_number(name: str, value, lo, hi, ends: str) -> None:

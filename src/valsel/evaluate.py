@@ -328,9 +328,6 @@ class EvalReport:
             payload["timings"] = self.timings
         return json.dumps(payload, indent=1) + "\n"
 
-    def to_table(self) -> str:
-        return format_report_table([self])
-
     def save(self, path, include_timings: bool = False) -> None:
         Path(path).write_text(self.to_json(include_timings), encoding="utf-8")
 

@@ -7,6 +7,28 @@ import random
 import pytest
 
 from valsel import dataset_from_rows
+from valsel.classifiers import Leaf, Split, _nodes
+from valsel.data import MISSING
+
+
+def value_token(d, x: int, z: int) -> str | None:
+    """Token for value id z of feature x of d; None when z is MISSING."""
+    return None if z == MISSING else d.features[x].values[z]
+
+
+def n_leaves(tree) -> int:
+    """A tree model's root-to-leaf path count."""
+    return sum(isinstance(node, Leaf) for node in _nodes(tree.root))
+
+
+def split_features(tree) -> set[str]:
+    """Names of the features a tree model splits on."""
+    return {node.name for node in _nodes(tree.root) if isinstance(node, Split)}
+
+
+def rule_features(model) -> set[str]:
+    """Names of the features a rule list's conditions test."""
+    return {f for rule in model.rules for f, _ in rule.conditions}
 
 
 def build_samples():

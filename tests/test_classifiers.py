@@ -29,7 +29,7 @@ from valsel import classifiers
 from valsel.classifiers import Leaf, Rule, Split
 from valsel.metrics import entropy_bits
 
-from conftest import random_dataset, separable_dataset
+from conftest import n_leaves, random_dataset, rule_features, separable_dataset, split_features, value_token
 from test_tree_oracle import assert_same_tree
 
 
@@ -71,7 +71,7 @@ def walk_paths(node, path=()):
 def test_single_label_dataset_is_one_leaf():
     d = dataset_from_rows("s", ["f"], [["x"], ["y"], ["x"]], ["only"] * 3)
     t = train_tree(d)
-    assert t.size == 1 and t.n_leaves == 1
+    assert t.size == 1 and n_leaves(t) == 1
     assert isinstance(t.root, Leaf)
     assert t.predict(d.instances[0]) == ("only", (1.0,))
 
@@ -80,7 +80,7 @@ def test_learns_two_feature_interaction_exactly():
     d = interaction_dataset()
     t = train_tree(d, min_leaf=1, cf=1.0)
     # hand-built shape: root tests a, both children test b, four pure leaves
-    assert t.size == 7 and t.n_leaves == 4
+    assert t.size == 7 and n_leaves(t) == 4
     root = t.root
     assert isinstance(root, Split) and root.name == "a"
     assert set(root.children) == {"0", "1"}
@@ -92,7 +92,7 @@ def test_learns_two_feature_interaction_exactly():
             assert d.labels[leaf.label] == want
     hits = sum(t.predict(i)[0] == d.labels[i.label] for i in d.instances)
     assert hits == len(d.instances)
-    assert t.split_features() == {"a", "b"}
+    assert split_features(t) == {"a", "b"}
 
 
 def test_zero_gain_features_collapse_to_majority_leaf():
@@ -109,7 +109,7 @@ def test_zero_gain_features_collapse_to_majority_leaf():
 
 def test_value_purity_shows_in_branches(samples):
     # the third feature in isolation: values 2 and -1 predict cleanly, 1 does not
-    rows = [[samples.value_token(2, inst.slots[2])] for inst in samples.instances]
+    rows = [[value_token(samples, 2, inst.slots[2])] for inst in samples.instances]
     labels = [samples.labels[inst.label] for inst in samples.instances]
     d = dataset_from_rows("f3only", ["f3"], rows, labels)
     t = train_tree(d, min_leaf=1, cf=1.0)
@@ -154,7 +154,7 @@ def test_missing_values_split_fractionally(samples):
         "|  f3 = 2: 1 (0.5)\n"
         "|  f3 = 1: 0 (2)\n"
     )
-    assert t.size == 5 and t.n_leaves == 3
+    assert t.size == 5 and n_leaves(t) == 3
 
 
 def test_perfect_fit_when_pruning_disabled(make_separable):
@@ -193,7 +193,7 @@ def test_paths_never_retest_a_feature(make_dataset):
             nodes += 1
             leaves += isinstance(node, Leaf)
             assert len(set(path)) == len(path)
-        assert t.size == nodes and t.n_leaves == leaves
+        assert t.size == nodes and n_leaves(t) == leaves
 
 
 def test_weighted_instances_equal_duplicated_rows():
@@ -279,7 +279,7 @@ def test_tokens_route_across_reinterned_schemas(make_dataset):
     d = make_dataset(11, n=40)
     t = train_tree(d)
     rows = [
-        [d.value_token(x, inst.slots[x]) for x in range(len(d.features))]
+        [value_token(d, x, inst.slots[x]) for x in range(len(d.features))]
         for inst in reversed(d.instances)
     ]
     labels = [d.labels[inst.label] for inst in reversed(d.instances)]
@@ -494,7 +494,7 @@ def test_single_rule_captures_an_exact_class():
     assert first.conditions == (("f1", "a"),)
     assert d.labels[first.label] == "X"
     assert first.distribution == (0.0, 1.0)  # labels intern as (Y, X)
-    assert m.rule_features() == {"f1"}
+    assert rule_features(m) == {"f1"}
     for inst in d.instances:
         want = d.labels[inst.label]
         assert m.predict(inst)[0] == want

@@ -131,6 +131,7 @@ def test_output_and_knobs_are_checked_before_the_input_is_read(tmp_path, capsys)
     # each knob a command reads is a config error before the absent input is opened
     for argv, word in [
         (["discretize", "--bins", "0", "--output", out], "bins"),
+        (["discretize", "--bins", "1000000000", "--output", out], "bins"),
         (["discretize", "--disc-method", "none", "--bins", "abc", "--output", out], "bins"),
         (["filter", "--bins", "0", "--method", "none", "--output", out], "bins"),
         (["filter", "--method", "reservoir", "--fraction", "2", "--output", out], "fraction"),

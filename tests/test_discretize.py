@@ -36,6 +36,8 @@ from valsel.discretize import (
 )
 from valsel.metrics import entropy_bits
 
+from conftest import value_token
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -646,7 +648,7 @@ def test_fit_is_deterministic_and_label_blind():
         relabeled = dataset_from_rows(
             "r",
             ["height", "color"],
-            [[d.value_token(0, v), "x"] for v in d.column(0)],
+            [[value_token(d, 0, v), "x"] for v in d.column(0)],
             ["1", "0", "1", "0", "1", "0"],
         )
         assert fit(relabeled, method, 4).cuts["height"] == s1.cuts["height"]
@@ -675,6 +677,22 @@ def test_bins_must_be_an_int(bins):
     for fit_column in (fit_equal_width, fit_equal_frequency):
         with pytest.raises(ConfigError, match="^bins must be an integer"):
             fit_column([1.0, 2.0, 3.0], bins)
+
+
+def test_bins_is_capped_at_10000():
+    # equal-width binning makes bins - 1 cuts whatever the data holds
+    assert len(fit_equal_width([0.0, 1.0], 10_000)) == 9_999
+    d = numeric_dataset()
+    for bins in (10_001, 10**5, 10**9):
+        message = rf"^bins must be <= 10000, got {bins}$"
+        for fit_column in (fit_equal_width, fit_equal_frequency):
+            with pytest.raises(ConfigError, match=message):
+                fit_column([0.0, 1.0], bins)
+        for method in discretize.METHODS:
+            with pytest.raises(ConfigError, match=message):
+                fit(d, method, bins)
+            with pytest.raises(ConfigError, match=message):
+                DiscretizationSpec(method, bins, {})
 
 
 def test_categorical_features_pass_through_untouched():

@@ -30,7 +30,7 @@ from valsel.metrics import (
     log,
 )
 
-from conftest import random_dataset
+from conftest import random_dataset, value_token
 
 
 def stats_oracle(d):
@@ -173,7 +173,7 @@ def test_stats_survive_instance_and_feature_reorder():
     d = random_dataset(3, n=30, n_labels=3)
     domains = [f.values for f in d.features]
     rows = [
-        [d.value_token(x, inst.slots[x]) for x in range(len(d.features))]
+        [value_token(d, x, inst.slots[x]) for x in range(len(d.features))]
         for inst in d.instances
     ]
     labels = [d.labels[inst.label] for inst in d.instances]

@@ -43,6 +43,8 @@ from valsel.classifiers import (
 from valsel.data import MISSING, Dataset
 from valsel.evaluate import RunRecord, _fold_record
 
+from conftest import rule_features, split_features, value_token
+
 
 # ---------------------------------------------------------------------------
 # Reference oracle: token-routing prediction, verbatim
@@ -159,7 +161,7 @@ def reinterned(d: Dataset, seed: int) -> Dataset:
         domains.append(tuple(values))
     labels = list(d.labels)
     rng.shuffle(labels)
-    rows = [[d.value_token(x, inst.slots[x]) for x in order] for inst in d.instances]
+    rows = [[value_token(d, x, inst.slots[x]) for x in order] for inst in d.instances]
     return dataset_from_rows(
         "re",
         [d.features[x].name for x in order],
@@ -173,8 +175,8 @@ def reinterned(d: Dataset, seed: int) -> Dataset:
 
 def model_features(model) -> set[str]:
     if isinstance(model, TreeModel):
-        return model.split_features()
-    return model.rule_features()
+        return split_features(model)
+    return rule_features(model)
 
 
 def schemas(model, d: Dataset, seed: int):
@@ -220,7 +222,7 @@ def test_unseen_tokens_score_as_the_oracle_scores_them(name, learn, weighting):
         d = random_weighted_dataset(seed, weighting)
         rows = d.instances
         # train on rows whose f1 is not v0, so v0 is a token the model never saw
-        train = d.with_instances([r for r in rows if d.value_token(1, r.slots[1]) != "v0"])
+        train = d.with_instances([r for r in rows if value_token(d, 1, r.slots[1]) != "v0"])
         if not train.instances:
             continue
         model = learn(train)

@@ -30,7 +30,7 @@ from valsel import (
     random_value_removal,
 )
 
-from conftest import random_dataset
+from conftest import random_dataset, value_token
 
 
 def mixed(seed=0, n=40):
@@ -125,11 +125,11 @@ def test_pvs_blanks_every_occurrence_and_prunes_empty_instances():
     assert out.removed_instances == (3,)
     assert len(out.filtered.instances) == 3
     f_tokens = [
-        out.filtered.value_token(0, inst.slots[0]) for inst in out.filtered.instances
+        value_token(out.filtered, 0, inst.slots[0]) for inst in out.filtered.instances
     ]
     assert f_tokens == [None, None, "b"]
     g_tokens = [
-        out.filtered.value_token(1, inst.slots[1]) for inst in out.filtered.instances
+        value_token(out.filtered, 1, inst.slots[1]) for inst in out.filtered.instances
     ]
     assert g_tokens == ["p", "q", "p"]
 

@@ -30,7 +30,7 @@ from valsel.data import MISSING, Dataset, Instance
 from valsel.errors import ConfigError, DataError
 from valsel.metrics import entropy_bits
 
-from conftest import random_dataset
+from conftest import n_leaves, random_dataset, split_features
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +363,8 @@ def test_size_leaves_and_split_features_match_a_recursive_count():
     for d in filter_outputs():
         for min_leaf, cf in KNOBS:
             t = classifiers.train_tree(d, min_leaf, cf)
-            assert (t.size, t.n_leaves, t.split_features()) == recursive_counts(t.root)
-            shapes.add((t.size > 1, len(t.split_features()) > 1))
+            assert (t.size, n_leaves(t), split_features(t)) == recursive_counts(t.root)
+            shapes.add((t.size > 1, len(split_features(t)) > 1))
     assert shapes == {(False, False), (True, False), (True, True)}
 
 
