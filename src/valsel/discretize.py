@@ -5,8 +5,8 @@ Three fitting strategies produce cut lists per numeric feature, and
 
 * binning: equal-width intervals between the observed min and max.
 * frequency: equal-frequency intervals; ties on equal values never split
-  across a cut, so cuts sit midway between distinct adjacent sorted
-  values and duplicate-forced empty bins merge away.
+  across a cut, so cuts sit midway between distinct adjacent values, come
+  out ascending by construction, and duplicate-forced empty bins merge away.
 * mdl: recursive entropy minimization with the MDL stopping rule, which
   accepts a binary split of a segment of n values into subsets with k1
   and k2 classes only when
@@ -75,7 +75,7 @@ def check_knobs(method: str, bins: int) -> None:
 class DiscretizationSpec:
     """Fitted cut lists, keyed by feature name in feature order.
 
-    Cuts are finite and strictly ascending; a "none" spec lists no feature.
+    Cuts are finite ints or floats, strictly ascending; a "none" spec lists no feature.
     """
 
     method: str
@@ -83,12 +83,16 @@ class DiscretizationSpec:
     cuts: dict[str, tuple[float, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", {k: tuple(v) for k, v in self.cuts.items()})
         check_knobs(self.method, self.bins)
+        if not isinstance(self.cuts, dict):
+            raise ConfigError(f"cuts must map feature names to lists, got {self.cuts!r}")
+        object.__setattr__(self, "cuts", {k: tuple(v) for k, v in self.cuts.items()})
         if self.method == "none" and self.cuts:
             raise ConfigError(f"method 'none' lists no feature, got cuts for {sorted(self.cuts)}")
         for name, cs in self.cuts.items():
-            if not all(math.isfinite(c) for c in cs):
+            if not set(map(type, cs)) <= {int, float}:  # a bool is an int too, and not a cut
+                raise ConfigError(f"cuts for {name!r} are not all numbers: {list(cs)}")
+            if not all(map(math.isfinite, cs)):
                 raise ConfigError(f"cuts for {name!r} are not all finite: {list(cs)}")
             if any(b <= a for a, b in zip(cs, cs[1:])):
                 raise ConfigError(f"cuts for {name!r} are not strictly ascending")
@@ -105,13 +109,8 @@ class DiscretizationSpec:
     def from_text(cls, text: str) -> "DiscretizationSpec":
         try:
             payload = json.loads(text)
-            bins, cuts = payload["bins"], payload["cuts"]
-            if type(bins) is not int:  # a bool is an int too, and not a bin count
-                raise TypeError(f"bins must be an integer, got {bins!r}")
-            if not isinstance(cuts, dict):
-                raise TypeError(f"cuts must map feature names to lists, got {cuts!r}")
-            return cls(payload["method"], bins, {k: tuple(v) for k, v in cuts.items()})
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            return cls(payload["method"], payload["bins"], payload["cuts"])
+        except (KeyError, TypeError, ConfigError, json.JSONDecodeError) as exc:
             raise DataError(f"bad discretization spec: {exc}") from None
 
     def save(self, path) -> None:
@@ -201,11 +200,13 @@ def _equal_frequency_cuts(vals, counts, bins: int) -> list[float]:
         i = bisect_left(legal, target)
         if i == len(legal) or (i > 0 and target - legal[i - 1] <= legal[i] - target):
             i -= 1
+        # the boundary never moves down as k grows, and _midpoint rises with
+        # it: the cuts come out ascending, and a merged bin repeats the last one
         j = between[i]
         c = _midpoint(vals[j], vals[j + 1])
-        if c not in cuts:
+        if not cuts or c != cuts[-1]:
             cuts.append(c)
-    return sorted(cuts)
+    return cuts
 
 
 def _exact_scan(values, ys, lo, hi, counts, width):
@@ -235,7 +236,7 @@ def _mdl_tables(n: int) -> tuple[list[float], list[float]]:
 
 
 def fit_mdl(column, labels, name: str = "column") -> list[float]:
-    """Recursive minimal-entropy cuts accepted by the MDL criterion.
+    """Recursive minimal-entropy cuts accepted by the MDL criterion; checks its input.
 
     Each segment of n sorted values is cut at the point _exact_scan picks:
     the first whose weighted side entropy w(p), as that scan computes it
@@ -274,21 +275,17 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
     threshold below reads e1, e2 and w of the chosen point from
     entropy_bits, the floats the scan computes.
     """
-    column = list(column)
-    return _fit_mdl(column, labels, name, *_mdl_tables(len(column)))
-
-
-def _fit_mdl(column: list, labels, name: str, g: list[float], dg: list[float]) -> list[float]:
-    """fit_mdl with its tables g and dg (_mdl_tables) given, for at least
-    as many values as column holds; a fit shares them across its columns."""
-    labels = list(labels)
+    column, labels = list(column), list(labels)
     if len(column) != len(labels):
-        raise DataError(
-            f"feature {name!r}: {len(column)} values but {len(labels)} labels"
-        )
+        raise DataError(f"feature {name!r}: {len(column)} values but {len(labels)} labels")
+    _observed(column, name)
+    return _fit_mdl(column, labels, *_mdl_tables(len(column)))
+
+
+def _fit_mdl(column: list, labels, g: list[float], dg: list[float]) -> list[float]:
+    """fit_mdl's core, which checks no input, with its tables g and dg (_mdl_tables)
+    given for at least as many values as column holds; fit shares them across columns."""
     order = [i for i, v in enumerate(column) if v is not None]
-    if not order:
-        raise DataError(f"feature {name!r}: all values missing, nothing to discretize")
     order.sort(key=column.__getitem__)
     values = list(map(column.__getitem__, order))
     sorted_labels = list(map(labels.__getitem__, order))
@@ -439,7 +436,7 @@ def fit(d: Dataset, method: str, bins: int = 10, numeric=None) -> Discretization
                 cs = fit_equal_width(col, bins, f.name)
             else:
                 tables = tables or _mdl_tables(len(rows))
-                cs = _fit_mdl(col, rows.label_ids, f.name, *tables)
+                cs = _fit_mdl(col, rows.label_ids, *tables)
         cuts[f.name] = tuple(cs)
     return DiscretizationSpec(method, bins, cuts)
 

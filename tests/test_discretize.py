@@ -8,6 +8,7 @@ implementations share nothing but the acceptance rule.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import random
 from collections import Counter
@@ -235,11 +236,25 @@ def test_equal_frequency_bins_balanced(vals, bins):
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(st.one_of(st.none(), st.integers(-6, 6)), min_size=1, max_size=60),
-    st.integers(1, 12),
+    st.integers(1, 400),
 )
 def test_equal_frequency_matches_oracle(column, bins):
     assume(any(v is not None for v in column))
     assert fit_equal_frequency(column, bins) == equal_frequency_oracle(column, bins)
+
+
+def test_equal_frequency_cuts_come_out_ascending_at_max_bins():
+    # more bins than distinct values: most bins merge, and no cut repeats
+    rng = random.Random(7)
+    column = [round(rng.gauss(0.0, 1.0), 3) for _ in range(6000)]
+    vals = sorted(set(column))
+    assert len(vals) >= 2000
+    cuts = fit_equal_frequency(column, discretize.MAX_BINS)
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    for c in cuts:
+        k = bisect.bisect_right(vals, c)
+        assert 0 < k < len(vals) and vals[k - 1] < c < vals[k]
+    assert len(cuts) <= len(vals) - 1
 
 
 EQUAL_FLOAT_TOKENS = ["-0.0", "0.0", "0", "1.0", "1.00", "1", "-1", "2.5", "2.50", "1e0"]
@@ -473,7 +488,7 @@ def test_mdl_proxy_adds_its_start_value_left_to_right(monkeypatch):
     dg = [b - a for a, b in zip(g, g[1:])]
     assert math.fsum([1.0, big, 1.0]) == big + 2.0
     calls = count_exact_scans(monkeypatch)
-    assert discretize._fit_mdl(list(range(7)), list("bcbccaa"), "c", g, dg) == []
+    assert discretize._fit_mdl(list(range(7)), list("bcbccaa"), g, dg) == []
     assert calls == []
 
 
@@ -728,10 +743,23 @@ def test_spec_rejects_cuts_under_method_none():
     with pytest.raises(ConfigError, match="'none'"):
         DiscretizationSpec("none", 10, {"a": ()})
     text = '{"method": "none", "bins": 10, "cuts": {"a": [1.5]}}'
-    with pytest.raises(ConfigError, match="'none'"):
+    with pytest.raises(DataError, match="'none'"):
         DiscretizationSpec.from_text(text)
     with pytest.raises(DataError, match="bad discretization spec"):
         DiscretizationSpec.from_text("{")
+
+
+#: Well-shaped spec texts whose values the constructor rejects.
+VALUE_FAULTS = [
+    '{"method": "binning", "bins": 0, "cuts": {}}',
+    '{"method": "binning", "bins": 20000, "cuts": {}}',
+    '{"method": "guess", "bins": 3, "cuts": {}}',
+    '{"method": 5, "bins": 3, "cuts": {}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": [2.0, 1.0]}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": [true]}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": [1e400]}}',
+    '{"method": "none", "bins": 3, "cuts": {"a": [1.5]}}',
+]
 
 
 @pytest.mark.parametrize("text", [
@@ -744,10 +772,18 @@ def test_spec_rejects_cuts_under_method_none():
     '{"method": "binning", "bins": 3, "cuts": {"a": ["0.5"]}}',
     '{"method": "binning", "bins": 3}',
     '["binning", 3, {}]',
+    *VALUE_FAULTS,
 ])
 def test_malformed_spec_text_is_a_data_error(text):
     with pytest.raises(DataError, match="bad discretization spec"):
         DiscretizationSpec.from_text(text)
+
+
+@pytest.mark.parametrize("text", VALUE_FAULTS)
+def test_spec_values_built_in_code_are_a_config_error(text):
+    payload = json.loads(text)
+    with pytest.raises(ConfigError):
+        DiscretizationSpec(payload["method"], payload["bins"], payload["cuts"])
 
 
 def test_spec_file_that_is_not_utf8_is_a_data_error(tmp_path):
@@ -760,7 +796,7 @@ def test_spec_file_that_is_not_utf8_is_a_data_error(tmp_path):
 @pytest.mark.parametrize("cut", ["NaN", "Infinity", "-Infinity"])
 def test_spec_rejects_non_finite_cuts(cut):
     text = f'{{"method": "binning", "bins": 3, "cuts": {{"a": [0.5, {cut}]}}}}'
-    with pytest.raises(ConfigError, match="'a'.*finite"):
+    with pytest.raises(DataError, match="'a'.*finite"):
         DiscretizationSpec.from_text(text)
     with pytest.raises(ConfigError, match="finite"):
         DiscretizationSpec("binning", 3, {"a": (float(cut),)})
