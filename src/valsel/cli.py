@@ -155,8 +155,7 @@ def cmd_discretize(values: dict, args) -> None:
     spec = _disc.fit(d, values["disc_method"], values["bins"])
     out = _disc.apply(spec, d)
     del d  # the raw rows need not stay in memory while the output is written
-    out_path = _out_path(values["output"])
-    save_dataset(out, out_path, args.output_format, values["missing_token"])
+    save_dataset(out, _out_path(values["output"]), missing_token=values["missing_token"])
     if args.spec_out:
         spec.save(_out_path(args.spec_out))
 
@@ -184,8 +183,7 @@ def cmd_filter(values: dict, args) -> None:
     if args.stats_out:
         table = stats.format_table(cfg.iota, cfg.epsilon)
         _out_path(args.stats_out).write_text(table, encoding="utf-8")
-    out_path = _out_path(values["output"])
-    save_dataset(filtered, out_path, args.output_format, values["missing_token"])
+    save_dataset(filtered, _out_path(values["output"]), missing_token=values["missing_token"])
     if args.audit_out:
         _out_path(args.audit_out).write_text(audit, encoding="utf-8")
 
@@ -222,7 +220,7 @@ _HELP = {
     "seed": "root random seed",
     "disc_method": "discretization of numeric features",
     "bins": "bin count for binning/frequency",
-    "output": "where to write the output dataset",
+    "output": "where to write the output dataset, as ARFF for .arff and CSV otherwise",
     "method": "filter to apply",
     "iota": "selection metric",
     "fraction": "reservoir keep fraction",
@@ -275,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     writes = argparse.ArgumentParser(add_help=False)
     _settings(writes, "output")
-    writes.add_argument("--output-format", choices=FORMATS, default="arff",
-                        help="format of the output dataset (default %(default)s)")
 
     learning = argparse.ArgumentParser(add_help=False)
     _settings(learning, "method", "iota", "fraction")

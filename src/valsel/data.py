@@ -803,10 +803,9 @@ def load_arff(path) -> Dataset:
                 if spec.startswith("{"):
                     if not spec.endswith("}"):
                         raise DataError(f"{where}: unterminated nominal domain")
-                    domain = tuple(
-                        tok for tok, _ in _split_quoted(spec[1:-1], where)
-                    )
-                    attr_domains.append(domain)
+                    body = spec[1:-1]  # "{}" declares no value; the writer quotes "" as ''
+                    domain = _split_quoted(body, where) if body.strip() else ()
+                    attr_domains.append(tuple(tok for tok, _ in domain))
                 elif spec.lower() in ("numeric", "real", "integer"):
                     attr_domains.append(None)
                 else:
@@ -865,27 +864,30 @@ def _save_arff(d: Dataset, path: Path) -> None:
 FORMATS = ("csv", "arff")
 
 
-def save_dataset(d: Dataset, path, format: str = "arff", missing_token: str = "?") -> None:
-    """Write d to path as "arff" (lossless) or "csv"."""
+def _format_of(path: Path, format: str | None) -> str:
+    """format, or else what path's suffix names: "arff" for .arff in any case, "csv" otherwise."""
+    format = ("arff" if path.suffix.lower() == ".arff" else "csv") if format is None else format
     check_choice("dataset format", format, FORMATS)
+    return format
+
+
+def save_dataset(d: Dataset, path, format: str | None = None, missing_token: str = "?") -> None:
+    """Write d to path as "arff" (lossless) or "csv", by its suffix unless format is given."""
     path = Path(path)
-    if format == "arff":
+    if _format_of(path, format) == "arff":
         _save_arff(d, path)
     else:
         _save_csv(d, path, missing_token)
 
 
 def load_dataset(path, format: str | None = None, **kwargs) -> Dataset:
-    """Dispatch to load_csv or load_arff, sniffing from the suffix when format is None.
+    """Dispatch to load_csv or load_arff, by the path's suffix unless format is given.
 
     kwargs are load_csv's options; ARFF input takes none of them, so one
     that differs from load_csv's default raises ConfigError naming it.
     """
     path = Path(path)
-    if format is None:
-        format = "arff" if path.suffix.lower() == ".arff" else "csv"
-    check_choice("dataset format", format, FORMATS)
-    if format == "arff":
+    if _format_of(path, format) == "arff":
         csv_options = inspect.signature(load_csv)
         for key, value in csv_options.bind(path, **kwargs).arguments.items():
             if key != "path" and value != csv_options.parameters[key].default:

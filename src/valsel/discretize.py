@@ -86,16 +86,18 @@ class DiscretizationSpec:
         check_knobs(self.method, self.bins)
         if not isinstance(self.cuts, dict):
             raise ConfigError(f"cuts must map feature names to lists, got {self.cuts!r}")
-        object.__setattr__(self, "cuts", {k: tuple(v) for k, v in self.cuts.items()})
         if self.method == "none" and self.cuts:
             raise ConfigError(f"method 'none' lists no feature, got cuts for {sorted(self.cuts)}")
         for name, cs in self.cuts.items():
+            if not isinstance(cs, (list, tuple)):
+                raise ConfigError(f"cuts for {name!r} must be a list, got {cs!r}")
             if not set(map(type, cs)) <= {int, float}:  # a bool is an int too, and not a cut
                 raise ConfigError(f"cuts for {name!r} are not all numbers: {list(cs)}")
             if not all(map(math.isfinite, cs)):
                 raise ConfigError(f"cuts for {name!r} are not all finite: {list(cs)}")
             if any(b <= a for a, b in zip(cs, cs[1:])):
                 raise ConfigError(f"cuts for {name!r} are not strictly ascending")
+        object.__setattr__(self, "cuts", {k: tuple(v) for k, v in self.cuts.items()})
 
     def to_text(self) -> str:
         payload = {

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import valsel
-from valsel import DISCRETIZED, MISSING, ConfigError, load_dataset, save_dataset
+from valsel import (DISCRETIZED, MISSING, ConfigError, load_arff, load_csv, load_dataset,
+                    save_dataset)
 from valsel.cli import _build_parser, _parse_epsilon, main
 from valsel.discretize import DiscretizationSpec
 
@@ -348,10 +349,9 @@ LEARNING_OPTIONS = {
     "--min-leaf": None, "--cf": None, "--prune-fraction": None, "--epsilon": None,
 }
 CLI_SURFACE = {
-    "discretize": {**SHARED_OPTIONS, "--output": None, "--output-format": ("csv", "arff"),
-                   "--spec-out": None},
-    "filter": {**SHARED_OPTIONS, **LEARNING_OPTIONS, "--output": None,
-               "--output-format": ("csv", "arff"), "--audit-out": None, "--stats-out": None},
+    "discretize": {**SHARED_OPTIONS, "--output": None, "--spec-out": None},
+    "filter": {**SHARED_OPTIONS, **LEARNING_OPTIONS, "--output": None, "--audit-out": None,
+               "--stats-out": None},
     "experiment": {**SHARED_OPTIONS, **LEARNING_OPTIONS, "--epsilon-step": None,
                    "--repeats": None, "--folds": None, "--fold-safe --no-fold-safe": None,
                    "--jobs": None, "--report": None, "--timings": None},
@@ -402,10 +402,31 @@ def test_discretize_writes_dataset_and_spec(numeric_csv, tmp_path):
 def test_discretize_none_writes_the_input_rows_unchanged(numeric_csv, tmp_path):
     out, spec_out = tmp_path / "same.csv", tmp_path / "cuts.json"
     code = main(["discretize", "--input", str(numeric_csv), "--disc-method", "none",
-                 "--output", str(out), "--output-format", "csv", "--spec-out", str(spec_out)])
+                 "--output", str(out), "--spec-out", str(spec_out)])
     assert code == 0
     assert out.read_text(encoding="utf-8") == numeric_csv.read_text(encoding="utf-8")
     assert DiscretizationSpec.load(spec_out).cuts == {}
+
+
+def test_an_output_is_written_in_the_format_its_path_names(numeric_csv, tmp_path):
+    disc, filtered, arff = tmp_path / "out.csv", tmp_path / "f.csv", tmp_path / "out.arff"
+    for out in (disc, arff):
+        assert main(["discretize", "--input", str(numeric_csv), "--disc-method", "binning",
+                     "--bins", "3", "--output", str(out)]) == 0
+    assert main(["filter", "--input", str(disc), "--method", "none", "--output",
+                 str(filtered)]) == 0
+    assert load_csv(disc) == load_csv(filtered) == load_arff(arff)
+    assert len(load_csv(disc).features[0].values) == 3
+
+
+@pytest.mark.parametrize("command", ["discretize", "filter"])
+def test_output_format_is_not_an_option(numeric_csv, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(numeric_csv), "--output", str(tmp_path / "out.csv"),
+              "--output-format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output-format csv" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_non_finite_numeric_token_exits_1(tmp_path, capsys):

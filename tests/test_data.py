@@ -403,6 +403,13 @@ def test_arff_keeps_weights_kinds_and_unobserved_values(tmp_path):
     assert back.instances[0].weight == 2.5
 
 
+def test_arff_keeps_a_feature_with_no_observed_value(tmp_path):
+    d = dataset_from_rows("e", ["a", "b"], [[None, "x"], [None, "y"]], ["0", "1"])
+    assert d.features[0].values == ()
+    back = arff_round_trip(tmp_path, d)
+    assert back == d and back.features[0].values == ()
+
+
 def test_arff_quotes_awkward_tokens(tmp_path):
     weird = ["a,b", "c'd", "{x}", "%pct", "two words", "?", "", "back\\slash", 'dq"x',
              "\xa0x", "x\x0b", "\x0cx\x0c", "in\xa0side"]
@@ -680,6 +687,29 @@ def test_load_dataset_dispatches_on_suffix(tmp_path, samples):
         load_dataset(pc, format="xml")
     with pytest.raises(ConfigError):
         save_dataset(samples, tmp_path / "d.bin", format="xml")
+
+
+@st.composite
+def plain_datasets(draw):
+    """Unit-weight datasets with no declared domains, whose names and
+    tokens both formats read back unchanged."""
+    n_feat = draw(st.integers(1, 3))
+    token = st.text("abxy", min_size=1, max_size=2)
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(st.one_of(st.none(), token), min_size=n_feat, max_size=n_feat))
+            for _ in range(n)]
+    labels = draw(st.lists(token, min_size=n, max_size=n))
+    return dataset_from_rows("plain", [f"f{x}" for x in range(n_feat)], rows, labels)
+
+
+@pytest.mark.parametrize("suffix", [".arff", ".ARFF", ".csv", ".txt", ""])
+@settings(max_examples=40, deadline=None)
+@given(plain_datasets())
+def test_a_saved_file_is_written_in_the_format_its_suffix_names(tmp_path_factory, suffix, d):
+    p = tmp_path_factory.mktemp("suffix") / f"d{suffix}"
+    save_dataset(d, p)
+    assert load_dataset(p) == d
+    assert (load_arff if suffix.lower() == ".arff" else load_csv)(p) == d
 
 
 TOKEN_ALPHABET = "ab0 ?,'{}%\\\"\tzX-é中\u00a0\x0b\x0c"

@@ -11,6 +11,7 @@ import bisect
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -759,6 +760,8 @@ VALUE_FAULTS = [
     '{"method": "binning", "bins": 3, "cuts": {"a": [true]}}',
     '{"method": "binning", "bins": 3, "cuts": {"a": [1e400]}}',
     '{"method": "none", "bins": 3, "cuts": {"a": [1.5]}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": 0.5}}',
+    '{"method": "binning", "bins": 3, "cuts": {"a": "12"}}',
 ]
 
 
@@ -768,7 +771,6 @@ VALUE_FAULTS = [
     '{"method": "binning", "bins": 2.5, "cuts": {}}',
     '{"method": "binning", "bins": true, "cuts": {}}',
     '{"method": "binning", "bins": "3", "cuts": {}}',
-    '{"method": "binning", "bins": 3, "cuts": {"a": 0.5}}',
     '{"method": "binning", "bins": 3, "cuts": {"a": ["0.5"]}}',
     '{"method": "binning", "bins": 3}',
     '["binning", 3, {}]',
@@ -784,6 +786,12 @@ def test_spec_values_built_in_code_are_a_config_error(text):
     payload = json.loads(text)
     with pytest.raises(ConfigError):
         DiscretizationSpec(payload["method"], payload["bins"], payload["cuts"])
+
+
+@pytest.mark.parametrize("cuts", [0.5, "12"])
+def test_spec_rejects_a_cut_list_that_is_not_a_list(cuts):
+    with pytest.raises(ConfigError, match=re.escape(f"cuts for 'a' must be a list, got {cuts!r}")):
+        DiscretizationSpec("binning", 3, {"a": cuts})
 
 
 def test_spec_file_that_is_not_utf8_is_a_data_error(tmp_path):

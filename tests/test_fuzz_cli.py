@@ -197,8 +197,8 @@ SHARED = ["--class-index", "--missing-token", "--format", "--seed", "--bins", "-
 LEARNING = ["--method", "--iota", "--fraction", "--drop", "--rate", "--dataset-entropy",
             "--learner", "--min-leaf", "--cf", "--prune-fraction", "--epsilon"]
 FLAGS = {
-    "discretize": SHARED + ["--output-format"],
-    "filter": SHARED + LEARNING + ["--output-format"],
+    "discretize": SHARED,
+    "filter": SHARED + LEARNING,
     "experiment": SHARED + LEARNING + ["--epsilon-step", "--repeats", "--folds", "--jobs"],
 }
 
