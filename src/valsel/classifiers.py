@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, count, repeat
@@ -199,6 +200,8 @@ class TreeModel:
         return out
 
     def _compile(self, pos, features):
+        """The tree as _Routes over features, pos[name] a feature's position. Each
+        route's table is read a slot at a time, so it keeps its own entry for MISSING."""
         def walk(node):
             if isinstance(node, Leaf):
                 return _normalized(node.counts)
@@ -521,15 +524,19 @@ def _bits(mask: int):
 
 
 def _row_masks(keys) -> dict[int, int]:
-    """One bitset per distinct key: bit i is set where keys[i] equals it."""
-    n = len(keys)
-    digits: dict[int, bytearray] = {}
+    """One bitset per distinct key, in key order: bit i is set where keys[i]
+    equals it. Each is read from digits spanning its own rows alone."""
+    rows = defaultdict(list)
     for i, k in enumerate(keys):
-        row = digits.get(k)
-        if row is None:
-            row = digits[k] = bytearray(b"0" * n)
-        row[n - 1 - i] = 49  # ord("1"); int() reads the highest bit first
-    return {k: int(row, 2) for k, row in sorted(digits.items())}
+        rows[k].append(i)
+    masks = {}
+    for k, at in sorted(rows.items()):  # keys are distinct, so no list is compared
+        lo, top = at[0], at[-1]
+        digits = bytearray(b"0" * (top - lo + 1))
+        for i in at:
+            digits[top - i] = 49  # ord("1"); int() reads the highest bit first
+        masks[k] = int(digits, 2) << lo
+    return masks
 
 
 def _prune_ranks(n: int, prune_fraction: float) -> str:

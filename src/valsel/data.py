@@ -4,8 +4,11 @@ A Dataset holds categorical instances over a fixed feature list. Every
 value is interned per feature as a small integer identifier (its index
 into the feature's value tuple) so that removal masks and counting stay
 cheap array work; MISSING is a reserved sentinel distinct from any
-identifier. Datasets are immutable after construction: filters and
-discretizers return new Dataset objects.
+identifier. A value-id column is looked up through a table by one rule,
+recode, a MISSING slot reading a value put after the table's last entry;
+only metrics.class_keys and the tree's routing, which read a slot at a
+time, keep tables of their own. Datasets are immutable after
+construction: filters and discretizers return new Dataset objects.
 
 Storage is columnar: Dataset.instances is a Rows, which keeps one tuple
 of value ids per feature, one of label ids and one of weights. Rows
@@ -54,7 +57,7 @@ appearance, feature kinds, or instance weights; datasets that came from
 CSV round-trip exactly.
 
 Both writers quote each distinct token once, into a table per column,
-and join the rows the tables give. CSV quoting is csv.writer's with "\n"
+and join the rows recode gives. CSV quoting is csv.writer's with "\n"
 line ends: a token holding ',', '"' or '\n' is wrapped in '"', each '"'
 doubled; every field is, when any token or name holds '\r', so the file
 reads back unchanged; a row of one empty field is '""'; NUL is kept.
@@ -331,6 +334,11 @@ def empty_rows(columns) -> list[int]:
     return [i for i, slots in enumerate(zip(*columns)) if slots == blank]
 
 
+def recode(column, table, missing=MISSING) -> tuple:
+    """table[z] for each value id z of column, and missing for each MISSING slot."""
+    return tuple(map([*table, missing].__getitem__, column))  # a list's is the faster lookup
+
+
 def _check_rows(features, labels, instances) -> None:
     """Raise DataError for the first faulty row (its slot count, each slot
     in feature order, its label, its weight), then for an overflowing sum."""
@@ -425,7 +433,7 @@ def _named(ids, table, seeded, domain, name_of):
     if None in remap:
         k = remap.index(None)
         return ids, None, (ids.index(base + k), names[k])
-    return tuple(map((*range(base), *remap, MISSING).__getitem__, ids)), tuple(domain), None
+    return recode(ids, (*range(base), *remap)), tuple(domain), None
 
 
 def _build(name, feature_names, rows, labels, domains, label_domain, kinds, weights,
@@ -622,12 +630,11 @@ def _record_line(path: Path, k: int) -> int:
         return reader.line_num + 1
 
 
-def _token_rows(rows: Rows, tables):
-    """Each row's tokens: tables[x][slot] for each feature x, then
-    tables[-1][label id]. Each column is mapped through its table into a
-    list before the rows are zipped."""
+def _token_rows(rows: Rows, tables, missing: str):
+    """Each row's tokens: tables[x][slot], or missing for MISSING, for each feature x,
+    then tables[-1][label id]; each column is recoded whole before the rows are zipped."""
     columns = (*rows.columns, rows.label_ids)
-    return zip(*[list(map(table.__getitem__, col)) for table, col in zip(tables, columns)])
+    return zip(*[recode(col, table, missing) for table, col in zip(tables, columns)])
 
 
 def _csv_quote(token: str, every: bool) -> str:
@@ -641,16 +648,16 @@ def _csv_quote(token: str, every: bool) -> str:
 def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
     if d.instances.weights.count(1.0) != len(d.instances):
         log.warning("CSV output drops instance weights; use ARFF to keep them")
-    # Per-feature token tables end in the missing token, which MISSING (-1) indexes.
-    tables = [f.values + (missing_token,) for f in d.features] + [d.labels]
+    tables = [f.values for f in d.features] + [d.labels]
     header = [f.name for f in d.features] + ["class"]
-    # "\r" is no line end here, so a token holding one is kept whole by quoting every field.
-    every = "\r" in "".join(map("".join, [header, *tables]))
+    # "\r" is no line end here, so a token holding one is kept whole by quoting every
+    # field; the missing token is one only where there is a feature slot to hold it.
+    every = "\r" in "".join(map("".join, [header, *tables])) + missing_token * bool(d.features)
     tables = [[_csv_quote(token, every) for token in table] for table in tables]
     if not d.features:  # each row is the label alone, and a lone empty field is written ""
         tables[-1] = ['""' if token == "" else token for token in tables[-1]]
     lines = [",".join(_csv_quote(h, every) for h in header)]
-    lines += map(",".join, _token_rows(d.instances, tables))
+    lines += map(",".join, _token_rows(d.instances, tables, _csv_quote(missing_token, every)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -843,19 +850,15 @@ def load_arff(path) -> Dataset:
 
 def _save_arff(d: Dataset, path: Path) -> None:
     lines = [f"@relation {_arff_quote(d.name, 'the relation name')}"]
-    # Each token is quoted once; a feature's table ends in "?", which MISSING (-1) indexes.
-    tables = [
-        [_arff_quote(v, f"feature {f.name!r}") for v in f.values] + ["?"] for f in d.features
-    ]
+    tables = [[_arff_quote(v, f"feature {f.name!r}") for v in f.values] for f in d.features]
     tables.append([_arff_quote(v, "the class") for v in d.labels])
     for f, table in zip(d.features, tables):
-        domain = ",".join(table[:-1])
-        lines.append(f"@attribute {_arff_quote(f.name, 'a feature name')} {{{domain}}}")
+        lines.append(f"@attribute {_arff_quote(f.name, 'a feature name')} {{{','.join(table)}}}")
     lines.append(f"@attribute class {{{','.join(tables[-1])}}}")
     if any(f.kind != CATEGORICAL for f in d.features):
         lines.append("% kinds: " + ",".join(f.kind for f in d.features))
     lines.append("@data")
-    for row, w in zip(map(",".join, _token_rows(d.instances, tables)), d.instances.weights):
+    for row, w in zip(map(",".join, _token_rows(d.instances, tables, "?")), d.instances.weights):
         lines.append(row if w == 1.0 else f"{row},{{{w!r}}}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -52,7 +52,7 @@ from math import log2
 from operator import eq, ne, sub
 from pathlib import Path
 
-from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature
+from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, recode
 from .errors import ConfigError, DataError, check_choice, check_count
 from .metrics import entropy_bits, left_sum
 
@@ -284,7 +284,7 @@ def fit_mdl(column, labels, name: str = "column") -> list[float]:
     return _fit_mdl(column, labels, *_mdl_tables(len(column)))
 
 
-def _fit_mdl(column: list, labels, g: list[float], dg: list[float]) -> list[float]:
+def _fit_mdl(column: tuple | list, labels, g: list[float], dg: list[float]) -> list[float]:
     """fit_mdl's core, which checks no input, with its tables g and dg (_mdl_tables)
     given for at least as many values as column holds; fit shares them across columns."""
     order = [i for i, v in enumerate(column) if v is not None]
@@ -433,7 +433,7 @@ def fit(d: Dataset, method: str, bins: int = 10, numeric=None) -> Discretization
             cs = _equal_frequency_cuts(list(map(floats.__getitem__, order)),
                                        list(map(counts.__getitem__, order)), bins)
         else:
-            col = list(map((*floats, None).__getitem__, ids))  # MISSING is -1
+            col = recode(ids, floats, None)
             if method == "binning":
                 cs = fit_equal_width(col, bins, f.name)
             else:
@@ -457,21 +457,13 @@ def apply(spec: DiscretizationSpec, d: Dataset) -> Dataset:
         if name not in by_name:
             raise DataError(f"spec names feature {name!r} absent from {d.name!r}")
 
-    # Per listed feature, new value id by old one, ending in MISSING for slot -1.
-    new_features = []
-    tables = []
+    # A listed feature's ids are recoded to its intervals; every other column is shared.
+    new_features, columns = list(d.features), list(d.instances.columns)
     for x, f in enumerate(d.features):
-        if f.name not in spec.cuts:
-            new_features.append(f)
-            tables.append(None)
-            continue
-        cuts = spec.cuts[f.name]
-        new_features.append(Feature(f.name, interval_labels(cuts), DISCRETIZED))
-        # Only a value id that d never uses can hold a token that is not a number.
-        tables.append([MISSING if v is None else bisect_left(cuts, v)
-                       for v in _value_floats(d, x)] + [MISSING])
-
-    # A listed feature's ids go through its table; every other column is shared.
-    columns = [col if table is None else tuple(map(table.__getitem__, col))
-               for table, col in zip(tables, d.instances.columns)]
+        if f.name in spec.cuts:
+            cuts = spec.cuts[f.name]
+            new_features[x] = Feature(f.name, interval_labels(cuts), DISCRETIZED)
+            # Only a value id that d never uses can hold a token that is not a number.
+            columns[x] = recode(columns[x], [MISSING if v is None else bisect_left(cuts, v)
+                                             for v in _value_floats(d, x)])
     return d._derived(columns, new_features)

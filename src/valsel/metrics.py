@@ -135,8 +135,8 @@ def _value_entropy(counts, support: float, n_labels: int) -> float:
 
 def class_keys(n_values: int, column, label_ids, n_labels: int) -> list[int]:
     """Per row, value id * n_labels + label, or MISSING where the slot is
-    MISSING; column holds value ids below n_values. One table per label maps
-    value ids to keys, and its last entry serves slot MISSING (-1)."""
+    MISSING; column holds value ids below n_values. Each slot reads its row's
+    label's table, so no one table recodes the column: each ends in MISSING."""
     ids = range(n_values)
     tables = [[z * n_labels + y for z in ids] + [MISSING] for y in range(n_labels)]
     return list(map(operator.getitem, map(tables.__getitem__, label_ids), column))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 
-from .data import MISSING, Dataset, Feature, empty_rows
+from .data import MISSING, Dataset, Feature, empty_rows, recode
 from .errors import DataError, check_count
 from .metrics import MetricTable, check_selection, removal_probability
 
@@ -130,15 +130,13 @@ def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
     mask = tuple(map(tuple, removed))
 
     # Per feature, the new id of each old one: kept values are numbered in
-    # order, removed ones become MISSING, and the last entry serves slot -1.
-    features, tables = [], []
-    for f, gone in zip(d.features, mask):
+    # order, and removed ones become MISSING.
+    features, columns = [], []
+    for f, gone, col in zip(d.features, mask, d.instances.columns):
         new_ids = count()
-        tables.append([MISSING if hit else next(new_ids) for hit in gone] + [MISSING])
+        columns.append(recode(col, [MISSING if hit else next(new_ids) for hit in gone]))
         features.append(Feature(f.name, tuple(v for v, hit in zip(f.values, gone) if not hit),
                                 f.kind))
-    columns = [tuple(map(table.__getitem__, col))
-               for table, col in zip(tables, d.instances.columns)]
     return _outcome(d, stats, "pvs", mask, columns, empty_rows(columns), features)
 
 

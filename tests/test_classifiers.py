@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
+import tracemalloc
 from contextlib import contextmanager
 from functools import reduce
 from statistics import NormalDist
@@ -590,6 +591,28 @@ def test_a_precision_that_underflows_is_no_candidate():
     model = train_rules(d)
     assert [r.conditions for r in model.rules] == [(("a", "y"),), ()]
     assert [model.labels[r.label] for r in model.rules] == ["1", "0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(MISSING, 6), max_size=120)
+       | st.lists(st.integers(MISSING, 10**6), max_size=120, unique=True))
+def test_row_masks_match_a_per_row_oracle(keys):
+    oracle: dict[int, int] = {}
+    for i, k in enumerate(keys):
+        oracle[k] = oracle.get(k, 0) | 1 << i
+    assert list(classifiers._row_masks(tuple(keys)).items()) == sorted(oracle.items())
+
+
+def test_row_masks_memory_is_linear_in_the_rows():
+    keys = tuple(range(MISSING, 7999))  # 8000 rows, each its own key
+    tracemalloc.start()
+    try:
+        masks = classifiers._row_masks(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks == {k: 1 << i for i, k in enumerate(keys)}
+    assert peak < 16e6  # one 8000-byte digit buffer per key held at once is 64 MB
 
 
 def test_prune_split_can_be_disabled():

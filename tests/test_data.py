@@ -29,7 +29,7 @@ from valsel import (
     load_dataset,
     save_dataset,
 )
-from valsel.data import _arff_quote, _split_quoted
+from valsel.data import _arff_quote, _split_quoted, recode
 
 from conftest import value_token
 
@@ -47,6 +47,14 @@ def test_missing_slots_use_the_sentinel(samples):
     assert inst.slots[0] == MISSING
     assert value_token(samples, 1, inst.slots[1]) == "1"
     assert value_token(samples, 0, inst.slots[0]) is None
+
+
+@given(st.lists(st.text(max_size=2), max_size=6, unique=True).flatmap(
+    lambda table: st.tuples(st.just(table), st.lists(st.integers(MISSING, len(table) - 1)))))
+def test_recode_reads_ids_in_table_order_and_missing_for_missing(case):
+    table, column = case
+    assert recode(column, table, "?") == tuple("?" if z == MISSING else table[z] for z in column)
+    assert recode((2, MISSING, 0), (5, 6, 7)) == (7, MISSING, 5)
 
 
 def test_declared_domain_fixes_identifiers():

@@ -857,6 +857,16 @@ def test_apply_is_total_on_finite_reals(train_values, values, method):
             assert inst.slots == (bisect.bisect_left(cuts, v),)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.none() | st.sampled_from([1.5, 2.0, 3.25, 4.0, 7.5]), min_size=2, max_size=30)
+       .filter(lambda col: any(v is not None for v in col)))
+def test_fit_reads_a_missing_slot_as_no_value(col):
+    labels = [str(i % 3) for i in range(len(col))]
+    d = dataset_from_rows("m", ["x"], [[None if v is None else repr(v)] for v in col], labels)
+    assert fit(d, "binning", 3).cuts["x"] == tuple(fit_equal_width(col, 3))
+    assert fit(d, "mdl").cuts["x"] == tuple(fit_mdl(col, labels))
+
+
 def test_a_fit_on_part_of_a_dataset_cuts_the_whole_datasets_numeric_features():
     rows = [["abc" if i == 3 else str(i), str(i % 4), "u"] for i in range(12)]
     whole = dataset_from_rows("w", ["a", "b", "c"], rows, ["p", "q"] * 6)
