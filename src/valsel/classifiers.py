@@ -49,7 +49,7 @@ information included, by metrics.entropy_bits. At a unit node whose items
 all hold a value of the feature, the per-value counts are whole numbers
 adding up exactly to the node's counts, so the known counts are those,
 whose entropy is taken once per node, and the known share is exactly 1.
-Fractional weights add up left to right (metrics.left_sum), so every
+Fractional weights add up left to right (data.left_sum), so every
 interpreter rounds them alike.
 
 A fit leaves no reference cycles behind, so reference counting frees its
@@ -99,14 +99,14 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate, count, repeat
 from statistics import NormalDist
 from typing import NamedTuple
 
-from .data import MISSING, Dataset, Feature, Rows, collector_paused
+from .data import MISSING, Dataset, Feature, Rows, collector_paused, left_sum
 from .errors import ConfigError, DataError, check_choice, check_count, check_number
-from .metrics import class_counts, class_keys, entropy_bits, left_sum
+from .metrics import class_counts, class_keys, entropy_bits
 
 TREE_MIN_LEAF = 2
 TREE_CF = 0.25
@@ -158,15 +158,16 @@ def _nodes(root):
             stack.extend(node.children.values())
 
 
-def _compiled(model, schema: Dataset | None):
-    """model's token routing compiled for schema's features, cached on model
-    by their id next to the tuple itself; a hit must hold that very tuple."""
+def _compiled(model, instances, schema: Dataset | None):
+    """instances through Rows.of at schema's slot count, and model's routing for
+    schema's features, cached on model by their id next to the tuple itself."""
     features = model.features if schema is None else schema.features
+    rows = Rows.of(instances, len(features))
     cache = model.__dict__.setdefault("_by_schema", {})
     if cache.get(id(features), (None,))[0] is not features:
         pos = {f.name: x for x, f in enumerate(features)}
         cache[id(features)] = (features, model._compile(pos, features))
-    return cache[id(features)][1]
+    return rows, cache[id(features)][1]
 
 
 @dataclass(frozen=True)
@@ -183,16 +184,17 @@ class TreeModel:
     def predict(self, inst, schema: Dataset | None = None):
         """Label token and class distribution for one instance of schema
         (None: the training schema); see the module docstring for routing."""
-        dist = _distribution(_compiled(self, schema), inst.slots, len(self.labels))
+        rows, root = _compiled(self, [inst], schema)
+        dist = _distribution(root, next(rows.slot_tuples()), len(self.labels))
         return self.labels[_argmax_low(dist)], tuple(dist)
 
     def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
         """Label id, into self.labels, that predict picks for each instance;
         each distinct slot tuple is routed once."""
-        root, n_labels = _compiled(self, schema), len(self.labels)
+        (rows, root), n_labels = _compiled(self, instances, schema), len(self.labels)
         memo: dict[tuple[int, ...], int] = {}
         out = []
-        for slots in Rows.of(instances).slot_tuples():
+        for slots in rows.slot_tuples():
             y = memo.get(slots)
             if y is None:
                 y = memo[slots] = _argmax_low(_distribution(root, slots, n_labels))
@@ -355,7 +357,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
         # lo = done + lbs[k] + lbs[k + 1] + ..., added left to right, bounds the sum of
         # the children's estimates from below while children k, k + 1, ... are not grown.
         lbs = [least(n) for n in sizes] if prune and whole else [0.0] * len(zs)
-        if prune and _collapses(leaf_err, reduce(operator.add, lbs, 0.0)):
+        if prune and _collapses(leaf_err, left_sum(lbs)):
             return Leaf(tuple(counts), label), leaf_err
 
         ks = map(keys[x].__getitem__, items if unit else map(operator.itemgetter(0), items))
@@ -383,7 +385,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             child, est = grow(child_items, unit, child_counts, sub_avail)
             done += est
             rest = lbs[k + 1 :]
-            if prune and rest and _collapses(leaf_err, reduce(operator.add, rest, done)):
+            if prune and rest and _collapses(leaf_err, left_sum(rest, done)):
                 return Leaf(tuple(counts), label), leaf_err
             tok = d.features[x].values[z]
             children[tok] = child
@@ -392,7 +394,7 @@ def _grow(d: Dataset, min_leaf: int, cf: float) -> Leaf | Split:
             return Leaf(tuple(counts), label), leaf_err
         return Split(x, d.features[x].name, children, branch_weights, tuple(counts), label), done
 
-    unit = rows.weights.count(1.0) == len(rows)
+    unit = rows.unit
     # a row of weight 0 (or -0.0) adds nothing to any count, so it is left
     # out rather than let it give an empty branch to a value only it holds
     items = range(len(ys)) if unit else [(i, w) for i, w in enumerate(rows.weights) if w > 0.0]
@@ -475,19 +477,19 @@ class RuleModel:
 
     def predict(self, inst, schema: Dataset | None = None):
         """First matching rule wins; the default rule matches everything."""
-        rule = self._first_rules(Rows.of([inst]), schema)[0]
+        rule = self._first_rules([inst], schema)[0]
         return self.labels[rule.label], rule.distribution
 
     def predict_ids(self, instances, schema: Dataset | None = None) -> list[int]:
         """predict's label ids (into self.labels), one per instance."""
-        return [rule.label for rule in self._first_rules(Rows.of(instances), schema)]
+        return [rule.label for rule in self._first_rules(instances, schema)]
 
-    def _first_rules(self, rows: Rows, schema: Dataset | None) -> list[Rule]:
-        """The first rule each row matches: with one bitset per (feature,
+    def _first_rules(self, instances, schema: Dataset | None) -> list[Rule]:
+        """The first rule each instance matches: with one bitset per (feature,
         value id), each rule takes the rows no earlier rule took."""
+        rows, compiled = _compiled(self, instances, schema)
         if not rows:
             return []
-        compiled = _compiled(self, schema)
         used = {x for conds, _ in compiled for x, _ in conds}
         masks = {x: _row_masks(rows.columns[x]) for x in used}
         out = [self.rules[-1]] * len(rows)
@@ -600,13 +602,13 @@ def train_rules(d: Dataset, prune_fraction: float = RULES_PRUNE_FRACTION) -> Rul
         value_bits.append(by_value)
     ranks = _prune_ranks(len(ws), prune_fraction)
 
-    if ws.count(1.0) == len(ws):
+    if d.instances.unit:
         mass = int.bit_count
     else:
         def mass(mask):
             # Add the weights in ascending row order, as a loop over the
             # rows would, so the float sum comes out the same.
-            return reduce(operator.add, map(ws.__getitem__, _bits(mask)), 0.0)
+            return left_sum(map(ws.__getitem__, _bits(mask)))
 
     def coverage(conds, rows):
         for x, z in conds:

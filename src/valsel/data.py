@@ -19,10 +19,11 @@ folds and row filters gather them by row position (Dataset.take), and a
 column no step changes is shared, not copied, by the dataset derived from
 it.
 
-Rows are validated where they come in (the Dataset constructor and
-with_instances, and dataset_from_rows for what interning does not
-guarantee), with one C-level pass per column; only a failing check walks
-the rows to raise the first fault. Datasets derived from valid ones are
+Rows are validated where they come in (Dataset(...) and with_instances,
+and dataset_from_rows for what interning does not guarantee). Rows.of,
+the one place Instance objects become columns, checks the slot count, for
+datasets and both models' predict; Dataset._validate checks the columns
+in C-level passes and raises the first fault by row. Derived datasets are
 not re-validated: take gathers rows, and Dataset._derived, which
 discretize.apply and the filters call, puts new slot columns over the
 same label ids and weights.
@@ -156,15 +157,28 @@ class Rows(Sequence):
         self.weights = tuple(weights)
 
     @classmethod
-    def of(cls, instances) -> "Rows":
-        """instances as Rows: Rows as they are, Instance objects that all
-        hold as many slots gathered into columns."""
+    def of(cls, instances, arity: int) -> "Rows":
+        """instances as Rows of arity slots a row: Rows as they are, Instance
+        objects gathered into columns (none into arity empty ones). Rows of
+        another width, or the first Instance of another, raise DataError."""
+        if isinstance(instances, Rows):
+            shape = [len(instances.columns)]  # every row's slot count
+        else:
+            instances = tuple(instances)
+            slots = tuple(map(attrgetter("slots"), instances))
+            shape = list(map(len, slots))
+        if shape.count(arity) != len(shape):
+            i = next(i for i, k in enumerate(shape) if k != arity)
+            raise DataError(f"instance {i} has {shape[i]} slots, expected {arity}")
         if isinstance(instances, Rows):
             return instances
-        instances = tuple(instances)
-        columns = zip(*map(attrgetter("slots"), instances))
-        return cls(columns, tuple(map(attrgetter("label"), instances)),
-                   tuple(map(attrgetter("weight"), instances)))
+        return cls(zip(*slots) if slots else ((),) * arity, map(attrgetter("label"), instances),
+                   map(attrgetter("weight"), instances))
+
+    @property
+    def unit(self) -> bool:
+        """Whether every weight is 1.0."""
+        return self.weights.count(1.0) == len(self.weights)
 
     def __len__(self) -> int:
         return len(self.label_ids)
@@ -221,14 +235,8 @@ class Dataset:
 
     def __post_init__(self):
         features = tuple(self.features)
-        rows = self.instances
-        if not isinstance(rows, Rows):
-            rows = tuple(rows)
-            if any(len(i.slots) != len(features) for i in rows):
-                _check_rows(features, self.labels, rows)  # raises at the first faulty row
-        rows = Rows.of(rows)
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "instances", _shaped(rows, len(features)))
+        object.__setattr__(self, "instances", Rows.of(self.instances, len(features)))
         object.__setattr__(self, "labels", tuple(self.labels))
         self._validate()
 
@@ -237,8 +245,7 @@ class Dataset:
         """A Dataset built without _validate, for Rows already known valid."""
         features = tuple(features)
         d = object.__new__(cls)
-        d.__dict__.update(features=features, instances=_shaped(rows, len(features)),
-                          labels=tuple(labels), name=name)
+        d.__dict__.update(features=features, instances=rows, labels=tuple(labels), name=name)
         return d
 
     def _derived(self, columns, features=None, drop=()) -> "Dataset":
@@ -253,25 +260,37 @@ class Dataset:
                                 self.labels, self.name)
 
     def _validate(self):
+        """Check the schema, then the columns; the first fault by row, then place, raises."""
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise DataError("duplicate feature names")
         if len(set(self.labels)) != len(self.labels):
             raise DataError("duplicate labels")
         rows = self.instances
+        n = len(rows)
+        for what, column in zip([*(f"slots of feature {name!r}" for name in names), "weights"],
+                                (*rows.columns, rows.weights)):
+            if len(column) != n:
+                raise DataError(f"{len(column)} {what} for {n} label ids")
         if not rows:
             return
         if not self.labels:
             raise DataError("dataset with instances must declare at least one label")
-        # One C-level pass per column; only a failing check walks the rows.
-        if not (
-            len(rows.columns) == len(self.features)
-            and all(MISSING <= min(col) and max(col) < len(f.values)
-                    for f, col in zip(self.features, rows.columns))
-            and 0 <= min(rows.label_ids) and max(rows.label_ids) < len(self.labels)
-            and _weight_fault(rows.weights) is None
-        ):
-            _check_rows(self.features, self.labels, rows)
+        faults = []  # (row, place in the row, error); the least one is raised, as in _build
+        for x, (f, column) in enumerate(zip(self.features, rows.columns)):
+            i = _first_bad_id(column, MISSING, len(f.values))
+            if i is not None:
+                faults.append((i, x, DataError(f"instance {i} references unknown value id "
+                                               f"{column[i]!r} of feature {f.name!r}")))
+        i = _first_bad_id(rows.label_ids, 0, len(self.labels))
+        if i is not None:
+            faults.append((i, len(names), DataError(
+                f"instance {i} references unknown label id {rows.label_ids[i]!r}")))
+        fault = _weight_fault(rows.weights)  # a sum that overflows ranks after every row's faults
+        if fault:
+            faults.append((fault[0], len(names) + 1, fault[1]))
+        if faults:
+            raise min(faults)[2]
 
     # Equality covers content identity: feature names, value tuples and
     # their order, slot values and missing pattern, weights, and the label
@@ -321,12 +340,6 @@ class Dataset:
         return Dataset(self.features, instances, self.labels, self.name)
 
 
-def _shaped(rows: Rows, arity: int) -> Rows:
-    """rows, or with no row, arity empty columns: a dataset of no rows has
-    a column per feature whatever rows it was given."""
-    return rows if rows or len(rows.columns) == arity else Rows(((),) * arity, (), ())
-
-
 def empty_rows(columns) -> list[int]:
     """Positions of the rows whose every slot in columns is MISSING, the
     rows a value filter deletes; none when there are no columns."""
@@ -339,26 +352,18 @@ def recode(column, table, missing=MISSING) -> tuple:
     return tuple(map([*table, missing].__getitem__, column))  # a list's is the faster lookup
 
 
-def _check_rows(features, labels, instances) -> None:
-    """Raise DataError for the first faulty row (its slot count, each slot
-    in feature order, its label, its weight), then for an overflowing sum."""
-    arity = len(features)
-    bad_weight, error = _weight_fault([inst.weight for inst in instances]) or (None, None)
-    for i, inst in enumerate(instances):
-        if len(inst.slots) != arity:
-            raise DataError(f"instance {i} has {len(inst.slots)} slots, expected {arity}")
-        for x, z in enumerate(inst.slots):
-            if z != MISSING and not 0 <= z < len(features[x].values):
-                raise DataError(
-                    f"instance {i} references unknown value id {z} "
-                    f"of feature {features[x].name!r}"
-                )
-        if not 0 <= inst.label < len(labels):
-            raise DataError(f"instance {i} references unknown label id {inst.label}")
-        if i == bad_weight:
-            raise error
-    if error:
-        raise error
+def _first_bad_id(ids, low: int, high: int) -> int | None:
+    """Position of the first of the non-empty ids that is not an int (a bool
+    is not) from low up to high - 1; None, after C-level passes, when none is."""
+    if set(map(type, ids)) == {int} and low <= min(ids) and max(ids) < high:
+        return None
+    return next(i for i, z in enumerate(ids) if type(z) is not int or not low <= z < high)
+
+
+def left_sum(xs, start: float = 0.0) -> float:
+    """Floats added one by one, left to right, from start: the same bits on
+    every Python, where 3.12's builtin sum() compensates its rounding."""
+    return reduce(add, xs, start)
 
 
 def _weight_fault(weights) -> tuple[int, DataError] | None:
@@ -368,7 +373,7 @@ def _weight_fault(weights) -> tuple[int, DataError] | None:
     right, is not finite; None, after three C-level passes, when they are valid."""
     if set(map(type, weights)) <= {int, float}:
         with suppress(OverflowError):  # an int past the float range is found below
-            if all(map(le, repeat(0.0), weights)) and math.isfinite(reduce(add, weights, 0.0)):
+            if all(map(le, repeat(0.0), weights)) and math.isfinite(left_sum(weights)):
                 return None
     for i, w in enumerate(weights):
         if type(w) not in (int, float):
@@ -559,13 +564,12 @@ def load_csv(
     class_index: int | str = "last",
     missing_token: str = "?",
     header: bool = True,
-    name: str | None = None,
 ) -> Dataset:
     """Read an RFC-4180 CSV file into a Dataset.
 
     class_index is a 0-based column index or "last". Cells equal to
     missing_token become MISSING. With header=False, columns are named
-    f1..fn.
+    f1..fn. The dataset is named after the file's stem.
     """
     check_flag("header", header)
     if not isinstance(class_index, str):
@@ -616,8 +620,8 @@ def load_csv(
         line = _record_line(path, first_record + bad)
         raise DataError(f"{path}: line {line} has {lengths[bad]} fields, expected {arity}")
     feature_names = column_names[:cls] + column_names[cls + 1:]
-    return _build(name if name is not None else path.stem, feature_names, rows, labels,
-                  None, None, None, None, missing_token, _same)
+    return _build(path.stem, feature_names, rows, labels, None, None, None, None,
+                  missing_token, _same)
 
 
 def _record_line(path: Path, k: int) -> int:
@@ -646,7 +650,7 @@ def _csv_quote(token: str, every: bool) -> str:
 
 
 def _save_csv(d: Dataset, path: Path, missing_token: str) -> None:
-    if d.instances.weights.count(1.0) != len(d.instances):
+    if not d.instances.unit:
         log.warning("CSV output drops instance weights; use ARFF to keep them")
     tables = [f.values for f in d.features] + [d.labels]
     header = [f.name for f in d.features] + ["class"]

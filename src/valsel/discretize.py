@@ -52,9 +52,9 @@ from math import log2
 from operator import eq, ne, sub
 from pathlib import Path
 
-from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, recode
+from .data import CATEGORICAL, DISCRETIZED, MISSING, Dataset, Feature, left_sum, recode
 from .errors import ConfigError, DataError, check_choice, check_count
-from .metrics import entropy_bits, left_sum
+from .metrics import entropy_bits
 
 log = logging.getLogger(__name__)
 

@@ -44,10 +44,10 @@ from typing import NamedTuple
 from . import discretize
 from .baselines import RESERVOIR_FRACTION, drop_columns, random_value_removal, reservoir_select
 from .classifiers import LearnerSpec
-from .data import Dataset
+from .data import Dataset, left_sum
 from .errors import (ConfigError, DataError, check_choice, check_count, check_flag, check_names,
                      check_number)
-from .metrics import DATASET_ENTROPIES, aligned_table, compute_stats, left_sum
+from .metrics import DATASET_ENTROPIES, aligned_table, compute_stats
 from .selection import FilterOutcome, VSConfig, pvs, pvs_plus
 
 log = logging.getLogger(__name__)

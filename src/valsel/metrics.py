@@ -40,21 +40,14 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
-from .data import MISSING, Dataset
+from .data import MISSING, Dataset, left_sum
 from .errors import DataError, check_choice, check_number
 
 log = logging.getLogger(__name__)
 
 IOTAS = ("entropy", "infogain")
 DATASET_ENTROPIES = ("value-sum", "class")
-
-
-def left_sum(xs) -> float:
-    """Floats added one by one, left to right, from 0.0: the same bits on
-    every Python, where 3.12's builtin sum() compensates its rounding."""
-    return reduce(operator.add, xs, 0.0)
 
 
 def entropy_bits(counts, total=None, base=None) -> float:
@@ -181,7 +174,7 @@ def compute_stats(d: Dataset, dataset_entropy: str = "value-sum") -> MetricTable
     n_labels = len(d.labels)
 
     rows = d.instances
-    unit = rows.weights.count(1.0) == len(rows)
+    unit = rows.unit
     items = range(len(rows)) if unit else list(enumerate(rows.weights))
     counts, feature_total = [], []
     for f, column in zip(d.features, rows.columns):

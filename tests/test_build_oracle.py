@@ -115,7 +115,7 @@ def dataset_from_rows_oracle(
         )
         for x in range(arity)
     )
-    return Dataset._trusted(features, Rows.of(instances), tuple(label_ids), name)
+    return Dataset._trusted(features, Rows.of(instances, arity), tuple(label_ids), name)
 
 
 def load_csv_oracle(

@@ -111,7 +111,7 @@ def test_the_view_compares_equal_to_a_tuple_of_its_rows():
     assert rows != list(rows)  # a tuple of Instances, as instances was, never a list
     assert d.take([]).instances == ()
     assert d.take([2, 3]).instances == (rows[2], rows[3])
-    assert d.take([2, 3]).instances == Rows.of([rows[2], rows[3]])
+    assert d.take([2, 3]).instances == Rows.of([rows[2], rows[3]], len(d.features))
     reweighted = d.with_instances(Instance(i.slots, i.label, 2.0) for i in rows)
     assert reweighted.instances != rows
 
@@ -191,3 +191,10 @@ def test_a_dataset_pickles_with_its_rows():
     back = pickle.loads(pickle.dumps(d))
     assert back == d and back.instances == d.instances
     assert back.fingerprint == d.fingerprint
+
+
+def test_unit_says_whether_every_weight_is_one():
+    d = build_samples()
+    assert d.instances.unit and Rows.of([], 2).unit
+    assert not d.with_instances(Instance(i.slots, i.label, 2.0) for i in d.instances).instances.unit
+    assert Rows([(0, 0)], (0, 0), (1.0, 1)).unit  # an int 1 equals 1.0, as count() reads it

@@ -876,3 +876,11 @@ def test_with_instances_checks_every_row_it_does_not_own(samples):
         for given_rows in ([foreign], rows + [foreign], [foreign] + rows):
             with pytest.raises(DataError):
                 samples.with_instances(given_rows)
+
+
+def test_a_csv_dataset_is_named_after_its_file(tmp_path):
+    p = tmp_path / "iris.csv"
+    p.write_text("a,class\nx,0\ny,1\n", encoding="utf-8")
+    assert load_csv(p).name == "iris"
+    with pytest.raises(TypeError):
+        load_csv(p, name="other")  # the option is gone: a CSV file has no name of its own
