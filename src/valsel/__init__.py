@@ -20,10 +20,12 @@ from .data import (
     Dataset,
     Feature,
     Instance,
+    RemovalCounts,
     dataset_from_rows,
     load_arff,
     load_csv,
     load_dataset,
+    removal_counts,
     save_dataset,
 )
 from .discretize import (
@@ -79,6 +81,7 @@ __all__ = [
     "LearnerSpec",
     "MISSING",
     "MetricTable",
+    "RemovalCounts",
     "RuleModel",
     "RunRecord",
     "TreeModel",
@@ -108,6 +111,7 @@ __all__ = [
     "pvs",
     "pvs_plus",
     "random_value_removal",
+    "removal_counts",
     "removal_probability",
     "reservoir_select",
     "run_experiment",

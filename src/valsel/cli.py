@@ -6,7 +6,8 @@ explicit flags. A key's flag is --key with - for _, and its text is read
 as the config file's is. Every knob a command reads is checked before
 its input is read. Exit codes: 0 success, 1 data error (unreadable or
 malformed input), 2 config error (bad parameter values, including
-argparse rejections). All randomness flows from --seed.
+argparse rejections). All randomness flows from --seed. With --verbose,
+filter logs what the filter removed (data.removal_counts) as one INFO line.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from pathlib import Path
 
 from . import discretize as _disc
 from .classifiers import LEARNERS, LearnerSpec
-from .data import FORMATS, load_dataset, save_dataset
+from .data import FORMATS, load_dataset, removal_counts, save_dataset
 from .errors import ConfigError, DataError
 from .evaluate import FILTERS, ExperimentConfig, epsilon_text, format_report_table, run_experiment
 from .metrics import DATASET_ENTROPIES, IOTAS, compute_stats
 from .selection import FilterOutcome
+
+log = logging.getLogger("valsel.cli")  # __name__ is "__main__" under python -m valsel.cli
 
 
 def _defaults(cls) -> dict:
@@ -128,7 +131,7 @@ def _parse_epsilon(text: str, step: float) -> list[float]:
     if ".." not in text:
         return [_coerce("epsilon", text)]
     lo, hi = (_coerce("epsilon", end) for end in text.split("..", 1))
-    if not (math.isfinite(lo) and lo <= hi and step > 0):
+    if not (math.isfinite(lo) and lo <= hi and math.isfinite(step) and step > 0):
         raise ConfigError(f"bad epsilon range {text!r} with step {step}")
     if lo <= 0.0 or hi > 1.0:
         raise ConfigError(f"bad epsilon range {text!r}: epsilon lies in (0, 1]")
@@ -180,6 +183,8 @@ def cmd_filter(values: dict, args) -> None:
         if cfg.method != "none":
             audit += (f"instances: {len(d.instances)} -> {len(filtered.instances)}\n"
                       f"features: {len(d.features)} -> {len(filtered.features)}\n")
+    if log.isEnabledFor(logging.INFO):
+        log.info("%s removed %s", cfg.method, removal_counts(d, filtered))
     if args.stats_out:
         table = stats.format_table(cfg.iota, cfg.epsilon)
         _out_path(args.stats_out).write_text(table, encoding="utf-8")

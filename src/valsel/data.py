@@ -28,6 +28,10 @@ not re-validated: take gathers rows, and Dataset._derived, which
 discretize.apply and the filters call, puts new slot columns over the
 same label ids and weights.
 
+What a filter removed is read from the dataset before and after it by one
+function, removal_counts, so no filter reports it and the counts hold for
+every filter alike.
+
 dataset_from_rows, load_csv and load_arff all hand their token rows to
 one builder (_build), which interns each feature column, and the labels
 as one more, by one rule: a lookup table per column (_table), seeded with
@@ -345,6 +349,38 @@ def empty_rows(columns) -> list[int]:
     rows a value filter deletes; none when there are no columns."""
     blank = (MISSING,) * len(columns)
     return [i for i, slots in enumerate(zip(*columns)) if slots == blank]
+
+
+@dataclass(frozen=True)
+class RemovalCounts:
+    """What a filter took from a dataset: rows deleted; per feature of the
+    dataset before, its observed slots gone (those of deleted rows and of a
+    dropped feature included) and its value tokens observed nowhere after;
+    and the positions of its features dropped or left with no observed slot."""
+
+    rows_deleted: int
+    slots_cleared: tuple[int, ...]
+    values_emptied: tuple[int, ...]
+    features_emptied: tuple[int, ...]
+
+
+def removal_counts(before: Dataset, after: Dataset) -> RemovalCounts:
+    """What any filter took from before to leave after, read from the two
+    alone. Features are matched by name and values by token, as a filter may
+    drop features or renumber value ids; slots and rows are counted, not
+    weighed. With no row after, every feature is emptied."""
+    left = {f.name: (f, col) for f, col in zip(after.features, after.instances.columns)}
+    slots, values, emptied = [], [], []
+    for x, (f, col) in enumerate(zip(before.features, before.instances.columns)):
+        g, kept = left.get(f.name, (f, ()))
+        observed = len(kept) - kept.count(MISSING)
+        slots.append(len(col) - col.count(MISSING) - observed)
+        tokens = {f.values[z] for z in set(col) if z != MISSING}
+        values.append(len(tokens.difference(g.values[z] for z in set(kept) if z != MISSING)))
+        if not observed:
+            emptied.append(x)
+    return RemovalCounts(len(before.instances) - len(after.instances), tuple(slots),
+                         tuple(values), tuple(emptied))
 
 
 def recode(column, table, missing=MISSING) -> tuple:

@@ -30,7 +30,9 @@ each filter follows its own defining rule.
 
 Features whose observed values are all gone afterwards are reported in
 removed_features, which makes the filters subsume feature selection;
-instance deletion likewise subsumes instance selection.
+instance deletion likewise subsumes instance selection. removed_features
+is data.removal_counts' features_emptied, the rule every filter's
+removal is counted by; the filters themselves count nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
 
-from .data import MISSING, Dataset, Feature, empty_rows, recode
+from .data import MISSING, Dataset, Feature, empty_rows, recode, removal_counts
 from .errors import DataError, check_count
 from .metrics import MetricTable, check_selection, removal_probability
 
@@ -72,7 +74,6 @@ class FilterOutcome:
     removed_value_mask: tuple
     removed_instances: tuple[int, ...]
     removed_features: tuple[int, ...]
-    stats: MetricTable
     mode: str
 
     def audit_text(self, original: Dataset) -> str:
@@ -105,16 +106,13 @@ def _check_stats(d: Dataset, stats: MetricTable) -> None:
         raise DataError("metric table was computed on a different dataset")
 
 
-def _outcome(d: Dataset, stats: MetricTable, mode: str, mask: tuple, columns, drop,
-             features=None) -> FilterOutcome:
+def _outcome(d: Dataset, mode: str, mask: tuple, columns, drop, features=None) -> FilterOutcome:
     """The outcome of a filter that left columns over features (default d's)
-    and deleted the rows at the positions in drop. Features with no observed
-    slot left (every feature, when no row is) are listed as removed."""
+    and deleted the rows at the positions in drop; removal_counts names the
+    removed features."""
     filtered = d._derived(columns, features, drop)
-    n = len(filtered.instances)
-    removed_features = tuple(x for x, col in enumerate(filtered.instances.columns)
-                             if col.count(MISSING) == n)
-    return FilterOutcome(filtered, mask, tuple(drop), removed_features, stats, mode)
+    removed_features = removal_counts(d, filtered).features_emptied
+    return FilterOutcome(filtered, mask, tuple(drop), removed_features, mode)
 
 
 def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
@@ -137,7 +135,7 @@ def pvs(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         columns.append(recode(col, [MISSING if hit else next(new_ids) for hit in gone]))
         features.append(Feature(f.name, tuple(v for v, hit in zip(f.values, gone) if not hit),
                                 f.kind))
-    return _outcome(d, stats, "pvs", mask, columns, empty_rows(columns), features)
+    return _outcome(d, "pvs", mask, columns, empty_rows(columns), features)
 
 
 def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
@@ -171,4 +169,4 @@ def pvs_plus(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
     mask = tuple(zip(*cleared)) if cleared else ((),) * len(d.instances)
     removed_instances = [i for i, (row, r) in enumerate(zip(zip(*columns), deletion_draws))
                          if row.count(MISSING) / len(columns) > r]
-    return _outcome(d, stats, "pvs_plus", mask, columns, removed_instances)
+    return _outcome(d, "pvs_plus", mask, columns, removed_instances)

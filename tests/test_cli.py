@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 import valsel
 from valsel import (DISCRETIZED, MISSING, ConfigError, load_arff, load_csv, load_dataset,
-                    save_dataset)
+                    removal_counts, save_dataset)
 from valsel.cli import _build_parser, _parse_epsilon, main
 from valsel.discretize import DiscretizationSpec
 
@@ -310,6 +312,18 @@ def test_bad_epsilon_is_a_config_error(arff_input, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_an_infinite_epsilon_step_is_a_bad_range(arff_input, capsys):
+    # 0 * inf is nan, so the sweep was [nan], refused as an epsilon rather than as a step.
+    for text in ("0.1..0.2", "0.5..0.5"):
+        message = f"bad epsilon range {text!r} with step inf"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _parse_epsilon(text, math.inf)
+    code = main(["experiment", "--input", str(arff_input), "--epsilon", "0.1..0.2",
+                 "--epsilon-step", "inf"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: bad epsilon range '0.1..0.2' with step inf\n"
+
+
 @pytest.mark.parametrize("command", ["experiment", "filter"])
 def test_a_cf_too_small_for_a_normal_quantile_is_a_config_error(arff_input, tmp_path, capsys, command):
     out = tmp_path / "out.arff"
@@ -516,6 +530,30 @@ def test_filter_checks_only_the_knobs_its_method_reads(arff_input, tmp_path, cap
     assert "config error: rate must lie in [0, 1], got 5.0" in capsys.readouterr().err
     assert main([*base, "--method", "reservoir", "--fraction", "0"]) == 2
     assert "config error: fraction must lie in (0, 1], got 0.0" in capsys.readouterr().err
+
+
+#: The flags a filter method needs on the 40-row input beyond the defaults.
+METHOD_FLAGS = {"drop_columns": ["--drop", "b"], "random_value": ["--rate", "0.5"]}
+
+
+@pytest.mark.parametrize("method", sorted(valsel.FILTERS))
+def test_filter_logs_what_it_removed_only_with_verbose(arff_input, tmp_path, method):
+    argv = ["filter", "--input", str(arff_input), "--method", method, "--disc-method", "none",
+            *METHOD_FLAGS.get(method, [])]
+    files, errs = {}, {}
+    for run, flags in (("quiet", []), ("verbose", ["--verbose"])):
+        out, audit = tmp_path / f"{run}.arff", tmp_path / f"{run}.txt"
+        code, _, errs[run] = run_cli(*argv, *flags, "--output", str(out), "--audit-out", str(audit))
+        assert code == 0
+        files[run] = out.read_bytes(), audit.read_bytes()
+    assert errs["quiet"] == "" and files["verbose"] == files["quiet"]
+    counts = removal_counts(load_dataset(arff_input), load_dataset(tmp_path / "verbose.arff"))
+    err = errs["verbose"]
+    assert err == f"INFO valsel.cli: {method} removed {counts!r}\n"
+    if method == "drop_columns":
+        assert err == ("INFO valsel.cli: drop_columns removed RemovalCounts(rows_deleted=0, "
+                       "slots_cleared=(0, 40, 0), values_emptied=(0, 2, 0), "
+                       "features_emptied=(1,))\n")
 
 
 def test_csv_dialect_flags(tmp_path):

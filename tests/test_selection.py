@@ -416,7 +416,6 @@ def pvs_oracle(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutcome:
         removed_value_mask=mask,
         removed_instances=tuple(removed_instances),
         removed_features=_removed_features(filtered),
-        stats=stats,
         mode="pvs",
     )
 
@@ -496,7 +495,6 @@ def pvs_plus_oracle(d: Dataset, cfg: VSConfig, stats: MetricTable) -> FilterOutc
         removed_value_mask=tuple(mask),
         removed_instances=tuple(removed_instances),
         removed_features=_removed_features(filtered),
-        stats=stats,
         mode="pvs_plus",
     )
 
